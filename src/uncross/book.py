@@ -1,9 +1,10 @@
 """Auction order book reconstructed by replaying an event log.
 
-The book keeps three mutually consistent views:
+The book keeps two mutually consistent views:
 
-* per-price resting limit volume, one integer share count per tick and side;
-* unpriced market-order share totals per side;
+* the price levels: dense per-tick resting limit volume, one int64 array per
+  side over a window of ticks that starts around the reference tick and grows
+  on demand, plus the unpriced market-order share totals per side;
 * a registry of live orders preserving arrival order, used for time-priority
   allocation at the clearing price and for flag breakdowns.
 
@@ -18,6 +19,9 @@ are treated as immutable snapshots and may be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
+
+import numpy as np
 
 from .errors import (
     DuplicateOrderId,
@@ -27,6 +31,10 @@ from .errors import (
 )
 from .events import OrderEvent
 from .grid import PriceGrid
+
+# Ticks of slack on each side of the reference tick in a new book's level
+# window, and beyond a level the window grows to reach.
+_PAD = 64
 
 
 @dataclass
@@ -61,9 +69,9 @@ class OrderRecord:
 
 @dataclass
 class AuctionBook:
+    """Book state; ``buy_levels[i]``/``sell_levels[i]`` rest at tick ``lo_index + i``."""
+
     grid: PriceGrid
-    buy_volume: dict[int, int] = field(default_factory=dict)  # tick index -> shares
-    sell_volume: dict[int, int] = field(default_factory=dict)
     buy_market_total: int = 0
     sell_market_total: int = 0
     orders: dict[str, OrderRecord] = field(default_factory=dict)
@@ -71,6 +79,16 @@ class AuctionBook:
     # conservation counters: shares ever added to / removed from resting state
     shares_added: dict[str, int] = field(default_factory=lambda: {"B": 0, "S": 0})
     shares_removed: dict[str, int] = field(default_factory=lambda: {"B": 0, "S": 0})
+    lo_index: int = field(init=False, repr=False, compare=False)
+    buy_levels: np.ndarray = field(init=False, repr=False, compare=False)
+    sell_levels: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        ref = self.grid.reference_index
+        self.lo_index = max(ref - _PAD, self.grid.min_price_index)
+        n = ref + _PAD - self.lo_index + 1
+        self.buy_levels = np.zeros(n, dtype=np.int64)
+        self.sell_levels = np.zeros(n, dtype=np.int64)
 
     # ------------------------------------------------------------------ mutation
 
@@ -112,13 +130,13 @@ class AuctionBook:
             account_type=ev.account_type,
         )
         self.orders[ev.order_id] = rec
-        self._add_volume(rec, rec.quantity)
+        self._shift_volume(rec, rec.quantity)
 
     def _cancel(self, ev: OrderEvent) -> None:
         rec = self.orders.get(ev.order_id)
         if rec is None:
             raise UnknownOrderId(f"CANCEL of unknown or dead order {ev.order_id!r}")
-        self._remove_volume(rec, rec.quantity)
+        self._shift_volume(rec, -rec.quantity)
         del self.orders[ev.order_id]
 
     def _modify(self, ev: OrderEvent) -> None:
@@ -135,7 +153,7 @@ class AuctionBook:
         price_changed = new_index != rec.price_index or new_type != rec.order_type
         qty_up = ev.quantity > rec.quantity
 
-        self._remove_volume(rec, rec.quantity)
+        self._shift_volume(rec, -rec.quantity)
         rec.order_type = new_type
         rec.price_index = new_index
         rec.quantity = ev.quantity
@@ -143,62 +161,90 @@ class AuctionBook:
             self._seq += 1
             rec.priority_ts = ev.timestamp
             rec.priority_seq = self._seq
-        self._add_volume(rec, rec.quantity)
+        self._shift_volume(rec, rec.quantity)
 
-    def _add_volume(self, rec: OrderRecord, qty: int) -> None:
+    def _shift_volume(self, rec: OrderRecord, qty: int) -> None:
+        """Add ``qty`` of the order's shares to the book (negative ``qty`` removes)."""
         if not rec.is_resting:
             return  # dormant stop orders carry no book volume
-        self.shares_added[rec.side] += qty
+        if qty > 0:
+            self.shares_added[rec.side] += qty
+        else:
+            self.shares_removed[rec.side] -= qty
         if rec.is_market:
             if rec.side == "B":
                 self.buy_market_total += qty
             else:
                 self.sell_market_total += qty
             return
-        levels = self.buy_volume if rec.side == "B" else self.sell_volume
-        levels[rec.price_index] = levels.get(rec.price_index, 0) + qty
+        i = self._slot(rec.price_index)
+        levels = self.buy_levels if rec.side == "B" else self.sell_levels
+        levels[i] += qty
 
-    def _remove_volume(self, rec: OrderRecord, qty: int) -> None:
-        if not rec.is_resting:
-            return
-        self.shares_removed[rec.side] += qty
-        if rec.is_market:
-            if rec.side == "B":
-                self.buy_market_total -= qty
-            else:
-                self.sell_market_total -= qty
-            return
-        levels = self.buy_volume if rec.side == "B" else self.sell_volume
-        remaining = levels[rec.price_index] - qty
-        if remaining:
-            levels[rec.price_index] = remaining
-        else:
-            del levels[rec.price_index]
+    def _slot(self, index: int) -> int:
+        """Array position of a tick, growing the window when the tick is not inside it.
+
+        The window keeps at least one empty tick beyond every level it holds
+        (the uncrossing's sentinel ticks), except at the smallest positive-price
+        tick, below which it never reaches.  Growth is at least half the current
+        width, so it costs amortized O(1) per event.
+        """
+        n = len(self.buy_levels)
+        if index <= self.lo_index and self.lo_index > self.grid.min_price_index:
+            grow = max(self.lo_index - index + _PAD, n // 2)
+            grow = min(grow, self.lo_index - self.grid.min_price_index)
+            pad = np.zeros(grow, dtype=np.int64)
+            self.buy_levels = np.concatenate([pad, self.buy_levels])
+            self.sell_levels = np.concatenate([pad, self.sell_levels])
+            self.lo_index -= grow
+        elif index >= self.lo_index + n - 1:
+            grow = max(index - (self.lo_index + n) + _PAD + 1, n // 2)
+            pad = np.zeros(grow, dtype=np.int64)
+            self.buy_levels = np.concatenate([self.buy_levels, pad])
+            self.sell_levels = np.concatenate([self.sell_levels, pad])
+        return index - self.lo_index
 
     # ------------------------------------------------------------------ queries
 
+    @property
+    def buy_volume(self) -> MappingProxyType:
+        """Read-only ``{tick index: shares}`` over the occupied buy levels."""
+        return self._level_map(self.buy_levels)
+
+    @property
+    def sell_volume(self) -> MappingProxyType:
+        """Read-only ``{tick index: shares}`` over the occupied sell levels."""
+        return self._level_map(self.sell_levels)
+
+    def _level_map(self, levels: np.ndarray) -> MappingProxyType:
+        pos = np.flatnonzero(levels)
+        return MappingProxyType(dict(zip((pos + self.lo_index).tolist(), levels[pos].tolist())))
+
     def supply(self, price: float) -> int:
         """Sell shares available at or below ``price``, market sells included."""
-        k = self.grid.index_of(price)
-        return self.sell_market_total + sum(v for i, v in self.sell_volume.items() if i <= k)
+        i = self.grid.index_of(price) - self.lo_index
+        return self.sell_market_total + int(self.sell_levels[: max(i + 1, 0)].sum())
 
     def demand(self, price: float) -> int:
         """Buy shares available at or above ``price``, market buys included."""
-        k = self.grid.index_of(price)
-        return self.buy_market_total + sum(v for i, v in self.buy_volume.items() if i >= k)
+        i = self.grid.index_of(price) - self.lo_index
+        return self.buy_market_total + int(self.buy_levels[max(i, 0):].sum())
 
     def volume_at(self, index: int) -> tuple[int, int]:
-        return self.buy_volume.get(index, 0), self.sell_volume.get(index, 0)
+        i = index - self.lo_index
+        if 0 <= i < len(self.buy_levels):
+            return int(self.buy_levels[i]), int(self.sell_levels[i])
+        return 0, 0
 
     def nonempty_indices(self, side: str | None = None) -> list[int]:
         """Sorted tick indices carrying volume; both sides combined when side is None."""
         if side == "B":
-            keys = self.buy_volume.keys()
+            levels = self.buy_levels
         elif side == "S":
-            keys = self.sell_volume.keys()
+            levels = self.sell_levels
         else:
-            keys = self.buy_volume.keys() | self.sell_volume.keys()
-        out = sorted(keys)
+            levels = self.buy_levels | self.sell_levels
+        out = (np.flatnonzero(levels) + self.lo_index).tolist()
         if side is not None and not out:
             raise EmptySide(f"no resting limit volume on side {side}")
         return out
@@ -208,6 +254,6 @@ class AuctionBook:
         return [r for r in self.orders.values() if r.is_resting]
 
     def total_resting(self, side: str) -> int:
-        levels = self.buy_volume if side == "B" else self.sell_volume
+        levels = self.buy_levels if side == "B" else self.sell_levels
         market = self.buy_market_total if side == "B" else self.sell_market_total
-        return sum(levels.values()) + market
+        return int(levels.sum()) + market

@@ -5,10 +5,11 @@ Among maximizers it minimizes the absolute imbalance ``|S(p) - D(p)|``, then
 the distance to the reference price, and finally takes the lower price, which
 makes the outcome fully deterministic.
 
-Candidate prices are every grid tick between one tick below (above) the lowest
-(highest) non-empty tick, widened to include the reference price.  Outside that
-range both curves are flat, so any price there ties with the nearest scanned
-sentinel tick and loses the distance tie-break to it.
+Candidate prices are the ticks of the book's level window, which holds every
+non-empty tick plus an empty sentinel tick beyond the lowest and the highest,
+widened to include the reference price.  Outside the occupied range both curves
+are flat, so any price there ties with the nearest sentinel tick and loses the
+distance tie-break to it (or to the reference tick itself).
 
 At the clearing price, orders are filled in price-time priority: market orders
 first, then limit orders through the price, then limit orders at the price by
@@ -20,37 +21,13 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .book import AuctionBook, OrderRecord
 from .errors import AllocationInvariantError, NoCross
 from .grid import PriceGrid
-
-
-def _arrays_for(book: AuctionBook, ref_index: int):
-    """Per-tick volume arrays over the candidate index range [lo, hi].
-
-    The range never extends to non-positive prices: an auction cannot clear
-    there, and the log-price analytics downstream require positive prices.
-    """
-    idxs = book.nonempty_indices()
-    if idxs:
-        lo = min(idxs[0] - 1, ref_index)
-        hi = max(idxs[-1] + 1, ref_index)
-    else:
-        lo = hi = ref_index
-    lo = max(lo, book.grid.min_price_index)
-    hi = max(hi, lo)
-    n = hi - lo + 1
-    vb = np.zeros(n, dtype=np.int64)
-    vs = np.zeros(n, dtype=np.int64)
-    for k, v in book.buy_volume.items():
-        vb[k - lo] = v
-    for k, v in book.sell_volume.items():
-        vs[k - lo] = v
-    return lo, vb, vs
 
 
 def uncross_values(
@@ -80,6 +57,40 @@ def uncross_values(
     candidates = candidates[dist == dist.min()]
     k = int(candidates[0])  # lowest price among remaining ties
     return k + lo_index, q, int(imbalance[k])
+
+
+def _uncross(
+    book: AuctionBook,
+    reference_price: float | None = None,
+    side: str | None = None,
+    market_delta: int = 0,
+) -> tuple[int, int, int]:
+    """``uncross_values`` over the book's level arrays.
+
+    ``market_delta`` shares are added to the market total of ``side`` (removed
+    when negative) for this scan only.  The scan covers the book's tick window,
+    widened to the reference tick when that lies outside, without growing the
+    book.  The widening stops at the smallest positive-price tick: an auction
+    cannot clear at a non-positive price.
+    """
+    grid = book.grid
+    ref_index = (
+        grid.reference_index if reference_price is None else grid.index_of(reference_price)
+    )
+    lo = book.lo_index
+    vb, vs = book.buy_levels, book.sell_levels
+    reach = max(ref_index, grid.min_price_index)
+    below, above = max(lo - reach, 0), max(reach - (lo + len(vb) - 1), 0)
+    if below or above:
+        vb, vs = np.pad(vb, (below, above)), np.pad(vs, (below, above))
+    return uncross_values(
+        vb,
+        vs,
+        book.buy_market_total + (market_delta if side == "B" else 0),
+        book.sell_market_total + (market_delta if side == "S" else 0),
+        lo - below,
+        ref_index,
+    )
 
 
 @dataclass(frozen=True)
@@ -115,7 +126,6 @@ class ClearingResult:
     market_sell_unfilled: int = 0
     buy_spillover: int = 0
     sell_spillover: int = 0
-    executable: tuple[tuple[float, int], ...] | None = None
 
     def __post_init__(self):
         rem_s = self.vsr + self.market_sell_unfilled + self.sell_spillover
@@ -189,20 +199,9 @@ def _allocate_side(
     return fills
 
 
-def clear(
-    book: AuctionBook,
-    reference_price: float | None = None,
-    diagnostics: bool = False,
-) -> ClearingResult:
+def clear(book: AuctionBook, reference_price: float | None = None) -> ClearingResult:
     """Uncross the book, allocate fills, and return the full clearing record."""
-    grid = book.grid
-    ref_index = (
-        grid.reference_index if reference_price is None else grid.index_of(reference_price)
-    )
-    lo, vb, vs = _arrays_for(book, ref_index)
-    k_a, q_a, imb = uncross_values(
-        vb, vs, book.buy_market_total, book.sell_market_total, lo, ref_index
-    )
+    k_a, q_a, imb = _uncross(book, reference_price)
 
     fills_b = _allocate_side(book, "B", k_a, q_a)
     fills_s = _allocate_side(book, "S", k_a, q_a)
@@ -237,20 +236,8 @@ def clear(
         )
     )
 
-    executable = None
-    if diagnostics:
-        supply = book.sell_market_total + np.cumsum(vs)
-        demand = book.buy_market_total + np.cumsum(vb[::-1])[::-1]
-        executable = tuple(
-            (grid.price_at(lo + i), int(min(supply[i], demand[i]))) for i in range(len(vb))
-        )
-
-    rel = k_a - lo
-    supply_at = book.sell_market_total + int(np.cumsum(vs)[rel])
-    demand_at = book.buy_market_total + int(np.cumsum(vb[::-1])[::-1][rel])
-
     return ClearingResult(
-        grid=grid,
+        grid=book.grid,
         price_index=k_a,
         q_a=q_a,
         imbalance=imb,
@@ -259,13 +246,13 @@ def clear(
         vsm=vsm,
         vsr=vs_at - vsm,
         fills=fills,
-        supply_at=supply_at,
-        demand_at=demand_at,
+        # q_a = min(S, D) and imb = S - D at the clearing tick
+        supply_at=q_a + max(imb, 0),
+        demand_at=q_a + max(-imb, 0),
         market_buy_unfilled=book.buy_market_total - mb_filled,
         market_sell_unfilled=book.sell_market_total - ms_filled,
         buy_spillover=spill_b,
         sell_spillover=spill_s,
-        executable=executable,
     )
 
 
@@ -285,77 +272,43 @@ class IndicativePoint:
         return self.price_index is not None
 
 
-class LiveUncrosser:
-    """Incrementally maintained volume arrays for snapshot-heavy replays.
+def _indicative(book: AuctionBook) -> tuple[int, int, int] | None:
+    """Current (price index, volume, imbalance) of the book, or None without a cross."""
+    try:
+        return _uncross(book)
+    except NoCross:
+        return None
 
-    Rebuilding dense arrays from the book for every snapshot is O(width) per
-    event; this view applies O(1) updates instead and re-runs only the array
-    scan.  The window is grown on demand when an event lands outside it.
+
+def _snapshots(events: Iterable, book: AuctionBook, interval_us: int) -> Iterator[IndicativePoint]:
+    """Replay a time-sorted event log into ``book``, yielding indicative points.
+
+    Yields one point per interval boundary from the first event on, plus a
+    final point at the last event's timestamp.  While a point is being
+    consumed, ``book`` holds exactly the events before its instant.
     """
+    next_t: int | None = None
+    last_t: int | None = None
 
-    def __init__(self, grid: PriceGrid, pad: int = 64):
-        self.grid = grid
-        self.ref_index = grid.reference_index
-        self.lo = max(self.ref_index - pad, grid.min_price_index)
-        n = self.ref_index + pad - self.lo + 1
-        self.vb = np.zeros(n, dtype=np.int64)
-        self.vs = np.zeros(n, dtype=np.int64)
-        self.mb = 0
-        self.ms = 0
+    def point(t: int) -> IndicativePoint:
+        res = _indicative(book)
+        if res is None:
+            return IndicativePoint(t, None, 0)
+        return IndicativePoint(t, res[0], res[1])
 
-    def _ensure(self, index: int) -> None:
-        n = len(self.vb)
-        if index < self.lo:
-            grow = max(self.lo - index + 64, n // 2)
-            grow = min(grow, self.lo - self.grid.min_price_index)
-            self.vb = np.concatenate([np.zeros(grow, dtype=np.int64), self.vb])
-            self.vs = np.concatenate([np.zeros(grow, dtype=np.int64), self.vs])
-            self.lo -= grow
-        elif index >= self.lo + n:
-            grow = max(index - (self.lo + n) + 65, n // 2)
-            self.vb = np.concatenate([self.vb, np.zeros(grow, dtype=np.int64)])
-            self.vs = np.concatenate([self.vs, np.zeros(grow, dtype=np.int64)])
-
-    def add(self, side: str, price_index: int | None, qty: int) -> None:
-        """Add (or with negative qty, remove) resting volume."""
-        if price_index is None:
-            if side == "B":
-                self.mb += qty
-            else:
-                self.ms += qty
-            return
-        self._ensure(price_index)
-        if side == "B":
-            self.vb[price_index - self.lo] += qty
-        else:
-            self.vs[price_index - self.lo] += qty
-
-    def uncross(self, extra_side: str | None = None, extra_qty: int = 0):
-        """Current indicative values, optionally with a virtual market order added.
-
-        Returns (price index, volume, imbalance) or None when there is no cross.
-        """
-        mb, ms = self.mb, self.ms
-        if extra_qty:
-            if extra_side == "B":
-                mb += extra_qty
-            else:
-                ms += extra_qty
-        try:
-            return uncross_values(self.vb, self.vs, mb, ms, self.lo, self.ref_index)
-        except NoCross:
-            return None
-
-    @classmethod
-    def from_book(cls, book: AuctionBook) -> "LiveUncrosser":
-        view = cls(book.grid)
-        for k, v in book.buy_volume.items():
-            view.add("B", k, v)
-        for k, v in book.sell_volume.items():
-            view.add("S", k, v)
-        view.mb = book.buy_market_total
-        view.ms = book.sell_market_total
-        return view
+    for ev in events:
+        if next_t is None:
+            next_t = ev.timestamp
+        while ev.timestamp > next_t:
+            yield point(next_t)
+            next_t += interval_us
+        book.apply(ev)
+        last_t = ev.timestamp
+    if last_t is not None:
+        while next_t < last_t:
+            yield point(next_t)
+            next_t += interval_us
+        yield point(last_t)
 
 
 def indicative_series(
@@ -369,50 +322,8 @@ def indicative_series(
     ``price_index=None`` rather than failing.
     """
     book = AuctionBook(grid)
-    view = LiveUncrosser(grid)
-    points: list[IndicativePoint] = []
-    next_t: int | None = None
-    last_t: int | None = None
-
-    def snap(t: int) -> None:
-        res = view.uncross()
-        if res is None:
-            points.append(IndicativePoint(t, None, 0))
-        else:
-            k, q, _ = res
-            points.append(IndicativePoint(t, k, q))
-
-    for ev in events:
-        if next_t is None:
-            next_t = ev.timestamp
-        while ev.timestamp > next_t:
-            snap(next_t)
-            next_t += interval_us
-        _apply_tracked(book, view, ev)
-        last_t = ev.timestamp
-    if next_t is not None:
-        while last_t is not None and next_t < last_t:
-            snap(next_t)
-            next_t += interval_us
-        snap(last_t if last_t is not None else next_t)
+    points = list(_snapshots(events, book, interval_us))
     return book, points
-
-
-def _apply_tracked(book: AuctionBook, view: LiveUncrosser, ev) -> None:
-    """Apply an event to the book while mirroring volume deltas into the view."""
-    before = book.orders.get(ev.order_id)
-    snapshot = None
-    if before is not None and before.is_resting:
-        snapshot = (before.side, before.price_index if not before.is_market else None,
-                    before.quantity)
-    book.apply(ev)
-    after = book.orders.get(ev.order_id)
-    if snapshot is not None:
-        side, idx, qty = snapshot
-        view.add(side, idx, -qty)
-    if after is not None and after.is_resting:
-        view.add(after.side, after.price_index if not after.is_market else None,
-                 after.quantity)
 
 
 def series_to_csv(points: Sequence[IndicativePoint], grid: PriceGrid) -> str:

@@ -18,7 +18,7 @@ import click
 
 from . import __version__
 from .book import AuctionBook
-from .clearing import LiveUncrosser, _apply_tracked, clear, series_to_csv
+from .clearing import _snapshots, clear, series_to_csv
 from .density import average_density, day_profile, profiles_to_csv
 from .errors import NoCross, ParseError, TooFewPoints, UncrossError
 from .events import format_price, read_events, write_events
@@ -118,7 +118,7 @@ def replay(log, tick, ref, anchor, grid_file, out_dir):
     try:
         grid = _grid_from(tick, ref, anchor, grid_file)
         book = AuctionBook(grid).replay(read_events(log))
-        clearing = clear(book, diagnostics=True)
+        clearing = clear(book)
         _write(out / f"{stem}_clearing.json", clearing.to_json() + "\n")
         lines = ["price,buy_shares,sell_shares"]
         for k in book.nonempty_indices():
@@ -317,8 +317,6 @@ def response(log, warmup, with_cancels, bins, omega_lo, omega_hi,
 @out_dir_option
 def series(log, interval, min_points, max_x, tick, ref, anchor, grid_file, out_dir):
     """Indicative price/volume snapshots plus liquidity and max linear volume."""
-    from .clearing import IndicativePoint
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stem = Path(log).stem
@@ -326,19 +324,16 @@ def series(log, interval, min_points, max_x, tick, ref, anchor, grid_file, out_d
     try:
         grid = _grid_from(tick, ref, anchor, grid_file)
         book = AuctionBook(grid)
-        view = LiveUncrosser(grid)
-        points: list[IndicativePoint] = []
+        points = []
         liq_rows: list[str] = []
-
-        def snap(t: int) -> None:
-            res = view.uncross()
-            if res is None:
-                points.append(IndicativePoint(t, None, 0))
+        for pt in _snapshots(read_events(log), book, interval_us):
+            points.append(pt)
+            t, q_ind = pt.t, pt.q_ind
+            if not pt.crossed:
                 for s in ("B", "S"):
                     liq_rows.append(f"{t},{s},,,,,,")
-                return
-            k_ind, q_ind, _ = res
-            points.append(IndicativePoint(t, k_ind, q_ind))
+                continue
+            p_ind = format_price(grid.price_at(pt.price_index))
             snap_clearing = clear(book)
             for s in ("B", "S"):
                 try:
@@ -347,29 +342,11 @@ def series(log, interval, min_points, max_x, tick, ref, anchor, grid_file, out_d
                     l_abs = fit.l_tilde * q_ind
                     q_max = fit.omega_max * q_ind
                     liq_rows.append(
-                        f"{t},{s},{format_price(grid.price_at(k_ind))},{q_ind},"
+                        f"{t},{s},{p_ind},{q_ind},"
                         f"{fit.l_tilde!r},{l_abs!r},{fit.omega_max!r},{q_max!r}"
                     )
                 except UncrossError:
-                    liq_rows.append(
-                        f"{t},{s},{format_price(grid.price_at(k_ind))},{q_ind},,,,"
-                    )
-
-        next_t = None
-        last_t = None
-        for ev in read_events(log):
-            if next_t is None:
-                next_t = ev.timestamp
-            while ev.timestamp > next_t:
-                snap(next_t)
-                next_t += interval_us
-            _apply_tracked(book, view, ev)
-            last_t = ev.timestamp
-        if next_t is not None and last_t is not None:
-            while next_t < last_t:
-                snap(next_t)
-                next_t += interval_us
-            snap(last_t)
+                    liq_rows.append(f"{t},{s},{p_ind},{q_ind},,,,")
 
         name_ind = f"{stem}_indicative.csv"
         _write(out / name_ind, series_to_csv(points, grid))

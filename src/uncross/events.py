@@ -116,7 +116,11 @@ def _parse_row(row: list[str], line: int, path: str | None) -> OrderEvent:
 
 
 def read_events(path: str | Path) -> Iterator[OrderEvent]:
-    """Stream events from a CSV log, raising line-numbered ParseError on bad rows."""
+    """Stream events from a CSV log, raising line-numbered ParseError on bad rows.
+
+    Timestamps must be nondecreasing: a row earlier than the one before it is
+    a bad row.
+    """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -128,10 +132,18 @@ def read_events(path: str | Path) -> Iterator[OrderEvent]:
             raise ParseError(
                 f"bad header {header!r}; expected {CSV_HEADER!r}", line=1, path=str(path)
             )
+        last_ts: int | None = None
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
-            yield _parse_row(row, line_no, str(path))
+            ev = _parse_row(row, line_no, str(path))
+            if last_ts is not None and ev.timestamp < last_ts:
+                raise ParseError(
+                    f"timestamp_us {ev.timestamp} is earlier than the previous row's {last_ts}",
+                    line=line_no, path=str(path),
+                )
+            last_ts = ev.timestamp
+            yield ev
 
 
 def format_event(ev: OrderEvent) -> list[str]:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .book import AuctionBook
-from .clearing import ClearingResult, _arrays_for, uncross_values
+from .clearing import ClearingResult, _uncross
 from .errors import (
     BeyondTruncation,
     DegenerateAuction,
@@ -253,15 +253,7 @@ def inject_and_reclear(
     """
     if q < 0 or q != int(q):
         raise ValueError("injected volume must be a non-negative integer")
-    grid = book.grid
-    ref_index = (
-        grid.reference_index if reference_price is None else grid.index_of(reference_price)
-    )
-    lo, vb, vs = _arrays_for(book, ref_index)
-    mb = book.buy_market_total + (q if side == "B" else 0)
-    ms = book.sell_market_total + (q if side == "S" else 0)
-    k, _, _ = uncross_values(vb, vs, mb, ms, lo, ref_index)
-    return grid.price_at(k)
+    return _reclear(book, side, q, reference_price)
 
 
 def cancel_market_and_reclear(
@@ -276,15 +268,15 @@ def cancel_market_and_reclear(
     total = book.buy_market_total if side == "B" else book.sell_market_total
     if q > total:
         raise ValueError(f"cannot cancel {q} market shares; only {total} resting")
-    grid = book.grid
-    ref_index = (
-        grid.reference_index if reference_price is None else grid.index_of(reference_price)
-    )
-    lo, vb, vs = _arrays_for(book, ref_index)
-    mb = book.buy_market_total - (q if side == "B" else 0)
-    ms = book.sell_market_total - (q if side == "S" else 0)
-    k, _, _ = uncross_values(vb, vs, mb, ms, lo, ref_index)
-    return grid.price_at(k)
+    return _reclear(book, side, -q, reference_price)
+
+
+def _reclear(
+    book: AuctionBook, side: str, market_delta: int, reference_price: float | None
+) -> float:
+    """Clearing price with ``market_delta`` market shares added to a side (negative removes)."""
+    k, _, _ = _uncross(book, reference_price, side, market_delta)
+    return book.grid.price_at(k)
 
 
 # ------------------------------------------------------------------ scalars

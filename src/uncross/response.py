@@ -16,7 +16,8 @@ Two one-lag responses are measured per event, conditioned on the scaled size
 
 Event time advances only at marketable events; everything else just moves the
 book.  Events arriving before the warmup cutoff or while the book does not
-cross are applied but not measured.
+cross are applied but not measured; so are marketable events that leave the
+book without a cross, which count as skipped like those arriving without one.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .book import AuctionBook
-from .clearing import LiveUncrosser, _apply_tracked
+from .clearing import _indicative
 from .events import OrderEvent
 from .grid import PriceGrid
 
@@ -126,7 +127,6 @@ def collect_marketable(
     final clearing) and the count skipped for lack of a cross.
     """
     book = AuctionBook(grid)
-    view = LiveUncrosser(grid)
     recorded: list[MarketableEvent] = []
     skipped = 0
     t0: int | None = None
@@ -135,34 +135,37 @@ def collect_marketable(
         if t0 is None:
             t0 = ev.timestamp
         measured = ev.timestamp >= t0 + warmup_us and (with_cancels or ev.action != "CANCEL")
-        pre = view.uncross() if measured else None
+        pre = _indicative(book) if measured else None
         cls = None
         if measured:
             if pre is not None:
                 cls = classify_marketable(ev, book, pre[0])
             elif _unconditionally_marketable(ev, book):
                 skipped += 1  # marketable but no indicative price to measure against
-        _apply_tracked(book, view, ev)
-        if cls is not None:
-            sign, shares = cls
-            k_ind, q_ind, _ = pre
-            p_before = grid.price_at(k_ind)
-            post = view.uncross()
-            p_after = grid.price_at(post[0]) if post is not None else p_before
-            if recorded:
-                _backfill(recorded, p_before)
-            recorded.append(
-                MarketableEvent(
-                    t=ev.timestamp,
-                    sign=sign,
-                    omega=shares / q_ind,
-                    shares=shares,
-                    kind=ev.action,
-                    p_before=p_before,
-                    p_after_mech=p_after,
-                )
+        book.apply(ev)
+        if cls is None:
+            continue
+        sign, shares = cls
+        k_ind, q_ind, _ = pre
+        p_before = grid.price_at(k_ind)
+        if recorded:
+            _backfill(recorded, p_before)
+        post = _indicative(book)
+        if post is None:
+            skipped += 1  # the event itself removed the cross: no price to move to
+            continue
+        recorded.append(
+            MarketableEvent(
+                t=ev.timestamp,
+                sign=sign,
+                omega=shares / q_ind,
+                shares=shares,
+                kind=ev.action,
+                p_before=p_before,
+                p_after_mech=grid.price_at(post[0]),
             )
-    final = view.uncross()
+        )
+    final = _indicative(book)
     if recorded and final is not None:
         _backfill(recorded, grid.price_at(final[0]))
     return recorded, skipped

@@ -285,19 +285,18 @@ def test_criterion_7_response_consistency():
     # mechanical response equals the virtual impact of the equivalent market
     # injection on the pre-event book: exactly, event by event, for market
     # submissions and (by the cancellation duality) market cancellations
-    from uncross.clearing import LiveUncrosser, _apply_tracked
+    from uncross.clearing import _indicative
     from uncross.response import classify_marketable
 
     recorded, _ = collect_marketable(events, grid, warmup_us=30_000_000)
     book = AuctionBook(grid)
-    view = LiveUncrosser(grid)
     t0 = events[0].timestamp
     qi = 0
     virtual_mismatch = 0
     checked_virtual = 0
     per_event: list[tuple[float, float, float]] = []  # omega, mech move, virtual move
     for ev in events:
-        pre = view.uncross() if ev.timestamp >= t0 + 30_000_000 else None
+        pre = _indicative(book) if ev.timestamp >= t0 + 30_000_000 else None
         if pre is not None:
             cls = classify_marketable(ev, book, pre[0])
             if cls is not None:
@@ -322,7 +321,7 @@ def test_criterion_7_response_consistency():
                     (me.omega, me.sign * (me.p_after_mech - me.p_before),
                      me.sign * (virt - me.p_before))
                 )
-        _apply_tracked(book, view, ev)
+        book.apply(ev)
     assert qi == len(recorded)
     assert checked_virtual > 100
 

@@ -107,6 +107,65 @@ def test_penny_book_never_clears_at_nonpositive_price():
     assert all(book.grid.price_at(bp.target_index) > 0 for bp in curve.breakpoints)
 
 
+def test_level_store_after_window_growth_matches_oracle():
+    """Orders submitted and canceled far from a random book grow its level
+    window past the occupied range; clearing, at the grid reference and at
+    references outside the window, and the level views must not notice."""
+    from dataclasses import replace
+
+    below_checked = 0
+    for seed in range(200):
+        spec = random_book(seed)
+        book = spec_to_book(spec)
+        grid = book.grid
+        occupied = spec.buy.keys() | spec.sell.keys()
+        far = (max(occupied) + 200, max(min(occupied) - 150, grid.min_price_index))
+        for i, (side, k) in enumerate(zip("SB", far)):
+            price = grid.price_at(k)
+            book.apply(OrderEvent(100 + i, f"far{i}", "SUBMIT", side, "LIMIT", price, 7))
+            book.apply(OrderEvent(100 + i, f"far{i}", "CANCEL", side, "LIMIT", price, 7))
+        top = book.lo_index + len(book.buy_levels) - 1
+        assert top > far[0] and book.lo_index <= far[1], seed
+
+        assert book.buy_volume == spec.buy and book.sell_volume == spec.sell, seed
+        values = [*book.buy_volume.values(), *book.sell_volume.values(),
+                  *book.volume_at(min(occupied)), book.total_resting("B")]
+        assert all(type(v) is int for v in values), seed
+        c = clear(book)
+        assert (c.price_index, c.q_a, c.imbalance) == naive_clear(spec), seed
+
+        outside = [top + 50]
+        if book.lo_index - 50 >= grid.min_price_index:
+            outside.append(book.lo_index - 50)
+            below_checked += 1
+        for ref in outside:
+            c = clear(book, reference_price=grid.price_at(ref))
+            want = naive_clear(replace(spec, ref_index=ref))
+            assert (c.price_index, c.q_a, c.imbalance) == want, (seed, ref)
+    assert below_checked > 50
+
+
+@pytest.mark.parametrize("side", ["B", "S"])
+def test_indicative_matches_clear_wherever_the_levels_sit(side):
+    """The final indicative point equals the clearing when the only occupied
+    tick lies anywhere around the edge of the book's initial level window.
+    Market volume beyond all opposite supply makes the empty tick past the
+    occupied one the clearing price, so that tick must always be scanned."""
+    grid = PriceGrid(0.01, 10.0, 10.0)
+    sign = 1 if side == "B" else -1
+    for k in range(1, 200):
+        price = grid.price_at(sign * k)
+        events = [
+            OrderEvent(1, "b", "SUBMIT", "B", "LIMIT", price, 5 if side == "B" else 10),
+            OrderEvent(2, "s", "SUBMIT", "S", "LIMIT", price, 10 if side == "B" else 5),
+            OrderEvent(3, "m", "SUBMIT", side, "MARKET", None, 50),
+        ]
+        book, points = indicative_series(events, grid, 1)
+        c = clear(book)
+        assert c.price_index == sign * (k + 1), k
+        assert (points[-1].price_index, points[-1].q_ind) == (c.price_index, c.q_a), k
+
+
 def test_allocation_time_priority(worked_book):
     c = clear(worked_book)
     # sell side is rationed at 10.1: s2 (40 shares) is the only order there,
@@ -229,13 +288,6 @@ def test_volume_maximality_on_random_books():
         for k in range(lo, hi + 1):
             p = book.grid.price_at(k)
             assert min(book.supply(p), book.demand(p)) <= c.q_a
-
-
-def test_executable_diagnostics(worked_book):
-    c = clear(worked_book, diagnostics=True)
-    table = {round(p, 6): q for p, q in c.executable}
-    assert table[10.1] == 60
-    assert max(table.values()) == c.q_a
 
 
 def test_clearing_result_json(worked_book):

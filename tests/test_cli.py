@@ -157,6 +157,18 @@ def test_exit_code_parse_error(tmp_path):
     assert "bad price" in res.output
 
 
+def test_exit_code_out_of_order_timestamps(tmp_path):
+    log = tmp_path / "late.csv"
+    log.write_text(",".join(CSV_HEADER) + "\n"
+                   "9,a,SUBMIT,B,LIMIT,10.0,5,HFT,OWN\n"
+                   "1,b,SUBMIT,S,LIMIT,10.0,5,HFT,OWN\n")
+    res = run(["series", str(log), "--tick", "0.1", "--ref", "10.0",
+               "--out-dir", str(tmp_path)])
+    assert res.exit_code == EXIT_PARSE
+    assert "late.csv:3: timestamp_us 1 is earlier" in res.output
+    assert not (tmp_path / "late_indicative.csv").exists()
+
+
 def test_exit_code_no_cross(tmp_path):
     log = tmp_path / "nocross.csv"
     log.write_text(

@@ -180,10 +180,23 @@ def test_skip_tally_counts_uncrossed_market_flow():
     assert curve.skipped_no_cross == 1
 
 
+def test_event_that_removes_the_cross_is_skipped_not_recorded():
+    # the cancel is marketable at 10.0 but leaves no cross: there is no
+    # indicative price after it, so no mechanical move can be measured
+    events = [
+        OrderEvent(1, "s1", "SUBMIT", "S", "LIMIT", 10.0, 50),
+        OrderEvent(2, "b1", "SUBMIT", "B", "LIMIT", 10.0, 50),
+        OrderEvent(3, "b1", "CANCEL", "B", "LIMIT", 10.0, 50),
+    ]
+    recorded, skipped = collect_marketable(events, grid10(), warmup_us=0)
+    assert recorded == []
+    assert skipped == 1
+
+
 def test_marketable_set_covers_marketable_price_changes():
     """With cancels included, every indicative move caused by market-order
     flow happens at a recorded marketable event."""
-    from uncross.clearing import LiveUncrosser, _apply_tracked
+    from uncross.clearing import _indicative
     from uncross.flowgen import FlowConfig, generate
 
     cfg = FlowConfig(
@@ -202,13 +215,12 @@ def test_marketable_set_covers_marketable_price_changes():
     recorded_keys = {(m.t, m.kind) for m in recorded}
 
     book = AuctionBook(grid)
-    view = LiveUncrosser(grid)
     uncovered = []
     market_moves = 0
     for ev in events:
-        pre = view.uncross()
-        _apply_tracked(book, view, ev)
-        post = view.uncross()
+        pre = _indicative(book)
+        book.apply(ev)
+        post = _indicative(book)
         if pre is None or post is None or pre[0] == post[0]:
             continue
         is_market_flow = ev.order_type == "MARKET" or (
