@@ -27,9 +27,10 @@ from .errors import (
     DuplicateOrderId,
     EmptySide,
     NonPositiveQuantity,
+    UncrossError,
     UnknownOrderId,
 )
-from .events import OrderEvent
+from .events import OrderEvent, _located
 from .grid import PriceGrid
 
 # Ticks of slack on each side of the reference tick in a new book's level
@@ -93,14 +94,20 @@ class AuctionBook:
     # ------------------------------------------------------------------ mutation
 
     def apply(self, ev: OrderEvent) -> "AuctionBook":
-        """Apply one event and return the (mutated) book."""
-        ev.validate()
-        if ev.action == "SUBMIT":
-            self._submit(ev)
-        elif ev.action == "CANCEL":
-            self._cancel(ev)
-        else:
-            self._modify(ev)
+        """Apply one event and return the (mutated) book.
+
+        A reject of an event read from a log is raised as a ParseError at its line.
+        """
+        try:
+            ev.validate()
+            if ev.action == "SUBMIT":
+                self._submit(ev)
+            elif ev.action == "CANCEL":
+                self._cancel(ev)
+            else:
+                self._modify(ev)
+        except UncrossError as exc:
+            raise _located(ev, exc) from None
         return self
 
     def replay(self, events) -> "AuctionBook":

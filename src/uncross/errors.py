@@ -93,9 +93,5 @@ class ParseError(UncrossError):
     def __init__(self, message: str, line: int | None = None, path: str | None = None):
         self.line = line
         self.path = path
-        where = ""
-        if path is not None:
-            where += f"{path}:"
-        if line is not None:
-            where += f"{line}: "
-        super().__init__(f"{where}{message}")
+        where = ":".join(str(w) for w in (path, line) if w is not None)
+        super().__init__(f"{where}: {message}" if where else message)

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .errors import ParseError
+from .errors import ParseError, UncrossError
 
 ACTIONS = ("SUBMIT", "MODIFY", "CANCEL")
 SIDES = ("B", "S")
@@ -46,6 +46,8 @@ class OrderEvent:
 
     For MODIFY, ``price``/``quantity``/``order_type`` carry the new values.
     A MODIFY that changes a STOP order's type to LIMIT or MARKET activates it.
+    ``path``/``line`` locate an event read from a log; they are None for an
+    event built by hand and take no part in comparisons.
     """
 
     timestamp: int  # microseconds
@@ -57,6 +59,8 @@ class OrderEvent:
     quantity: int
     latency_flag: str = "NON"
     account_type: str = "CLIENT"
+    path: str | None = field(default=None, compare=False, repr=False, kw_only=True)
+    line: int | None = field(default=None, compare=False, repr=False, kw_only=True)
 
     def validate(self) -> None:
         if self.action not in ACTIONS:
@@ -107,12 +111,20 @@ def _parse_row(row: list[str], line: int, path: str | None) -> OrderEvent:
         qty = int(qty_s)
     except ValueError:
         raise ParseError(f"bad qty {qty_s!r}", line=line, path=path) from None
-    ev = OrderEvent(timestamp, oid, action, side, otype, price, qty, lat, acct)
+    ev = OrderEvent(timestamp, oid, action, side, otype, price, qty, lat, acct,
+                    path=path, line=line)
     try:
         ev.validate()
     except ParseError as exc:
         raise ParseError(str(exc), line=line, path=path) from None
     return ev
+
+
+def _located(ev: OrderEvent, exc: UncrossError) -> UncrossError:
+    """``exc`` as a ParseError at ``ev``'s log line; unchanged for a hand-built event."""
+    if ev.line is None:
+        return exc
+    return ParseError(str(exc), line=ev.line, path=ev.path)
 
 
 def read_events(path: str | Path) -> Iterator[OrderEvent]:

@@ -28,7 +28,8 @@ from typing import Iterable, Sequence
 
 from .book import AuctionBook
 from .clearing import _indicative
-from .events import OrderEvent
+from .errors import UncrossError
+from .events import OrderEvent, _located
 from .grid import PriceGrid
 
 DEFAULT_WARMUP_US = 30_000_000  # first 30 seconds carry validity-driven noise
@@ -139,7 +140,10 @@ def collect_marketable(
         cls = None
         if measured:
             if pre is not None:
-                cls = classify_marketable(ev, book, pre[0])
+                try:
+                    cls = classify_marketable(ev, book, pre[0])
+                except UncrossError as exc:
+                    raise _located(ev, exc) from None
             elif _unconditionally_marketable(ev, book):
                 skipped += 1  # marketable but no indicative price to measure against
         book.apply(ev)

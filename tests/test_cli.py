@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from uncross.cli import EXIT_NOCROSS, EXIT_PARSE, EXIT_TOOFEW, main
+import uncross
+from uncross.cli import EXIT_NOCROSS, EXIT_OTHER, EXIT_PARSE, EXIT_TOOFEW, main
 from uncross.events import CSV_HEADER, write_events
 from uncross.flowgen import FlowConfig, generate
 
@@ -129,25 +134,6 @@ def test_density_multi_day(tmp_path):
     assert {l.split(",")[-1] for l in lines[1:]} == {"HFT", "MIX", "NON"}
 
 
-def test_density_parallel_matches_sequential(tmp_path):
-    paths = []
-    for seed in (5, 6, 7):
-        cfg = FlowConfig(seed=seed, shape="bell", total_shares_per_side=30_000,
-                         peak_mass=0.2, n_levels=60)
-        events, _, _ = generate(cfg)
-        p = tmp_path / f"p{seed}.csv"
-        write_events(p, events)
-        paths.append(str(p))
-    seq_dir, par_dir = tmp_path / "seq", tmp_path / "par"
-    for out, threads in ((seq_dir, "1"), (par_dir, "2")):
-        res = run(["density", *paths, "--tick", "0.01", "--ref", "100.0",
-                   "--threads", threads, "--out-dir", str(out)])
-        assert res.exit_code == 0, res.output
-    assert (seq_dir / "density_profile.csv").read_bytes() == (
-        par_dir / "density_profile.csv"
-    ).read_bytes()
-
-
 def test_exit_code_parse_error(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text(",".join(CSV_HEADER) + "\n0,a,SUBMIT,B,LIMIT,nope,5,HFT,OWN\n")
@@ -167,6 +153,57 @@ def test_exit_code_out_of_order_timestamps(tmp_path):
     assert res.exit_code == EXIT_PARSE
     assert "late.csv:3: timestamp_us 1 is earlier" in res.output
     assert not (tmp_path / "late_indicative.csv").exists()
+
+
+CROSSED = "0,a,SUBMIT,B,LIMIT,10.0,5,HFT,OWN\n1,b,SUBMIT,S,LIMIT,10.0,5,HFT,OWN\n"
+
+
+@pytest.mark.parametrize("command, row, message", [
+    ("replay", "2,a,SUBMIT,S,LIMIT,10.0,5,HFT,OWN", "order id 'a' is already live"),
+    ("series", "2,zz,CANCEL,S,LIMIT,10.0,5,HFT,OWN", "CANCEL of unknown or dead order 'zz'"),
+    ("density", "2,zz,MODIFY,B,LIMIT,10.0,5,HFT,OWN", "MODIFY of unknown or dead order 'zz'"),
+    # measured after the warm-up, so classified against the indicative price first
+    ("response", "40000000,c,SUBMIT,B,LIMIT,10.05,5,HFT,OWN", "price 10.05 is not on the grid"),
+], ids=["duplicate-submit", "unknown-cancel", "unknown-modify", "off-grid-price"])
+def test_book_reject_in_log_is_line_numbered_parse_error(tmp_path, command, row, message):
+    log = tmp_path / "bad.csv"
+    log.write_text(",".join(CSV_HEADER) + "\n" + CROSSED + row + "\n")
+    res = run([command, str(log), "--tick", "0.1", "--ref", "10.0",
+               "--out-dir", str(tmp_path / "out")])
+    assert res.exit_code == EXIT_PARSE, res.output
+    assert f"bad.csv:4: {message}" in res.output
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"tick_size": 0.1, "reference_price": 10.0}', "grid file lacks the key 'anchor'"),
+    ("tick_size=0.1", "bad grid file: Expecting value"),
+    ('{"tick_size": 0.1, "anchor": 10.0, "reference_price": 10.05}',
+     "bad grid file: price 10.05 is not on the grid"),
+], ids=["missing-key", "not-json", "off-grid-ref"])
+def test_bad_grid_file_is_parse_error(tmp_path, text, message):
+    log = tmp_path / "day.csv"
+    log.write_text(",".join(CSV_HEADER) + "\n" + CROSSED)
+    grid = tmp_path / "grid.json"
+    grid.write_text(text)
+    res = run(["replay", str(log), "--grid", str(grid), "--out-dir", str(tmp_path)])
+    assert res.exit_code == EXIT_PARSE, res.output
+    assert f"{grid}: {message}" in res.output
+
+
+@pytest.mark.parametrize("grid_args", [
+    ["--tick", "-0.1", "--ref", "10.0"],
+    ["--tick", "0.1", "--ref", "0"],
+    ["--tick", "0.1", "--ref", "10.05", "--anchor", "10.0"],
+    ["--tick", "nan", "--ref", "10.0"],
+], ids=["negative-tick", "zero-ref", "off-grid-ref", "nan-tick"])
+def test_bad_grid_options_are_usage_errors(tmp_path, grid_args):
+    log = tmp_path / "day.csv"
+    log.write_text(",".join(CSV_HEADER) + "\n" + CROSSED)
+    res = run(["replay", str(log), *grid_args, "--out-dir", str(tmp_path / "out")])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert not (tmp_path / "out").exists()
 
 
 def test_exit_code_no_cross(tmp_path):
@@ -203,18 +240,22 @@ def test_rerun_reproduces_bytes(workspace, tmp_path):
     res = run(["impact", str(workspace / "day.csv"),
                "--grid", str(workspace / "day_meta.json"), "--out-dir", str(out1)])
     assert res.exit_code == 0, res.output
-    # replay the manifest into a second directory
-    out2 = tmp_path / "run2"
-    res2 = run(["rerun", str(out1 / "impact.manifest.json"), "--out-dir", str(out2)])
-    assert res2.exit_code == 0, res2.output
-    rec = json.loads((out1 / "impact.manifest.json").read_text())
+    assert_rerun_reproduces(out1, tmp_path / "run2", "impact")
+
+
+def assert_rerun_reproduces(out1, out2, command):
+    """Rerun the manifest in ``out1`` into ``out2`` and compare; returns the manifest."""
+    res = run(["rerun", str(out1 / f"{command}.manifest.json"), "--out-dir", str(out2)])
+    assert res.exit_code == 0, res.output
+    rec = json.loads((out1 / f"{command}.manifest.json").read_text())
     for name in rec["outputs"]:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
     # the rerun manifest differs only in its recorded output directory
-    rec2 = json.loads((out2 / "impact.manifest.json").read_text())
+    rec2 = json.loads((out2 / f"{command}.manifest.json").read_text())
     assert {k: v for k, v in rec.items() if k != "out_dir"} == {
         k: v for k, v in rec2.items() if k != "out_dir"
     }
+    return rec
 
 
 def test_gen_determinism_via_rerun(tmp_path):
@@ -228,3 +269,60 @@ def test_gen_determinism_via_rerun(tmp_path):
     assert res2.exit_code == 0, res2.output
     for name in ("flow.csv", "flow_truth.json", "flow_meta.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("args", [
+    ["response", "--warmup", "10", "--no-cancels"],
+    ["regime", "--approx-slope", "--full-metrics"],
+])
+def test_rerun_passes_flags_back(workspace, tmp_path, args):
+    command, *options = args
+    out1 = tmp_path / "run1"
+    res = run([command, str(workspace / "day.csv"), "--grid", str(workspace / "day_meta.json"),
+               *options, "--out-dir", str(out1)])
+    assert res.exit_code == 0, res.output
+    rec = assert_rerun_reproduces(out1, tmp_path / "run2", command)
+    flags = {"with_cancels": False} if command == "response" else {
+        "approx_slope": True, "full_metrics": True}
+    assert flags.items() <= rec["params"].items()
+    assert len(rec["outputs"]) == (1 if command == "response" else 2)
+
+
+def test_rerun_refuses_changed_or_missing_input(workspace, tmp_path):
+    log = tmp_path / "day.csv"
+    log.write_bytes((workspace / "day.csv").read_bytes())
+    out1 = tmp_path / "run1"
+    res = run(["impact", str(log), "--grid", str(workspace / "day_meta.json"),
+               "--out-dir", str(out1)])
+    assert res.exit_code == 0, res.output
+    recorded = json.loads((out1 / "impact.manifest.json").read_text())["inputs"][str(log)]
+    with log.open("a") as fh:
+        fh.write("999999999,late,SUBMIT,B,MARKET,,1,NON,CLIENT\n")
+    out2 = tmp_path / "run2"
+    res2 = run(["rerun", str(out1 / "impact.manifest.json"), "--out-dir", str(out2)])
+    assert res2.exit_code == EXIT_OTHER, res2.output
+    assert str(log) in res2.output and recorded in res2.output
+    assert uncross.cli._sha256(str(log)) in res2.output
+    assert not out2.exists()
+    log.unlink()
+    res3 = run(["rerun", str(out1 / "impact.manifest.json"), "--out-dir", str(out2)])
+    assert res3.exit_code == EXIT_OTHER, res3.output
+    assert f"{recorded} then, missing now" in res3.output
+    assert not out2.exists()
+
+
+def test_python_m_runs_the_cli(tmp_path):
+    src = str(Path(uncross.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+    def py_m(*args):
+        return subprocess.run([sys.executable, "-m", *args], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    version = py_m("uncross", "--version")
+    assert version.returncode == 0, version.stderr
+    assert "0.1.0" in version.stdout
+    missing = py_m("uncross.cli", "replay", "missing.csv")
+    assert missing.returncode == 2
+    assert "missing.csv" in missing.stderr
