@@ -11,9 +11,12 @@ widened to include the reference price.  Outside the occupied range both curves
 are flat, so any price there ties with the nearest sentinel tick and loses the
 distance tie-break to it (or to the reference tick itself).
 
-At the clearing price, orders are filled in price-time priority: market orders
-first, then limit orders through the price, then limit orders at the price by
-priority timestamp (order id as the final tie).  The shorter side always fills
+Each side fills ``q_a`` shares in priority order: market orders first, then
+limit orders through the price, then limit orders at the price.  The clearing
+record (matched and remaining shares at the price, unfilled market volume,
+spillover) follows from the level sums alone.  ``fills`` is the per-order
+price-time allocation of the same shares: within a price, by priority
+timestamp, with the order id as the final tie.  The shorter side always fills
 completely.
 """
 from __future__ import annotations
@@ -172,87 +175,52 @@ def _priority_key(rec: OrderRecord):
     return (1, aggressiveness, rec.priority_ts, rec.priority_seq, rec.order_id)
 
 
-def _allocate_side(
-    book: AuctionBook, side: str, price_index: int, q_a: int
-) -> dict[str, int]:
-    if side == "B":
-        eligible = [
-            r
-            for r in book.live_resting_orders()
-            if r.side == "B" and (r.is_market or r.price_index >= price_index)
-        ]
-    else:
-        eligible = [
-            r
-            for r in book.live_resting_orders()
-            if r.side == "S" and (r.is_market or r.price_index <= price_index)
-        ]
-    eligible.sort(key=_priority_key)
+def _allocate(book: AuctionBook, price_index: int, q_a: int) -> dict[str, int]:
+    """Fill ``q_a`` shares of each side order by order, in ``_priority_key`` order."""
     fills: dict[str, int] = {}
-    left = q_a
-    for rec in eligible:
-        if left <= 0:
-            break
-        take = min(rec.quantity, left)
-        fills[rec.order_id] = take
-        left -= take
+    for side, sign in (("B", 1), ("S", -1)):
+        eligible = sorted(
+            (r for r in book.live_resting_orders()
+             if r.side == side and (r.is_market or sign * (r.price_index - price_index) >= 0)),
+            key=_priority_key,
+        )
+        left = q_a
+        for rec in eligible:
+            if left <= 0:
+                break
+            fills[rec.order_id] = take = min(rec.quantity, left)
+            left -= take
     return fills
+
+
+def _fill_side(eligible: int, market: int, at: int, q_a: int) -> tuple[int, int, int]:
+    """Split one side's ``q_a`` fill over its levels in priority order.
+
+    ``eligible`` is D(p_a) for buys, S(p_a) for sells: ``market`` shares,
+    ``at`` limit shares at the price and the rest through it.  Market volume fills first, then limits
+    through the price, then limits at the price.  Returns (matched at the
+    price, unfilled market, unfilled through-price limits).
+    """
+    through = eligible - market - at
+    market_fill = min(market, q_a)
+    through_fill = min(through, q_a - market_fill)
+    return q_a - market_fill - through_fill, market - market_fill, through - through_fill
 
 
 def clear(book: AuctionBook, reference_price: float | None = None) -> ClearingResult:
     """Uncross the book, allocate fills, and return the full clearing record."""
     k_a, q_a, imb = _uncross(book, reference_price)
-
-    fills_b = _allocate_side(book, "B", k_a, q_a)
-    fills_s = _allocate_side(book, "S", k_a, q_a)
-    fills = {**fills_b, **fills_s}
-
     vb_at, vs_at = book.volume_at(k_a)
-    vbm = sum(
-        f for oid, f in fills_b.items() if book.orders[oid].price_index == k_a
-        and not book.orders[oid].is_market
-    )
-    vsm = sum(
-        f for oid, f in fills_s.items() if book.orders[oid].price_index == k_a
-        and not book.orders[oid].is_market
-    )
-    mb_filled = sum(f for oid, f in fills_b.items() if book.orders[oid].is_market)
-    ms_filled = sum(f for oid, f in fills_s.items() if book.orders[oid].is_market)
-    # unfilled eligible limit volume resting beyond the clearing price
-    spill_b = sum(
-        v - fills_b.get(oid, 0)
-        for oid, v in (
-            (r.order_id, r.quantity)
-            for r in book.live_resting_orders()
-            if r.side == "B" and not r.is_market and r.price_index > k_a
-        )
-    )
-    spill_s = sum(
-        v - fills_s.get(oid, 0)
-        for oid, v in (
-            (r.order_id, r.quantity)
-            for r in book.live_resting_orders()
-            if r.side == "S" and not r.is_market and r.price_index < k_a
-        )
-    )
-
+    # q_a = min(S, D) and imb = S - D at the clearing tick
+    supply_at, demand_at = q_a + max(imb, 0), q_a + max(-imb, 0)
+    vbm, mbu, spill_b = _fill_side(demand_at, book.buy_market_total, vb_at, q_a)
+    vsm, msu, spill_s = _fill_side(supply_at, book.sell_market_total, vs_at, q_a)
     return ClearingResult(
-        grid=book.grid,
-        price_index=k_a,
-        q_a=q_a,
-        imbalance=imb,
-        vbm=vbm,
-        vbr=vb_at - vbm,
-        vsm=vsm,
-        vsr=vs_at - vsm,
-        fills=fills,
-        # q_a = min(S, D) and imb = S - D at the clearing tick
-        supply_at=q_a + max(imb, 0),
-        demand_at=q_a + max(-imb, 0),
-        market_buy_unfilled=book.buy_market_total - mb_filled,
-        market_sell_unfilled=book.sell_market_total - ms_filled,
-        buy_spillover=spill_b,
-        sell_spillover=spill_s,
+        grid=book.grid, price_index=k_a, q_a=q_a, imbalance=imb,
+        vbm=vbm, vbr=vb_at - vbm, vsm=vsm, vsr=vs_at - vsm,
+        fills=_allocate(book, k_a, q_a), supply_at=supply_at, demand_at=demand_at,
+        market_buy_unfilled=mbu, market_sell_unfilled=msu,
+        buy_spillover=spill_b, sell_spillover=spill_s,
     )
 
 

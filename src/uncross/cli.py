@@ -15,17 +15,21 @@ then calls the recorded command with the recorded parameters, reproducing the
 outputs byte for byte.
 
 Exit codes: 0 success; 65 malformed input, named by file and line (a bad row,
-a log event the book rejects) or by file (a bad grid file); 66 no cross; 67
-too few points; 70 other package errors, and a rerun whose inputs are missing
-or changed.  Click itself uses 2 for usage errors.
+a log event the book rejects) or by file (a bad grid file, a ``gen`` config
+that is not a JSON object of known, well-typed fields, a ``rerun`` file that
+is not a manifest); 66 no cross; 67 too few points; 70 other package errors,
+and a rerun whose inputs are missing or changed.  Click itself uses 2 for
+usage errors.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 import click
 
@@ -55,7 +59,7 @@ EXIT_NOCROSS = 66
 EXIT_TOOFEW = 67
 EXIT_OTHER = 70
 
-def _fail(exc: UncrossError) -> None:
+def _fail(exc: UncrossError) -> NoReturn:
     click.echo(f"error: {exc}", err=True)
     if isinstance(exc, ParseError):
         sys.exit(EXIT_PARSE)
@@ -105,16 +109,23 @@ def _manifest(out_dir: Path, command: str, params: dict, inputs: dict[str, str],
            json.dumps(rec, sort_keys=True, indent=2) + "\n")
 
 
+@contextlib.contextmanager
+def _parsing(path: str, what: str):
+    """Report a malformed ``what`` file as a ``ParseError`` naming it."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ParseError(f"{what} lacks the key {exc}", path=path) from None
+    except (ValueError, TypeError, UncrossError) as exc:
+        raise ParseError(f"bad {what}: {exc}", path=path) from None
+
+
 def _grid_from(tick: float | None, ref: float | None, anchor: float | None,
                grid_file: str | None) -> PriceGrid:
     if grid_file is not None:
-        try:
+        with _parsing(grid_file, "grid file"):
             meta = json.loads(Path(grid_file).read_text())
             return PriceGrid(meta["tick_size"], meta["anchor"], meta["reference_price"])
-        except KeyError as exc:
-            raise ParseError(f"grid file lacks the key {exc}", path=grid_file) from None
-        except (ValueError, TypeError, UncrossError) as exc:
-            raise ParseError(f"bad grid file: {exc}", path=grid_file) from None
     if tick is None or ref is None:
         raise click.UsageError("provide --grid FILE or both --tick and --ref")
     try:
@@ -415,7 +426,8 @@ def stats(out, metrics, threshold, rcdf_col, kde_col):
 @click.option("--name", default="flow", show_default=True, help="Output file stem.")
 def gen(out, config, name):
     """Generate a synthetic auction log from a JSON config."""
-    cfg = FlowConfig.from_json(Path(config).read_text())
+    with _parsing(config, "config file"):
+        cfg = FlowConfig.from_json(Path(config).read_text())
     events, truth, meta = generate(cfg)
     log_name = f"{name}.csv"
     write_events(out / log_name, events)
@@ -432,14 +444,21 @@ def gen(out, config, name):
 @out_dir_option
 def rerun(manifest, out_dir):
     """Re-execute the command recorded in a manifest file, after checking its inputs."""
-    rec = json.loads(Path(manifest).read_text())
-    for path, recorded in sorted(rec["inputs"].items()):
+    try:
+        with _parsing(manifest, "manifest"):
+            rec = json.loads(Path(manifest).read_text())
+            name, inputs, params = rec["command"], dict(rec["inputs"]), dict(rec["params"])
+            command = main.commands.get(name)
+        if command is None or command is rerun:
+            raise ParseError(f"unknown command {name!r}", path=manifest)
+    except ParseError as exc:
+        _fail(exc)
+    for path, recorded in sorted(inputs.items()):
         now = _sha256(path) if Path(path).is_file() else "missing"
         if now != recorded:
             raise InputChanged(f"input {path} changed since the manifest was written: "
                                f"sha256 {recorded} then, {now} now")
-    click.get_current_context().invoke(main.commands[rec["command"]], **rec["params"],
-                                       out_dir=out_dir)
+    click.get_current_context().invoke(command, **params, out_dir=out_dir)
 
 
 if __name__ == "__main__":

@@ -26,12 +26,11 @@ class NoCross(UncrossError):
 
 
 class AllocationInvariantError(UncrossError):
-    """Matched/remaining accounting at the clearing price broke down.
+    """A clearing record breaks the matched/remaining accounting identities.
 
-    This only happens on pathological books where the rationed side's
-    unfilled volume does not rest at the clearing price (e.g. one side
-    consists solely of market orders or of limit prices strictly through
-    the clearing price).
+    ``clear`` builds records that meet them by construction, unfilled market
+    volume and spillover past the price included, so only a record built by
+    hand can raise this.
     """
 
 

@@ -25,6 +25,12 @@ from .events import ACCOUNT_TYPES, LATENCY_FLAGS, OrderEvent
 from .grid import PriceGrid
 
 SHAPES = ("constant", "bell", "piecewise")
+# the JSON values a config field of each annotation accepts
+_JSON_TYPES = {
+    "int": int, "int | None": (int, type(None)), "float": (int, float),
+    "float | None": (int, float, type(None)), "str": str,
+    "tuple[int, int]": list, "dict[str, float]": dict,
+}
 
 
 def _default_latency_weights() -> dict[str, float]:
@@ -127,13 +133,20 @@ class FlowConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "FlowConfig":
+        """Parse a JSON object, refusing unknown fields and values of the wrong type."""
         data = json.loads(text)
-        if "market_size_range" in data:
-            data["market_size_range"] = tuple(data["market_size_range"])
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        if not isinstance(data, dict):
+            raise InfeasibleConfig("a config must be a JSON object")
+        fields = cls.__dataclass_fields__
+        unknown = set(data) - set(fields)
         if unknown:
             raise InfeasibleConfig(f"unknown config fields: {sorted(unknown)}")
+        for name, value in data.items():
+            kind = fields[name].type
+            if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+                raise InfeasibleConfig(f"config field {name!r} must be {kind}, got {value!r}")
+        if "market_size_range" in data:
+            data["market_size_range"] = tuple(data["market_size_range"])
         return cls(**data)
 
 

@@ -1,13 +1,15 @@
+from dataclasses import replace
+
 import pytest
 
 from uncross.book import AuctionBook
 from uncross.clearing import clear, indicative_series
-from uncross.errors import NoCross
+from uncross.errors import AllocationInvariantError, NoCross
 from uncross.events import OrderEvent
 from uncross.grid import PriceGrid
 
 from conftest import make_book
-from oracles import naive_clear, random_book, spec_to_book
+from oracles import dense_random_book, naive_clear, random_book, spec_to_book
 
 
 def test_worked_example(worked_book):
@@ -196,45 +198,59 @@ def test_allocation_market_orders_first():
 
 
 def test_allocation_completeness_and_identities_on_random_books():
+    """The closed-form record against the per-order fills, at the grid's
+    reference and at a reference up to 300 ticks beyond the level window,
+    where the tie chain can leave volume unfilled past the price."""
     for seed in range(300):
-        spec = random_book(seed)
-        book = spec_to_book(spec)
-        c = clear(book)
-        oracle = naive_clear(spec)
-        assert oracle is not None
-        assert (c.price_index, c.q_a) == (oracle[0], oracle[1]), f"seed {seed}"
-        assert c.imbalance == oracle[2]
-        # accounting identities: the rationed side's remainder may include
-        # unfilled market volume and limit volume spilled past the price
-        rem_s = c.vsr + c.market_sell_unfilled + c.sell_spillover
-        rem_b = c.vbr + c.market_buy_unfilled + c.buy_spillover
-        assert c.q_a == c.supply_at - rem_s == c.demand_at - rem_b
-        assert rem_s * rem_b == 0
-        if rem_s == c.vsr and rem_b == c.vbr:
-            # the strict per-price form whenever nothing was rationed elsewhere
-            assert c.q_a == c.supply_at - c.vsr == c.demand_at - c.vbr
-        vb_at, vs_at = book.volume_at(c.price_index)
-        assert c.vbm + c.vbr == vb_at
-        assert c.vsm + c.vsr == vs_at
-        # per-side fills sum to q_a
-        for side in "BS":
-            assert (
-                sum(f for oid, f in c.fills.items() if book.orders[oid].side == side)
-                == c.q_a
-            )
-        # fills of orders resting exactly at the clearing price recover the
-        # matched at-price split
-        at_price_b = sum(
-            f for oid, f in c.fills.items()
-            if (r := book.orders[oid]).side == "B" and not r.is_market
-            and r.price_index == c.price_index
-        )
-        at_price_s = sum(
-            f for oid, f in c.fills.items()
-            if (r := book.orders[oid]).side == "S" and not r.is_market
-            and r.price_index == c.price_index
-        )
-        assert at_price_b == c.vbm and at_price_s == c.vsm
+        for make in (random_book, dense_random_book):
+            spec = make(seed)
+            book = spec_to_book(spec)
+            top = book.lo_index + len(book.buy_levels) - 1
+            away = 1 + seed % 300
+            off = top + away if seed % 2 else max(book.lo_index - away,
+                                                  book.grid.min_price_index)
+            for ref in (None, off):
+                if ref is None:
+                    c, oracle = clear(book), naive_clear(spec)
+                else:
+                    c = clear(book, reference_price=book.grid.price_at(ref))
+                    oracle = naive_clear(replace(spec, ref_index=ref))
+                assert_record_matches_fills(book, c, oracle, (make.__name__, seed, ref))
+
+
+def assert_record_matches_fills(book, c, oracle, where):
+    assert oracle is not None
+    assert (c.price_index, c.q_a, c.imbalance) == oracle, where
+    # accounting identities: the rationed side's remainder may include
+    # unfilled market volume and limit volume spilled past the price
+    rem_s = c.vsr + c.market_sell_unfilled + c.sell_spillover
+    rem_b = c.vbr + c.market_buy_unfilled + c.buy_spillover
+    assert c.q_a == c.supply_at - rem_s == c.demand_at - rem_b, where
+    assert rem_s * rem_b == 0, where
+    if rem_s == c.vsr and rem_b == c.vbr:
+        # the strict per-price form whenever nothing was rationed elsewhere
+        assert c.q_a == c.supply_at - c.vsr == c.demand_at - c.vbr, where
+    vb_at, vs_at = book.volume_at(c.price_index)
+    assert c.vbm + c.vbr == vb_at, where
+    assert c.vsm + c.vsr == vs_at, where
+    # the reference: market fills, fills at the price and unfilled limits
+    # through the price, summed over the per-order allocation
+    for side, matched, market_unfilled, spillover in (
+        ("B", c.vbm, c.market_buy_unfilled, c.buy_spillover),
+        ("S", c.vsm, c.market_sell_unfilled, c.sell_spillover),
+    ):
+        sign = 1 if side == "B" else -1
+        recs = [r for r in book.live_resting_orders() if r.side == side]
+        market = [r for r in recs if r.is_market]
+        limits = [r for r in recs if not r.is_market]
+        through = [r for r in limits if sign * (r.price_index - c.price_index) > 0]
+        assert sum(c.fills.get(r.order_id, 0) for r in recs) == c.q_a, where
+        assert sum(c.fills.get(r.order_id, 0) for r in limits
+                   if r.price_index == c.price_index) == matched, where
+        assert sum(r.quantity - c.fills.get(r.order_id, 0) for r in market) \
+            == market_unfilled, where
+        assert sum(r.quantity - c.fills.get(r.order_id, 0) for r in through) \
+            == spillover, where
 
 
 from hypothesis import given, settings
@@ -303,6 +319,20 @@ def test_clearing_result_json(worked_book):
         "vsm": 30,
         "vsr": 10,
     }
+
+
+@pytest.mark.parametrize("change", [
+    {"vbr": 1},
+    {"supply_at": 1},
+    {"buy_spillover": 1, "demand_at": 1},
+    {"vbm": -61},
+], ids=["buy-remainder", "supply", "both-sides-remain", "negative"])
+def test_record_breaking_the_identities_is_refused(worked_book, change):
+    """``clear`` meets the identities by construction; a record built any
+    other way that breaks them is refused."""
+    c = clear(worked_book)
+    with pytest.raises(AllocationInvariantError):
+        replace(c, **{k: getattr(c, k) + d for k, d in change.items()})
 
 
 # ------------------------------------------------------------- indicative

@@ -191,6 +191,40 @@ def test_bad_grid_file_is_parse_error(tmp_path, text, message):
     assert f"{grid}: {message}" in res.output
 
 
+@pytest.mark.parametrize("text,code,message", [
+    ("seed=1", EXIT_PARSE, "bad config file: Expecting value"),
+    ('{"seed": 1, "bogus": 2}', EXIT_PARSE,
+     "bad config file: unknown config fields: ['bogus']"),
+    ('{"n_levels": "many"}', EXIT_PARSE,
+     "bad config file: config field 'n_levels' must be int, got 'many'"),
+    ("[1, 2]", EXIT_PARSE, "bad config file: a config must be a JSON object"),
+    # well formed but unsatisfiable: not a parse error
+    ('{"shape": "triangle"}', EXIT_OTHER, "shape must be one of"),
+], ids=["not-json", "unknown-field", "wrong-type", "not-an-object", "infeasible"])
+def test_bad_gen_config_is_parse_error(tmp_path, text, code, message):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    res = run(["gen", str(config), "--out-dir", str(tmp_path / "out")])
+    assert res.exit_code == code, res.output
+    assert message in res.output
+    assert (f"{config}: " in res.output) == (code == EXIT_PARSE)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("command=impact", "bad manifest: Expecting value"),
+    ('{"command": "impact", "params": {}}', "manifest lacks the key 'inputs'"),
+    ('{"command": "nope", "inputs": {}, "params": {}}', "unknown command 'nope'"),
+    ('{"command": "rerun", "inputs": {}, "params": {}}', "unknown command 'rerun'"),
+], ids=["not-json", "missing-key", "unknown-command", "rerun-itself"])
+def test_rerun_of_a_non_manifest_is_parse_error(tmp_path, text, message):
+    manifest = tmp_path / "impact.manifest.json"
+    manifest.write_text(text)
+    res = run(["rerun", str(manifest), "--out-dir", str(tmp_path / "out")])
+    assert res.exit_code == EXIT_PARSE, res.output
+    assert f"{manifest}: {message}" in res.output
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("grid_args", [
     ["--tick", "-0.1", "--ref", "10.0"],
     ["--tick", "0.1", "--ref", "0"],
