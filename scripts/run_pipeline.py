@@ -23,7 +23,6 @@ from uncross.density import average_density, day_profile, profiles_to_csv
 from uncross.events import write_events
 from uncross.flowgen import FlowConfig, generate
 from uncross.grid import PriceGrid
-from uncross.impact import impact_curve
 from uncross.regime import fit_regime
 from uncross.stats import (
     DayMetrics,
@@ -57,7 +56,6 @@ def run_day(i: int, seed: int, out: Path) -> tuple[list[DayMetrics], dict]:
     clearing = clear(book)
     rows = []
     for side in "BS":
-        curve = impact_curve(book, clearing, side)
         fit = fit_regime(book, clearing, side)
         rows.append(
             DayMetrics(
@@ -65,7 +63,7 @@ def run_day(i: int, seed: int, out: Path) -> tuple[list[DayMetrics], dict]:
                 side=side,
                 p_a=clearing.p_a,
                 q_a=clearing.q_a,
-                omega0=float(curve.omega0),
+                omega0=fit.omega0,
                 delta=fit.delta,
                 l_tilde=fit.l_tilde,
                 omega_max=fit.omega_max,

@@ -8,6 +8,11 @@ The book keeps two mutually consistent views:
 * a registry of live orders preserving arrival order, used for time-priority
   allocation at the clearing price and for flag breakdowns.
 
+The impact curve, the regime fit's density samples and its window all read
+the occupied ticks past the clearing price through one walk,
+``levels_past``: buy+sell volume per tick, nearest first, with each tick's
+log-price distance from the price.
+
 Supply at a price counts all sell volume at or below it plus all sell market
 orders; demand counts buy volume at or above plus buy market orders.  Market
 orders have no price, so they participate in the sums at every price, which
@@ -18,19 +23,21 @@ are treated as immutable snapshots and may be shared freely across threads.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
 
 from .errors import (
+    ContradictsLiveOrder,
     DuplicateOrderId,
     EmptySide,
     NonPositiveQuantity,
     UncrossError,
     UnknownOrderId,
 )
-from .events import OrderEvent, _located
+from .events import OrderEvent, _located, format_price
 from .grid import PriceGrid
 
 # Ticks of slack on each side of the reference tick in a new book's level
@@ -99,7 +106,6 @@ class AuctionBook:
         A reject of an event read from a log is raised as a ParseError at its line.
         """
         try:
-            ev.validate()
             if ev.action == "SUBMIT":
                 self._submit(ev)
             elif ev.action == "CANCEL":
@@ -120,9 +126,8 @@ class AuctionBook:
             raise DuplicateOrderId(f"order id {ev.order_id!r} is already live")
         if ev.quantity < 1:
             raise NonPositiveQuantity(f"quantity must be >= 1, got {ev.quantity}")
-        price_index = None
-        if ev.order_type != "MARKET" and ev.price is not None:
-            price_index = self.grid.index_of(ev.price)
+        # a validated event carries a price exactly when its order type has one
+        price_index = None if ev.price is None else self.grid.index_of(ev.price)
         self._seq += 1
         rec = OrderRecord(
             order_id=ev.order_id,
@@ -139,23 +144,38 @@ class AuctionBook:
         self.orders[ev.order_id] = rec
         self._shift_volume(rec, rec.quantity)
 
-    def _cancel(self, ev: OrderEvent) -> None:
+    def _live(self, ev: OrderEvent) -> OrderRecord:
+        """The live order a CANCEL or MODIFY names, refusing fields that contradict it.
+
+        An order never changes side, and a CANCEL repeats its type and, when it
+        gives one, its price; a CANCEL's quantity is informational.
+        """
         rec = self.orders.get(ev.order_id)
         if rec is None:
-            raise UnknownOrderId(f"CANCEL of unknown or dead order {ev.order_id!r}")
+            raise UnknownOrderId(f"{ev.action} of unknown or dead order {ev.order_id!r}")
+        cancel = ev.action == "CANCEL"
+        if ev.side != rec.side:
+            wrong = f"on side {ev.side}; it is live on side {rec.side}"
+        elif cancel and ev.order_type != rec.order_type:
+            wrong = f"as {ev.order_type}; it is live as {rec.order_type}"
+        elif cancel and ev.price is not None and self.grid.index_of(ev.price) != rec.price_index:
+            wrong = (f"at price {format_price(ev.price)}; it is live at "
+                     f"{format_price(self.grid.price_at(rec.price_index))}")
+        else:
+            return rec
+        raise ContradictsLiveOrder(f"{ev.action} of order {ev.order_id!r} {wrong}")
+
+    def _cancel(self, ev: OrderEvent) -> None:
+        rec = self._live(ev)
         self._shift_volume(rec, -rec.quantity)
         del self.orders[ev.order_id]
 
     def _modify(self, ev: OrderEvent) -> None:
-        rec = self.orders.get(ev.order_id)
-        if rec is None:
-            raise UnknownOrderId(f"MODIFY of unknown or dead order {ev.order_id!r}")
+        rec = self._live(ev)
         if ev.quantity < 1:
             raise NonPositiveQuantity(f"quantity must be >= 1, got {ev.quantity}")
         new_type = ev.order_type
-        new_index = None
-        if new_type != "MARKET" and ev.price is not None:
-            new_index = self.grid.index_of(ev.price)
+        new_index = None if ev.price is None else self.grid.index_of(ev.price)
 
         price_changed = new_index != rec.price_index or new_type != rec.order_type
         qty_up = ev.quantity > rec.quantity
@@ -254,6 +274,28 @@ class AuctionBook:
         out = (np.flatnonzero(levels) + self.lo_index).tolist()
         if side is not None and not out:
             raise EmptySide(f"no resting limit volume on side {side}")
+        return out
+
+    def levels_past(self, index: int, side: str, max_x: float) -> list[tuple[int, float, int]]:
+        """Occupied ticks past ``index`` as ``(tick, x, buy+sell shares)``, nearest first.
+
+        The walk goes up from ``index`` for ``"B"`` and down for ``"S"``;
+        ``x = |log(price / price at index)|``.  It ends with the first tick
+        farther than ``max_x``, which is kept so callers can see the gap to it.
+        """
+        i = index - self.lo_index
+        lo = max(i + 1, 0) if side == "B" else 0
+        hi = None if side == "B" else max(i, 0)
+        joint = self.buy_levels[lo:hi] + self.sell_levels[lo:hi]
+        pos = np.flatnonzero(joint)
+        p = self.grid.price_at(index)
+        out = []
+        for j in (pos if side == "B" else pos[::-1]).tolist():
+            k = self.lo_index + lo + j
+            x = abs(math.log(self.grid.price_at(k) / p))
+            out.append((k, x, int(joint[j])))
+            if x > max_x:
+                break
         return out
 
     def live_resting_orders(self):

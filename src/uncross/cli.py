@@ -17,9 +17,9 @@ outputs byte for byte.
 Exit codes: 0 success; 65 malformed input, named by file and line (a bad row,
 a log event the book rejects) or by file (a bad grid file, a ``gen`` config
 that is not a JSON object of known, well-typed fields, a ``rerun`` file that
-is not a manifest); 66 no cross; 67 too few points; 70 other package errors,
-and a rerun whose inputs are missing or changed.  Click itself uses 2 for
-usage errors.
+is not a manifest or whose params the command does not take); 66 no cross; 67
+too few points; 70 other package errors, and a rerun whose inputs are missing
+or changed.  Click itself uses 2 for usage errors.
 """
 from __future__ import annotations
 
@@ -68,12 +68,6 @@ def _fail(exc: UncrossError) -> NoReturn:
     if isinstance(exc, TooFewPoints):
         sys.exit(EXIT_TOOFEW)
     sys.exit(EXIT_OTHER)
-
-
-class InputChanged(click.ClickException):
-    """An input recorded in a manifest is missing or no longer has its sha256."""
-
-    exit_code = EXIT_OTHER
 
 
 def _write(path: Path, text: str) -> None:
@@ -283,15 +277,11 @@ def regime(out, log, date, min_points, max_x, approx_slope, full_metrics, grid):
     _write(out / name, fits_to_csv(fits))
     outputs.append(name)
     if full_metrics:
-        rows = []
-        for _, fit in fits:
-            curve = impact_curve(book, clearing, fit.side, max_x=max_x * 1e-4)
-            rows.append(DayMetrics(
-                date=date, side=fit.side, p_a=clearing.p_a, q_a=clearing.q_a,
-                omega0=float(curve.omega0), delta=fit.delta, l_tilde=fit.l_tilde,
-                omega_max=fit.omega_max, beta_emp=fit.beta_emp,
-                beta_theo=fit.beta_theo,
-            ))
+        rows = [DayMetrics(date=date, side=fit.side, p_a=clearing.p_a, q_a=clearing.q_a,
+                           omega0=fit.omega0, delta=fit.delta, l_tilde=fit.l_tilde,
+                           omega_max=fit.omega_max, beta_emp=fit.beta_emp,
+                           beta_theo=fit.beta_theo)
+                for _, fit in fits]
         name = f"{stem}_metrics.csv"
         _write(out / name, day_metrics_to_csv(rows))
         outputs.append(name)
@@ -451,14 +441,34 @@ def rerun(manifest, out_dir):
             command = main.commands.get(name)
         if command is None or command is rerun:
             raise ParseError(f"unknown command {name!r}", path=manifest)
-    except ParseError as exc:
+        for path, recorded in sorted(inputs.items()):
+            now = _sha256(path) if Path(path).is_file() else "missing"
+            if now != recorded:
+                raise UncrossError(f"input {path} changed since the manifest was written: "
+                                   f"sha256 {recorded} then, {now} now")
+        params = _recorded_params(command, params, manifest)
+    except UncrossError as exc:
         _fail(exc)
-    for path, recorded in sorted(inputs.items()):
-        now = _sha256(path) if Path(path).is_file() else "missing"
-        if now != recorded:
-            raise InputChanged(f"input {path} changed since the manifest was written: "
-                               f"sha256 {recorded} then, {now} now")
     click.get_current_context().invoke(command, **params, out_dir=out_dir)
+
+
+def _recorded_params(command: click.Command, params: dict, manifest: str) -> dict:
+    """A manifest's params as the command's own parameters convert them."""
+    own = {p.name: p for p in command.params if p.name != "out_dir"}
+    unknown, missing = sorted(params.keys() - own.keys()), sorted(own.keys() - params.keys())
+    if unknown or missing:
+        raise ParseError(f"params do not fit {command.name}: unknown {unknown}, "
+                         f"missing {missing}", path=manifest)
+    ctx = click.Context(command)
+    converted = {}
+    for name, value in params.items():
+        try:
+            if value is None and own[name].default is not None:
+                raise TypeError("null is not one of its values")
+            converted[name] = own[name].process_value(ctx, value)
+        except (click.BadParameter, TypeError) as exc:
+            raise ParseError(f"bad param {name!r}: {exc}", path=manifest) from None
+    return converted
 
 
 if __name__ == "__main__":

@@ -21,6 +21,9 @@ from .errors import MismatchedBinning
 from .events import ACCOUNT_TYPES, LATENCY_FLAGS
 
 DEFAULT_DX = 1e-4  # 1 basis point bins
+# per ``group_by``: the order record's flag field, and the profile keys
+_GROUPS = {None: (None, (None,)), "latency": ("latency_flag", LATENCY_FLAGS),
+           "account": ("account_type", ACCOUNT_TYPES)}
 
 
 class DensityPoint(NamedTuple):
@@ -61,30 +64,21 @@ def total_density_samples(
 
     Used by the regime fit: samples are (|log-price distance|, density), the
     tick width being the gap to the next occupied tick walking away from the
-    price.  Only ticks within ``max_x`` are returned.
+    price, which may lie beyond ``max_x``.  Only ticks within ``max_x`` are
+    returned.
     """
     if q_a <= 0:
         raise ValueError(f"q_a must be positive, got {q_a}")
-    grid = book.grid
-    p_a = grid.price_at(price_index_a)
-    joint = book.nonempty_indices()
-    if side == "B":
-        ticks = [k for k in joint if k > price_index_a]
-    else:
-        ticks = [k for k in reversed(joint) if k < price_index_a]
+    tick = book.grid.tick_size
+    walk = book.levels_past(price_index_a, side, max_x)
     xs: list[float] = []
     rhos: list[float] = []
-    for pos, k in enumerate(ticks):
-        x = abs(math.log(grid.price_at(k) / p_a))
+    for pos, (k, x, shares) in enumerate(walk):
         if x > max_x:
             break
-        if pos + 1 < len(ticks):
-            dp = abs(ticks[pos + 1] - k) * grid.tick_size
-        else:
-            dp = grid.tick_size
-        vb, vs = book.volume_at(k)
+        dp = abs(walk[pos + 1][0] - k) * tick if pos + 1 < len(walk) else tick
         xs.append(x)
-        rhos.append((vb + vs) / (dp * q_a))
+        rhos.append(shares / (dp * q_a))
     return xs, rhos
 
 
@@ -129,44 +123,34 @@ def day_profile(
         raise ValueError(f"q_a must be positive, got {q_a}")
     if dx <= 0:
         raise ValueError(f"dx must be positive, got {dx}")
-    if group_by not in (None, "latency", "account"):
+    if group_by not in _GROUPS:
         raise ValueError(f"group_by must be None, 'latency' or 'account', got {group_by!r}")
     grid = book.grid
     grid.index_of(auction_price)
 
-    if group_by is None:
-        keys: tuple[str | None, ...] = (None,)
-    elif group_by == "latency":
-        keys = LATENCY_FLAGS
-    else:
-        keys = ACCOUNT_TYPES
+    flag, keys = _GROUPS[group_by]
     shares_b: dict[str | None, dict[int, int]] = {k: {} for k in keys}
     shares_s: dict[str | None, dict[int, int]] = {k: {} for k in keys}
 
     for rec in book.live_resting_orders():
         if rec.is_market:
             continue  # unpriced volume has no log-price coordinate
-        if group_by is None:
-            key = None
-        elif group_by == "latency":
-            key = rec.latency_flag
-        else:
-            key = rec.account_type
+        key = getattr(rec, flag) if flag else None
         x = math.log(grid.price_at(rec.price_index) / auction_price)
         b = round(x / dx)
         dest = shares_b if rec.side == "B" else shares_s
         dest[key][b] = dest[key].get(b, 0) + rec.quantity
 
-    out = {}
-    for key in keys:
-        out[key] = DensityProfile(
+    return {
+        key: DensityProfile(
             dx=dx,
             rho_buy={b: v / (q_a * dx) for b, v in sorted(shares_b[key].items())},
             rho_sell={b: v / (q_a * dx) for b, v in sorted(shares_s[key].items())},
             n_days=1,
             group=key,
         )
-    return out
+        for key in keys
+    }
 
 
 def average_density(profiles: Sequence[DensityProfile]) -> DensityProfile:

@@ -21,6 +21,10 @@ class DuplicateOrderId(UncrossError):
     """SUBMIT re-uses an order id that is still live."""
 
 
+class ContradictsLiveOrder(UncrossError):
+    """CANCEL/MODIFY names another side, or a CANCEL another type or price, than the live order."""
+
+
 class NoCross(UncrossError):
     """Supply and demand never intersect: no auction outcome exists."""
 

@@ -44,8 +44,11 @@ PRICED_TYPES = ("LIMIT", "VALID_FOR_AUCTION", "VALID_FOR_CLOSING")
 class OrderEvent:
     """A single submit/modify/cancel message.
 
-    For MODIFY, ``price``/``quantity``/``order_type`` carry the new values.
-    A MODIFY that changes a STOP order's type to LIMIT or MARKET activates it.
+    An event is validated once, when it is built.  For MODIFY,
+    ``price``/``quantity``/``order_type`` carry the new values; a MODIFY that
+    changes a STOP order's type to LIMIT or MARKET activates it.  A CANCEL or
+    MODIFY must name the live order's side, and a CANCEL its type and (when
+    given) its price; a CANCEL's quantity is informational.
     ``path``/``line`` locate an event read from a log; they are None for an
     event built by hand and take no part in comparisons.
     """
@@ -61,6 +64,9 @@ class OrderEvent:
     account_type: str = "CLIENT"
     path: str | None = field(default=None, compare=False, repr=False, kw_only=True)
     line: int | None = field(default=None, compare=False, repr=False, kw_only=True)
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
         if self.action not in ACTIONS:
@@ -111,13 +117,11 @@ def _parse_row(row: list[str], line: int, path: str | None) -> OrderEvent:
         qty = int(qty_s)
     except ValueError:
         raise ParseError(f"bad qty {qty_s!r}", line=line, path=path) from None
-    ev = OrderEvent(timestamp, oid, action, side, otype, price, qty, lat, acct,
-                    path=path, line=line)
     try:
-        ev.validate()
+        return OrderEvent(timestamp, oid, action, side, otype, price, qty, lat, acct,
+                          path=path, line=line)
     except ParseError as exc:
         raise ParseError(str(exc), line=line, path=path) from None
-    return ev
 
 
 def _located(ev: OrderEvent, exc: UncrossError) -> UncrossError:

@@ -25,12 +25,21 @@ from .events import ACCOUNT_TYPES, LATENCY_FLAGS, OrderEvent
 from .grid import PriceGrid
 
 SHAPES = ("constant", "bell", "piecewise")
-# the JSON values a config field of each annotation accepts
+# the JSON values a scalar config field of each annotation accepts
 _JSON_TYPES = {
     "int": int, "int | None": (int, type(None)), "float": (int, float),
     "float | None": (int, float, type(None)), "str": str,
-    "tuple[int, int]": list, "dict[str, float]": dict,
 }
+
+
+def _json_fits(value, kind: str) -> bool:
+    """Whether a JSON value, down to its elements, fits a config field's annotation."""
+    if kind == "tuple[int, int]":
+        return (isinstance(value, list) and len(value) == 2
+                and all(_json_fits(v, "int") for v in value))
+    if kind == "dict[str, float]":
+        return isinstance(value, dict) and all(_json_fits(v, "float") for v in value.values())
+    return not isinstance(value, bool) and isinstance(value, _JSON_TYPES[kind])
 
 
 def _default_latency_weights() -> dict[str, float]:
@@ -143,7 +152,7 @@ class FlowConfig:
             raise InfeasibleConfig(f"unknown config fields: {sorted(unknown)}")
         for name, value in data.items():
             kind = fields[name].type
-            if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+            if not _json_fits(value, kind):
                 raise InfeasibleConfig(f"config field {name!r} must be {kind}, got {value!r}")
         if "market_size_range" in data:
             data["market_size_range"] = tuple(data["market_size_range"])

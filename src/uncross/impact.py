@@ -9,11 +9,13 @@ whose discontinuities can be read directly off the cleared book:
   own side at the clearing price plus the opposite remainder
   (``omega0 = (vsr + vbm) / q_a`` for a buy, ``(vsm + vbr) / q_a`` for a sell);
 * each further jump requires the combined buy+sell volume resting at the next
-  non-empty tick in the walk direction.
+  non-empty tick in the walk direction (``AuctionBook.levels_past``).
 
 Volumes at jumps are kept as exact integer share counts (numerator over the
 auction volume) so breakpoint comparisons never suffer float-equality bugs;
-logarithms are taken only when a value is reported.
+logarithms are taken only when a value is reported.  The jump volumes
+strictly increase, so every lookup (price tick, impact in shares or in scaled
+volume) is one ``bisect_right`` over them after one set of domain checks.
 
 At an exact jump volume two prices tie for executable volume; the curve adopts
 the convention that the price moves to the next tick, while a full re-clearing
@@ -22,8 +24,8 @@ Comparisons against re-clearing therefore treat exact-jump volumes separately.
 """
 from __future__ import annotations
 
-import io
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,6 +38,7 @@ from .errors import (
     ZeroLiquidity,
 )
 from .events import format_price
+from .grid import PriceGrid
 
 DEFAULT_MAX_X = 0.02  # truncate the tick walk at a 2% log-price distance
 
@@ -52,97 +55,57 @@ class ImpactCurve:
     side: str
     q_a: int
     price_index_a: int
-    p_a: float
-    tick_size: float
+    grid: PriceGrid
     omega0_num: int
     breakpoints: tuple[Breakpoint, ...]
     cap_num: int  # first share count past the computed domain
-    grid_anchor: float
     pinned: bool = False  # own-side market volume already rationed: price cannot move
+
+    @property
+    def p_a(self) -> float:
+        return self.grid.price_at(self.price_index_a)
 
     @property
     def omega0(self) -> Fraction:
         return Fraction(self.omega0_num, self.q_a)
 
-    @property
-    def omega_cap(self) -> Fraction:
-        return Fraction(self.cap_num, self.q_a)
-
-    def _check_domain(self, q: int) -> None:
+    def _last_jump(self, q: int | Fraction) -> int:
+        """Number of jumps reached by an injection of q shares."""
         if q < 0:
             raise ValueError("injected volume must be >= 0")
         if q == 0 or self.pinned:
-            return  # zero injection never moves the price
+            return 0  # zero injection never moves the price
         if q >= self.cap_num:
             raise BeyondTruncation(
                 f"q={q} reaches past the computed curve (cap {self.cap_num} shares)"
             )
+        return bisect_right(self.breakpoints, q, key=lambda bp: bp.omega_num)
 
     def price_index_at_shares(self, q: int) -> int:
         """Tick index of the clearing price after injecting q shares."""
-        self._check_domain(q)
-        idx = self.price_index_a
-        if q == 0:
-            return idx
-        for bp in self.breakpoints:
-            if q >= bp.omega_num:
-                idx = bp.target_index
-            else:
-                break
-        return idx
+        n = self._last_jump(q)
+        return self.breakpoints[n - 1].target_index if n else self.price_index_a
 
-    def impact_at_shares(self, q: int) -> float:
+    def impact_at_shares(self, q: int | Fraction) -> float:
         """Impact in log-price units of an injected order of q shares."""
-        self._check_domain(q)
-        out = 0.0
-        if q == 0:
-            return out
-        for bp in self.breakpoints:
-            if q >= bp.omega_num:
-                out = bp.impact
-            else:
-                break
-        return out
+        n = self._last_jump(q)
+        return self.breakpoints[n - 1].impact if n else 0.0
 
     def impact_at(self, omega: float | Fraction) -> float:
         """Impact at a scaled volume; exact Fractions avoid boundary rounding."""
-        w = Fraction(omega)
-        if w < 0:
-            raise ValueError("omega must be >= 0")
-        if w == 0 or self.pinned:
-            return 0.0
-        if w >= self.omega_cap:
-            raise BeyondTruncation(
-                f"omega={float(w):g} reaches past the computed curve "
-                f"(cap {float(self.omega_cap):g})"
-            )
-        out = 0.0
-        for bp in self.breakpoints:
-            if w >= Fraction(bp.omega_num, self.q_a):
-                out = bp.impact
-            else:
-                break
-        return out
+        return self.impact_at_shares(Fraction(omega) * self.q_a)
 
     def delta_omegas(self) -> list[Fraction]:
         """Incremental scaled volumes between successive jumps, omega0 first."""
-        out = [Fraction(self.omega0_num, self.q_a)]
-        prev = self.omega0_num
-        for bp in self.breakpoints[1:]:
-            out.append(Fraction(bp.omega_num - prev, self.q_a))
-            prev = bp.omega_num
-        return out
+        nums = [self.omega0_num] + [bp.omega_num for bp in self.breakpoints[1:]]
+        return [Fraction(b - a, self.q_a) for a, b in zip([0] + nums, nums)]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("side,i,omega_num,omega_den,price,impact_log\n")
-        for i, bp in enumerate(self.breakpoints):
-            price = self.grid_anchor + bp.target_index * self.tick_size
-            buf.write(
-                f"{self.side},{i},{bp.omega_num},{self.q_a},"
-                f"{format_price(price)},{bp.impact!r}\n"
-            )
-        return buf.getvalue()
+        return "side,i,omega_num,omega_den,price,impact_log\n" + "".join(
+            f"{self.side},{i},{bp.omega_num},{self.q_a},"
+            f"{format_price(self.grid.price_at(bp.target_index))},{bp.impact!r}\n"
+            for i, bp in enumerate(self.breakpoints)
+        )
 
 
 def impact_curve(
@@ -163,78 +126,47 @@ def impact_curve(
         raise ValueError("max_x must be positive")
     if side not in ("B", "S"):
         raise ValueError(f"side must be 'B' or 'S', got {side!r}")
-    grid = book.grid
     k_a = clearing.price_index
-    p_a = clearing.p_a
     vb_at, vs_at = book.volume_at(k_a)
     if side == "B":
         # rationed buy market volume means no buy can ever lift the price
         pinned = clearing.market_buy_unfilled > 0
-        ticks = [k for k in book.nonempty_indices() if k > k_a]
-        base = clearing.imbalance + vb_at  # S(p_a) - D(p_a) + V_B(p_a)
+        omega_num = clearing.imbalance + vb_at  # S(p_a) - D(p_a) + V_B(p_a)
     else:
         pinned = clearing.market_sell_unfilled > 0
-        ticks = [k for k in reversed(book.nonempty_indices()) if k < k_a]
-        base = -clearing.imbalance + vs_at  # D(p_a) - S(p_a) + V_S(p_a)
-    if pinned:
-        return ImpactCurve(
-            side=side,
-            q_a=clearing.q_a,
-            price_index_a=k_a,
-            p_a=p_a,
-            tick_size=grid.tick_size,
-            omega0_num=0,
-            breakpoints=(),
-            cap_num=0,
-            grid_anchor=grid.anchor,
-            pinned=True,
-        )
+        omega_num = -clearing.imbalance + vs_at  # D(p_a) - S(p_a) + V_S(p_a)
     # A zero threshold is a real jump (no zero-impact volume on this side:
     # one share moves the price).  A negative threshold only arises when the
     # rationed side's surplus rests beyond the clearing price; the price then
     # holds every tie through the reference rule and that jump never happens,
     # though the surplus still lowers all later thresholds.
-    omega_num = base
     breakpoints: list[Breakpoint] = []
-    cap_num = None
-    for t in ticks:
-        x = abs(math.log(grid.price_at(t) / p_a))
+    for k, x, shares in [] if pinned else book.levels_past(k_a, side, max_x):
         if x > max_x:
-            cap_num = omega_num
             break
         if omega_num >= 0:
-            breakpoints.append(Breakpoint(omega_num, t, x))
-        vb, vs = book.volume_at(t)
-        omega_num += vb + vs
-    if cap_num is None:
-        cap_num = omega_num  # ran off the book edge inside the window
-    cap_num = max(cap_num, 0)
+            breakpoints.append(Breakpoint(omega_num, k, x))
+        omega_num += shares
+    cap_num = 0 if pinned else max(omega_num, 0)
     return ImpactCurve(
         side=side,
         q_a=clearing.q_a,
         price_index_a=k_a,
-        p_a=p_a,
-        tick_size=grid.tick_size,
+        grid=book.grid,
         omega0_num=breakpoints[0].omega_num if breakpoints else cap_num,
         breakpoints=tuple(breakpoints),
         cap_num=cap_num,
-        grid_anchor=grid.anchor,
+        pinned=pinned,
     )
 
 
 def signed_curve_csv(curve_buy: ImpactCurve, curve_sell: ImpactCurve) -> str:
     """Both sides on one signed axis: buys at +omega/+impact, sells negated."""
-    rows = []
-    for bp in reversed(curve_sell.breakpoints):
-        rows.append((-bp.omega_num / curve_sell.q_a, -bp.impact))
+    rows = [(-bp.omega_num / curve_sell.q_a, -bp.impact)
+            for bp in reversed(curve_sell.breakpoints)]
     rows.append((0.0, 0.0))
-    for bp in curve_buy.breakpoints:
-        rows.append((bp.omega_num / curve_buy.q_a, bp.impact))
-    buf = io.StringIO()
-    buf.write("eps_omega,eps_impact\n")
-    for w, i in rows:
-        buf.write(f"{w!r},{i!r}\n")
-    return buf.getvalue()
+    rows += [(bp.omega_num / curve_buy.q_a, bp.impact) for bp in curve_buy.breakpoints]
+    return "eps_omega,eps_impact\n" + "".join(f"{w!r},{i!r}\n" for w, i in rows)
 
 
 # ------------------------------------------------------------- re-clearing

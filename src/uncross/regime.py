@@ -11,8 +11,6 @@ avoids the downward bias of exponentiating a mean of logs.
 """
 from __future__ import annotations
 
-import io
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -105,19 +103,8 @@ def omega_max(
     the matching side's constant window.
     """
     delta = delta_b if curve.side == "B" else delta_s
-    grid = book.grid
-    k_a = curve.price_index_a
-    p_a = curve.p_a
-    total = 0
-    for k in book.nonempty_indices():
-        if curve.side == "B" and k <= k_a:
-            continue
-        if curve.side == "S" and k >= k_a:
-            continue
-        x = abs(math.log(grid.price_at(k) / p_a))
-        if 0 < x <= delta:
-            vb, vs = book.volume_at(k)
-            total += vb + vs
+    walk = book.levels_past(curve.price_index_a, curve.side, delta)
+    total = sum(shares for _, x, shares in walk if 0 < x <= delta)
     return float(curve.omega0) + total / curve.q_a
 
 
@@ -159,6 +146,7 @@ class RegimeFit:
     beta_theo: float
     n_points: int
     p_first: float  # first occupied tick past the clearing price
+    omega0: float  # zero-impact scaled volume of the side's impact curve
 
     def csv_row(self, date: str) -> str:
         beta = "" if self.beta_emp is None else repr(self.beta_emp)
@@ -186,7 +174,7 @@ def fit_regime(
     if not curve.breakpoints:
         raise TooFewPoints("no occupied ticks past the clearing price inside the window")
     w_max = omega_max(curve, book, cp.delta, cp.delta)
-    p_first = curve.grid_anchor + curve.breakpoints[0].target_index * curve.tick_size
+    p_first = curve.grid.price_at(curve.breakpoints[0].target_index)
     ref = clearing.p_a if slope_from_auction_price else p_first
     beta_theo = theoretical_slope(ref, cp.l_tilde)
     try:
@@ -202,12 +190,9 @@ def fit_regime(
         beta_theo=beta_theo,
         n_points=cp.n_points,
         p_first=p_first,
+        omega0=float(curve.omega0),
     )
 
 
 def fits_to_csv(rows: Sequence[tuple[str, RegimeFit]]) -> str:
-    buf = io.StringIO()
-    buf.write(REGIME_CSV_HEADER + "\n")
-    for date, fit in rows:
-        buf.write(fit.csv_row(date) + "\n")
-    return buf.getvalue()
+    return REGIME_CSV_HEADER + "\n" + "".join(fit.csv_row(date) + "\n" for date, fit in rows)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from uncross.book import AuctionBook
 from uncross.errors import (
+    ContradictsLiveOrder,
     DuplicateOrderId,
     EmptySide,
     NonPositiveQuantity,
@@ -62,6 +64,37 @@ def test_unknown_and_duplicate_ids():
         book.apply(OrderEvent(3, "a", "SUBMIT", "B", "LIMIT", 10.0, 5))
     with pytest.raises(NonPositiveQuantity):
         book.apply(OrderEvent(4, "b", "SUBMIT", "B", "LIMIT", 10.0, 0))
+
+
+def test_cancel_or_modify_contradicting_the_live_order_is_rejected():
+    book = make_book(buys=[(10.0, 5)], sell_market=7)
+    for ev in (
+        OrderEvent(1, "B0", "CANCEL", "S", "LIMIT", 10.0, 5),  # other side
+        OrderEvent(1, "B0", "CANCEL", "B", "MARKET", None, 5),  # other type
+        OrderEvent(1, "B0", "CANCEL", "B", "LIMIT", 10.1, 5),  # other price
+        OrderEvent(1, "SM", "CANCEL", "S", "LIMIT", 10.0, 7),
+        OrderEvent(1, "B0", "MODIFY", "S", "LIMIT", 10.0, 5),  # an order never changes side
+    ):
+        with pytest.raises(ContradictsLiveOrder):
+            book.apply(ev)
+    assert book.buy_volume == {0: 5} and book.sell_market_total == 7
+    # the quantity is informational, and the price may be left out
+    book.apply(OrderEvent(2, "B0", "CANCEL", "B", "LIMIT", 10.0, 999))
+    book.apply(OrderEvent(3, "SM", "CANCEL", "S", "MARKET", None, 1))
+    assert book.orders == {}
+
+
+def test_levels_past_walks_outward_and_keeps_the_first_tick_beyond():
+    book = make_book(buys=[(9.9, 10), (9.5, 20), (9.0, 30), (10.2, 1)],
+                     sells=[(10.1, 40), (10.2, 5), (10.9, 50)])
+    up = book.levels_past(0, "B", 0.02)
+    assert [(k, v) for k, _, v in up] == [(1, 40), (2, 6), (9, 50)]
+    assert up[0][1] == abs(math.log(10.1 / 10.0)) and up[-1][1] > 0.02 >= up[-2][1]
+    assert [(k, v) for k, _, v in book.levels_past(0, "S", 0.02)] == [(-1, 10), (-5, 20)]
+    # a walk from beyond the level window is empty or covers every occupied tick
+    assert book.levels_past(1000, "B", 10.0) == [] == book.levels_past(-90, "S", 10.0)
+    assert [k for k, _, _ in book.levels_past(1000, "S", 10.0)] == [9, 2, 1, -1, -5, -10]
+    assert [k for k, _, _ in book.levels_past(-90, "B", 10.0)] == [-10, -5, -1, 1, 2, 9]
 
 
 def test_modify_quantity_decrease_keeps_priority():
@@ -126,15 +159,18 @@ def _random_events(seed, n=1000):
             qty = rng.randint(1, 500)
             side = rng.choice("BS")
             events.append(OrderEvent(t, oid, "SUBMIT", side, otype, price, qty))
-            live[oid] = side
+            live[oid] = side, otype
         elif action == "CANCEL":
             oid = rng.choice(sorted(live))
-            events.append(OrderEvent(t, oid, "CANCEL", live.pop(oid), "LIMIT", None, 1))
+            side, otype = live.pop(oid)
+            events.append(OrderEvent(t, oid, "CANCEL", side, otype, None, 1))
         else:
             oid = rng.choice(sorted(live))
+            side = live[oid][0]
             otype = rng.choices(["LIMIT", "MARKET"], weights=[8, 2])[0]
             price = None if otype == "MARKET" else 10.0 + 0.1 * rng.randint(-10, 10)
-            events.append(OrderEvent(t, oid, "MODIFY", live[oid], otype, price, rng.randint(1, 500)))
+            events.append(OrderEvent(t, oid, "MODIFY", side, otype, price, rng.randint(1, 500)))
+            live[oid] = side, otype
     return events
 
 

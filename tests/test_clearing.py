@@ -390,10 +390,10 @@ def test_indicative_matches_fresh_replay_per_snapshot():
             otype = "MARKET" if rng.random() < 0.1 else "LIMIT"
             price = None if otype == "MARKET" else 10.0 + 0.1 * rng.randint(-8, 8)
             events.append(OrderEvent(ts, oid, "SUBMIT", side, otype, price, rng.randint(1, 99)))
-            live.append(oid)
+            live.append((oid, side, otype))
         else:
-            oid = live.pop(rng.randrange(len(live)))
-            events.append(OrderEvent(ts, oid, "CANCEL", "B", "LIMIT", None, 1))
+            oid, side, otype = live.pop(rng.randrange(len(live)))
+            events.append(OrderEvent(ts, oid, "CANCEL", side, otype, None, 1))
     grid = PriceGrid(0.1, 10.0, 10.0)
     interval = 1_000_000
     _, points = indicative_series(events, grid, interval)

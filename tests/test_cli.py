@@ -164,7 +164,16 @@ CROSSED = "0,a,SUBMIT,B,LIMIT,10.0,5,HFT,OWN\n1,b,SUBMIT,S,LIMIT,10.0,5,HFT,OWN\
     ("density", "2,zz,MODIFY,B,LIMIT,10.0,5,HFT,OWN", "MODIFY of unknown or dead order 'zz'"),
     # measured after the warm-up, so classified against the indicative price first
     ("response", "40000000,c,SUBMIT,B,LIMIT,10.05,5,HFT,OWN", "price 10.05 is not on the grid"),
-], ids=["duplicate-submit", "unknown-cancel", "unknown-modify", "off-grid-price"])
+    ("replay", "2,a,CANCEL,S,MARKET,,999,NON,CLIENT",
+     "CANCEL of order 'a' on side S; it is live on side B"),
+    ("series", "2,a,CANCEL,B,MARKET,,5,HFT,OWN",
+     "CANCEL of order 'a' as MARKET; it is live as LIMIT"),
+    ("density", "2,b,CANCEL,S,LIMIT,10.1,5,HFT,OWN",
+     "CANCEL of order 'b' at price 10.1; it is live at 10"),
+    ("replay", "2,b,MODIFY,B,LIMIT,10.0,5,HFT,OWN",
+     "MODIFY of order 'b' on side B; it is live on side S"),
+], ids=["duplicate-submit", "unknown-cancel", "unknown-modify", "off-grid-price",
+        "cancel-other-side", "cancel-other-type", "cancel-other-price", "modify-other-side"])
 def test_book_reject_in_log_is_line_numbered_parse_error(tmp_path, command, row, message):
     log = tmp_path / "bad.csv"
     log.write_text(",".join(CSV_HEADER) + "\n" + CROSSED + row + "\n")
@@ -198,9 +207,14 @@ def test_bad_grid_file_is_parse_error(tmp_path, text, message):
     ('{"n_levels": "many"}', EXIT_PARSE,
      "bad config file: config field 'n_levels' must be int, got 'many'"),
     ("[1, 2]", EXIT_PARSE, "bad config file: a config must be a JSON object"),
+    ('{"latency_weights": {"HFT": "x"}}', EXIT_PARSE,
+     "bad config file: config field 'latency_weights' must be dict[str, float], got {'HFT': 'x'}"),
+    ('{"market_size_range": [1, "a"]}', EXIT_PARSE,
+     "bad config file: config field 'market_size_range' must be tuple[int, int], got [1, 'a']"),
     # well formed but unsatisfiable: not a parse error
     ('{"shape": "triangle"}', EXIT_OTHER, "shape must be one of"),
-], ids=["not-json", "unknown-field", "wrong-type", "not-an-object", "infeasible"])
+], ids=["not-json", "unknown-field", "wrong-type", "not-an-object", "wrong-weight",
+        "wrong-range-element", "infeasible"])
 def test_bad_gen_config_is_parse_error(tmp_path, text, code, message):
     config = tmp_path / "config.json"
     config.write_text(text)
@@ -215,10 +229,25 @@ def test_bad_gen_config_is_parse_error(tmp_path, text, code, message):
     ('{"command": "impact", "params": {}}', "manifest lacks the key 'inputs'"),
     ('{"command": "nope", "inputs": {}, "params": {}}', "unknown command 'nope'"),
     ('{"command": "rerun", "inputs": {}, "params": {}}', "unknown command 'rerun'"),
-], ids=["not-json", "missing-key", "unknown-command", "rerun-itself"])
+    ('{"command": "replay", "inputs": {}, "params": {"log": LOG, "tick": 0.1, "ref": 10.0, '
+     '"anchor": null, "grid_file": null, "bogus": 1}}',
+     "params do not fit replay: unknown ['bogus'], missing []"),
+    ('{"command": "replay", "inputs": {}, "params": {"log": LOG, "tick": 0.1, "ref": 10.0, '
+     '"grid_file": null}}', "params do not fit replay: unknown [], missing ['anchor']"),
+    ('{"command": "regime", "inputs": {}, "params": {"log": LOG, "date": null, '
+     '"min_points": 20, "max_x": "abc", "approx_slope": false, "full_metrics": false, '
+     '"tick": 0.1, "ref": 10.0, "anchor": null, "grid_file": null}}',
+     "bad param 'max_x': 'abc' is not a valid float"),
+    ('{"command": "impact", "inputs": {}, "params": {"log": LOG, "side": "both", '
+     '"max_x": null, "tick": 0.1, "ref": 10.0, "anchor": null, "grid_file": null}}',
+     "bad param 'max_x': null is not one of its values"),
+], ids=["not-json", "missing-key", "unknown-command", "rerun-itself", "unknown-param",
+        "missing-param", "bad-param-value", "null-param-value"])
 def test_rerun_of_a_non_manifest_is_parse_error(tmp_path, text, message):
+    log = tmp_path / "day.csv"
+    log.write_text(",".join(CSV_HEADER) + "\n" + CROSSED)
     manifest = tmp_path / "impact.manifest.json"
-    manifest.write_text(text)
+    manifest.write_text(text.replace("LOG", json.dumps(str(log))))
     res = run(["rerun", str(manifest), "--out-dir", str(tmp_path / "out")])
     assert res.exit_code == EXIT_PARSE, res.output
     assert f"{manifest}: {message}" in res.output

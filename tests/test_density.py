@@ -85,6 +85,16 @@ def test_total_density_constant_book():
         assert rho == pytest.approx(30 / (0.1 * c.q_a))
 
 
+def test_total_density_last_sample_spans_the_gap_beyond_max_x():
+    # sells at 10.1 and 10.2 lie inside max_x; the next occupied tick, 10.5, does not
+    book = make_book(buys=[(10.0, 40)], sells=[(10.0, 40), (10.1, 30), (10.2, 20), (10.5, 60)])
+    c = clear(book)
+    xs, rhos = total_density_samples(book, c.price_index, c.q_a, "B", max_x=0.03)
+    assert len(xs) == 2
+    assert rhos[0] == pytest.approx(30 / (0.1 * c.q_a))
+    assert rhos[1] == pytest.approx(20 / (0.3 * c.q_a))  # not 20 / (0.1 * q_a)
+
+
 # ------------------------------------------------------------------- binned
 
 

@@ -199,6 +199,7 @@ class TestFitRegime:
         book = constant_density_book(n_levels=40, v=60, peak=600, tick=0.01)
         c = clear(book)
         fit = fit_regime(book, c, "B", max_x=0.03, min_points=10)
+        assert fit.omega0 == float(impact_curve(book, c, "B", max_x=0.03).omega0)
         # exactly constant density: the window extends to the truncation
         assert fit.n_points >= 10
         assert fit.l_tilde == pytest.approx(60 / (c.q_a * 0.01))
