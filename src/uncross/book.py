@@ -84,9 +84,6 @@ class AuctionBook:
     sell_market_total: int = 0
     orders: dict[str, OrderRecord] = field(default_factory=dict)
     _seq: int = 0
-    # conservation counters: shares ever added to / removed from resting state
-    shares_added: dict[str, int] = field(default_factory=lambda: {"B": 0, "S": 0})
-    shares_removed: dict[str, int] = field(default_factory=lambda: {"B": 0, "S": 0})
     lo_index: int = field(init=False, repr=False, compare=False)
     buy_levels: np.ndarray = field(init=False, repr=False, compare=False)
     sell_levels: np.ndarray = field(init=False, repr=False, compare=False)
@@ -194,10 +191,6 @@ class AuctionBook:
         """Add ``qty`` of the order's shares to the book (negative ``qty`` removes)."""
         if not rec.is_resting:
             return  # dormant stop orders carry no book volume
-        if qty > 0:
-            self.shares_added[rec.side] += qty
-        else:
-            self.shares_removed[rec.side] -= qty
         if rec.is_market:
             if rec.side == "B":
                 self.buy_market_total += qty

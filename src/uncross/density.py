@@ -67,10 +67,16 @@ def total_density_samples(
     price, which may lie beyond ``max_x``.  Only ticks within ``max_x`` are
     returned.
     """
+    return _density_samples(book.levels_past(price_index_a, side, max_x),
+                            book.grid.tick_size, q_a, max_x)
+
+
+def _density_samples(
+    walk: list[tuple[int, float, int]], tick: float, q_a: int, max_x: float
+) -> tuple[list[float], list[float]]:
+    """``total_density_samples`` over a ``levels_past`` walk taken with ``max_x``."""
     if q_a <= 0:
         raise ValueError(f"q_a must be positive, got {q_a}")
-    tick = book.grid.tick_size
-    walk = book.levels_past(price_index_a, side, max_x)
     xs: list[float] = []
     rhos: list[float] = []
     for pos, (k, x, shares) in enumerate(walk):

@@ -13,6 +13,7 @@ byte-identical logs.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -226,15 +227,16 @@ def generate(cfg: FlowConfig) -> tuple[list[OrderEvent], dict, dict]:
     ordinal = 0
     next_id = 1
 
+    # cumulative weights, built once: ``choices`` draws the same as with ``weights=``
     lat_names = list(cfg.latency_weights)
-    lat_w = [cfg.latency_weights[k] for k in lat_names]
+    lat_cum = list(itertools.accumulate(cfg.latency_weights.values()))
     acct_names = list(cfg.account_weights)
-    acct_w = [cfg.account_weights[k] for k in acct_names]
+    acct_cum = list(itertools.accumulate(cfg.account_weights.values()))
 
     def flags() -> tuple[str, str]:
         return (
-            rng.choices(lat_names, weights=lat_w, k=1)[0],
-            rng.choices(acct_names, weights=acct_w, k=1)[0],
+            rng.choices(lat_names, cum_weights=lat_cum, k=1)[0],
+            rng.choices(acct_names, cum_weights=acct_cum, k=1)[0],
         )
 
     def push(t: int, ev: OrderEvent) -> None:

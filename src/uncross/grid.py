@@ -39,6 +39,12 @@ class PriceGrid:
             )
         # validates the grid invariant up front
         object.__setattr__(self, "_ref_index", self.index_of(self.reference_price))
+        k = math.floor(-self.anchor / self.tick_size) + 1
+        while self.price_at(k) <= 0:  # guards the floor against float edges
+            k += 1
+        while self.price_at(k - 1) > 0:
+            k -= 1
+        object.__setattr__(self, "_min_index", k)
 
     @property
     def reference_index(self) -> int:
@@ -47,12 +53,7 @@ class PriceGrid:
     @property
     def min_price_index(self) -> int:
         """Smallest tick index with a strictly positive price."""
-        k = math.floor(-self.anchor / self.tick_size) + 1
-        while self.price_at(k) <= 0:  # guards the floor against float edges
-            k += 1
-        while self.price_at(k - 1) > 0:
-            k -= 1
-        return k
+        return self._min_index
 
     def index_of(self, price: float) -> int:
         """Snap a price to its tick index, raising OffGridPrice if it is not on the grid."""

@@ -120,6 +120,18 @@ def impact_curve(
     ``max_x`` in log-price from the clearing price (or at the edge of the
     book); the curve's domain ends at the volume that would reach it.
     """
+    return _impact_curve(book, clearing, side, max_x,
+                         book.levels_past(clearing.price_index, side, max_x))
+
+
+def _impact_curve(
+    book: AuctionBook,
+    clearing: ClearingResult,
+    side: str,
+    max_x: float,
+    walk: list[tuple[int, float, int]],
+) -> ImpactCurve:
+    """``impact_curve`` over a ``levels_past`` walk from the clearing price taken with ``max_x``."""
     if clearing.q_a <= 0:
         raise DegenerateAuction("auction volume is zero")
     if max_x <= 0:
@@ -141,7 +153,7 @@ def impact_curve(
     # holds every tie through the reference rule and that jump never happens,
     # though the surplus still lowers all later thresholds.
     breakpoints: list[Breakpoint] = []
-    for k, x, shares in [] if pinned else book.levels_past(k_a, side, max_x):
+    for k, x, shares in [] if pinned else walk:
         if x > max_x:
             break
         if omega_num >= 0:

@@ -8,6 +8,12 @@ log-linear in distance; the cut minimizing the total squared log-residual is
 the window edge.  Errors are multiplicative, hence the log scale; the window
 liquidity is then the plain mean of the raw densities inside the window, which
 avoids the downward bias of exponentiating a mean of logs.
+
+Both segment costs at every cut come from running sums of the centred samples
+(prefix sums for the window, suffix sums for the tail), so a fit is O(n) array
+work after the sort rather than one refit per cut.  The density samples, the
+impact curve and the window volume all read one walk of the book's occupied
+ticks past the clearing price.
 """
 from __future__ import annotations
 
@@ -18,9 +24,9 @@ import numpy as np
 
 from .book import AuctionBook
 from .clearing import ClearingResult
-from .density import total_density_samples
+from .density import _density_samples
 from .errors import NonPositiveDensity, TooFewPoints
-from .impact import ImpactCurve, impact_curve, theoretical_slope
+from .impact import ImpactCurve, _impact_curve, theoretical_slope
 
 DEFAULT_MIN_POINTS = 20
 
@@ -42,8 +48,14 @@ def changepoint(
     """Fit constant-then-log-linear density and return the cut and window mean.
 
     Candidates for the cut are the sample abscissae themselves (the cost only
-    changes there).  Ties prefer the widest window.  Tails with fewer than two
-    samples cost nothing, so the all-constant fit is always admissible.
+    changes there).  With x and l = log(rho) centred on their means, the
+    window of the first m samples costs ``sum(l^2) - sum(l)^2 / m`` and the
+    tail costs ``Syy - Sxy^2 / Sxx`` from its centred second moments (``Syy``
+    alone when the tail sits on one abscissa), all read off prefix and suffix
+    sums in O(n).  Tails with fewer than two samples cost nothing, so the
+    all-constant fit is always admissible.  Costs within
+    ``1e-9 * max(1, sum(log(rho)^2))`` of the minimum count as ties, and ties
+    prefer the widest window.
     """
     x = np.asarray(xs, dtype=float)
     r = np.asarray(rhos, dtype=float)
@@ -59,23 +71,31 @@ def changepoint(
     logs = np.log(r)
     n = len(x)
 
-    costs = np.empty(n)
-    for j in range(n):  # window = samples[0..j], cut y = x[j]
-        m = j + 1
-        seg = logs[:m]
-        sse_flat = float(np.sum((seg - seg.mean()) ** 2))
-        if n - m >= 2:
-            xt = x[m:]
-            lt = logs[m:]
-            xm = xt.mean()
-            lm = lt.mean()
-            sxx = float(np.sum((xt - xm) ** 2))
-            beta = float(np.sum((xt - xm) * (lt - lm))) / sxx if sxx > 0 else 0.0
-            resid = lt - (lm + beta * (xt - xm))
-            sse_tail = float(np.sum(resid**2))
-        else:
-            sse_tail = 0.0  # a line through <2 points is exact
-        costs[j] = sse_flat + sse_tail
+    # Window w holds samples [0, w) and the tail [w, n), for w = 1..n.  Both
+    # costs come from running sums of the centred data: prefix sums for the
+    # window, suffix sums (accumulated from the far end) for the tail.
+    xc = x - x.mean()
+    lc = logs - logs.mean()
+    w = np.arange(1, n + 1)
+    s_l = np.cumsum(lc)
+    sse_flat = np.maximum(np.cumsum(lc * lc) - s_l * s_l / w, 0.0)
+
+    def tail(v: np.ndarray) -> np.ndarray:  # sum of v[w:] for each w
+        return np.append(np.cumsum(v[:0:-1])[::-1], 0.0)
+
+    t = np.maximum(n - w, 1)
+    sx, sy = tail(xc), tail(lc)
+    sxx = tail(xc * xc) - sx * sx / t
+    sxy = tail(xc * lc) - sx * sy / t
+    syy = tail(lc * lc) - sy * sy / t
+    # x is sorted, so a tail on one abscissa is one whose ends agree; its
+    # least-squares line is flat and explains nothing (sxx > 0 only guards
+    # abscissae a few ulps apart, whose sxx can round to zero)
+    sloped = (x[np.minimum(w, n - 1)] != x[-1]) & (sxx > 0)
+    explained = np.divide(sxy * sxy, sxx, out=np.zeros(n), where=sloped)
+    # a line through <2 points is exact
+    sse_tail = np.where(n - w >= 2, np.maximum(syy - explained, 0.0), 0.0)
+    costs = sse_flat + sse_tail
 
     cmin = float(costs.min())
     # rounding noise makes exact cost ties (flat data) come out ~1e-15 apart
@@ -103,7 +123,11 @@ def omega_max(
     the matching side's constant window.
     """
     delta = delta_b if curve.side == "B" else delta_s
-    walk = book.levels_past(curve.price_index_a, curve.side, delta)
+    return _omega_max(curve, book.levels_past(curve.price_index_a, curve.side, delta), delta)
+
+
+def _omega_max(curve: ImpactCurve, walk: list[tuple[int, float, int]], delta: float) -> float:
+    """``omega_max`` over a ``levels_past`` walk from the curve's price reaching past ``delta``."""
     total = sum(shares for _, x, shares in walk if 0 < x <= delta)
     return float(curve.omega0) + total / curve.q_a
 
@@ -167,13 +191,19 @@ def fit_regime(
     min_points: int = DEFAULT_MIN_POINTS,
     slope_from_auction_price: bool = False,
 ) -> RegimeFit:
-    """Full one-side pipeline: density samples, change point, window, slopes."""
-    xs, rhos = total_density_samples(book, clearing.price_index, clearing.q_a, side, max_x)
+    """Full one-side pipeline: density samples, change point, window, slopes.
+
+    One walk of the occupied ticks past the clearing price, out to ``max_x``,
+    feeds the density samples, the impact curve and the window volume; the
+    window's ticks (``0 < x <= delta <= max_x``) are a prefix of it.
+    """
+    walk = book.levels_past(clearing.price_index, side, max_x)
+    xs, rhos = _density_samples(walk, book.grid.tick_size, clearing.q_a, max_x)
     cp = changepoint(xs, rhos, min_points=min_points)
-    curve = impact_curve(book, clearing, side, max_x=max_x)
+    curve = _impact_curve(book, clearing, side, max_x, walk)
     if not curve.breakpoints:
         raise TooFewPoints("no occupied ticks past the clearing price inside the window")
-    w_max = omega_max(curve, book, cp.delta, cp.delta)
+    w_max = _omega_max(curve, walk, cp.delta)
     p_first = curve.grid.price_at(curve.breakpoints[0].target_index)
     ref = clearing.p_a if slope_from_auction_price else p_first
     beta_theo = theoretical_slope(ref, cp.l_tilde)

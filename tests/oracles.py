@@ -2,8 +2,9 @@
 
 Everything here recomputes results from first principles: supply/demand by
 literal summation over order lists, the clearing by scanning every candidate
-price, and injection sweeps by re-clearing at every volume.  None of it shares
-code with the package beyond the price grid.
+price, injection sweeps by re-clearing at every volume, and the regime change
+point by refitting both segments at every cut.  None of it shares code with
+the package beyond the price grid.
 """
 from __future__ import annotations
 
@@ -191,3 +192,43 @@ def spec_to_book(spec: BookSpec):
 
     grid = PriceGrid(spec.tick, spec.base, spec.price(spec.ref_index))
     return AuctionBook(grid).replay(spec_to_events(spec))
+
+
+def naive_changepoint(xs, rhos) -> tuple[float, float, int, int, float]:
+    """Change point by refitting the flat window and the log-linear tail at every cut.
+
+    Takes valid input (equal lengths, at least two samples, positive
+    densities); returns (delta, l_tilde, n_points, n_window, cost) with the
+    same tie tolerance and widest-window rule as ``regime.changepoint``.
+    """
+    x = np.asarray(xs, dtype=float)
+    r = np.asarray(rhos, dtype=float)
+    order = np.argsort(x)
+    x = x[order]
+    r = r[order]
+    logs = np.log(r)
+    n = len(x)
+
+    costs = np.empty(n)
+    for j in range(n):  # window = samples[0..j], cut y = x[j]
+        m = j + 1
+        seg = logs[:m]
+        sse_flat = float(np.sum((seg - seg.mean()) ** 2))
+        if n - m >= 2:
+            xt = x[m:]
+            lt = logs[m:]
+            xm = xt.mean()
+            lm = lt.mean()
+            sxx = float(np.sum((xt - xm) ** 2))
+            beta = float(np.sum((xt - xm) * (lt - lm))) / sxx if sxx > 0 else 0.0
+            resid = lt - (lm + beta * (xt - xm))
+            sse_tail = float(np.sum(resid**2))
+        else:
+            sse_tail = 0.0  # a line through <2 points is exact
+        costs[j] = sse_flat + sse_tail
+
+    cmin = float(costs.min())
+    tol = 1e-9 * max(1.0, float(np.sum(logs**2)))
+    best_j = int(np.nonzero(costs <= cmin + tol)[0][-1])  # widest window on ties
+    m = best_j + 1
+    return float(x[best_j]), float(r[:m].mean()), n, m, float(costs[best_j])

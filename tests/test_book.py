@@ -210,11 +210,20 @@ def test_replay_determinism():
 
 
 def test_conservation_counters():
+    """Resting shares equal those ever added minus those ever removed, recounted from the events."""
     book = AuctionBook(grid10())
+    added = {"B": 0, "S": 0}
+    removed = {"B": 0, "S": 0}
+    live = {}
     for ev in _random_events(7):
         book.apply(ev)
+        if ev.action != "SUBMIT":  # CANCEL and MODIFY take the live quantity off
+            removed[ev.side] += live.pop(ev.order_id)
+        if ev.action != "CANCEL":
+            added[ev.side] += ev.quantity
+            live[ev.order_id] = ev.quantity
     for side in "BS":
-        assert book.total_resting(side) == book.shares_added[side] - book.shares_removed[side]
+        assert book.total_resting(side) == added[side] - removed[side]
 
 
 @given(

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from uncross.errors import OffGridPrice, ParseError
@@ -34,6 +36,24 @@ class TestGrid:
         grid = PriceGrid(1e-5, 50.0, 50.0)
         assert grid.index_of(grid.price_at(123)) == 123
         assert grid.index_of(grid.price_at(-77)) == -77
+
+    @pytest.mark.parametrize("tick, anchor, ref", [
+        (0.01, 100.0, 100.0),
+        (0.1, -3.05, 0.05),  # negative anchor
+        (0.25, -1.0, 1.0),  # a tick lands exactly on price 0
+        (0.03, 10.0, 10.0),  # the tick does not divide the anchor
+        (0.07, 1.0, 1.0),
+        (0.1, 0.3, 0.3),  # 0.3 - 3 * 0.1 rounds below zero
+        (0.5, 0.0, 1.0),
+        (1e-5, 50.0, 50.0),
+    ])
+    def test_min_price_index_is_the_first_positive_tick(self, tick, anchor, ref):
+        grid = PriceGrid(tick, anchor, ref)
+        k = math.floor(-anchor / tick) - 3
+        while grid.price_at(k) <= 0:
+            k += 1
+        assert grid.min_price_index == k
+        assert grid.price_at(k - 1) <= 0 < grid.price_at(k)
 
 
 class TestEventCsv:

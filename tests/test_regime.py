@@ -10,6 +10,7 @@ from uncross.impact import impact_curve, theoretical_slope
 from uncross.regime import changepoint, empirical_slope, fit_regime, omega_max
 
 from conftest import make_book
+from oracles import naive_changepoint
 
 
 def brute_force_cost(xs, rhos, j):
@@ -87,6 +88,59 @@ class TestChangepoint:
         fit2 = changepoint(xs, [7 * r for r in rhos])
         assert fit1.delta == fit2.delta
         assert fit2.l_tilde == pytest.approx(7 * fit1.l_tilde)
+
+
+def _changepoint_inputs(kind, seed):
+    """One (xs, rhos) input of a kind, 2 to 120 samples, xs not sorted."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 121))
+    xs = rng.uniform(1e-4, 2e-2, n)
+    level = 10 ** rng.uniform(-3, 4)
+    if kind == "random":
+        rhos = level * np.exp(rng.normal(0.0, rng.uniform(0.01, 2.0), n))
+    elif kind == "flat":
+        rhos = np.full(n, level)
+    elif kind == "two_valued":
+        rhos = rng.choice([level, level * rng.uniform(1.01, 50.0)], n)
+    elif kind == "outlier":
+        rhos = np.full(n, level)
+        rhos[rng.integers(n)] *= rng.choice([1e-3, 0.5, 2.0, 1e3])
+    elif kind == "repeated_x":
+        # few distinct abscissae, so most cuts split a run of equal x
+        xs = rng.integers(1, max(2, n // 4) + 1, n) * 1e-4
+        rhos = level * np.exp(rng.normal(0.0, 0.5, n))
+    elif kind == "equal_tail":
+        # a sloped run, then the last few samples all on one abscissa
+        k = int(rng.integers(2, n + 1))
+        xs = np.sort(xs)
+        xs[n - k:] = xs[-1]
+        rhos = level * np.exp(-400.0 * xs + rng.normal(0.0, 0.05, n))
+    else:
+        cut = int(rng.integers(1, 200))
+        noise = float(rng.choice([0.0, 0.01, 0.1]))
+        return piecewise_profile(cut=cut, noise=noise, seed=seed)
+    order = rng.permutation(n)
+    return xs[order].tolist(), rhos[order].tolist()
+
+
+@pytest.mark.parametrize(
+    "kind", ["random", "flat", "two_valued", "outlier", "repeated_x", "equal_tail", "piecewise"]
+)
+def test_changepoint_matches_refit_at_every_cut(kind):
+    """The running-sum costs pick the window the per-cut refit picks.
+
+    Where the chosen cost is zero (an exact fit) the running sums leave
+    rounding of the order of eps times the sums' scale, sum(log(rho)^2), hence
+    the absolute floor on the cost comparison.
+    """
+    for seed in range(150):
+        xs, rhos = _changepoint_inputs(kind, seed)
+        fit = changepoint(xs, rhos, min_points=2)
+        delta, l_tilde, n_points, n_window, cost = naive_changepoint(xs, rhos)
+        assert (fit.delta, fit.l_tilde, fit.n_points, fit.n_window) == (
+            delta, l_tilde, n_points, n_window), (kind, seed)
+        floor = 1e-12 * max(1.0, float(np.sum(np.log(rhos) ** 2)))
+        assert fit.cost == pytest.approx(cost, rel=1e-9, abs=floor), (kind, seed)
 
 
 def constant_density_book(n_levels=25, v=40, peak=400, tick=0.1):
