@@ -59,7 +59,6 @@ class OrderRecord:
     order_type: str
     price_index: int | None  # None for MARKET (and dormant STOP)
     quantity: int
-    submit_ts: int
     priority_ts: int
     priority_seq: int
     latency_flag: str
@@ -132,7 +131,6 @@ class AuctionBook:
             order_type=ev.order_type,
             price_index=price_index,
             quantity=ev.quantity,
-            submit_ts=ev.timestamp,
             priority_ts=ev.timestamp,
             priority_seq=self._seq,
             latency_flag=ev.latency_flag,

@@ -255,6 +255,8 @@ def _snapshots(events: Iterable, book: AuctionBook, interval_us: int) -> Iterato
     final point at the last event's timestamp.  While a point is being
     consumed, ``book`` holds exactly the events before its instant.
     """
+    if not interval_us >= 1:
+        raise ValueError(f"interval_us must be at least 1, got {interval_us}")
     next_t: int | None = None
     last_t: int | None = None
 

@@ -27,6 +27,7 @@ import contextlib
 import functools
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 from typing import NoReturn
@@ -126,8 +127,6 @@ def _grid_from(tick: float | None, ref: float | None, anchor: float | None,
         return PriceGrid(tick, anchor if anchor is not None else ref, ref)
     except OffGridPrice as exc:
         raise click.BadParameter(str(exc), param_hint="'--ref'") from None
-    except ValueError as exc:  # a NaN or infinite value
-        raise click.UsageError(str(exc)) from None
 
 
 def _cleared(log: str, grid: PriceGrid):
@@ -136,12 +135,29 @@ def _cleared(log: str, grid: PriceGrid):
     return book, clear(book)
 
 
+class _Finite(click.FloatRange):
+    """A ``FloatRange`` that also refuses NaN and infinities, which ``FloatRange`` lets through."""
+
+    def convert(self, value, param, ctx):
+        value = super().convert(value, param, ctx)
+        if not math.isfinite(value):
+            self.fail(f"{value} is not a finite number.", param, ctx)
+        return value
+
+    def _describe_range(self) -> str:
+        bounded = self.min is not None or self.max is not None
+        return super()._describe_range() if bounded else "finite"
+
+
+FINITE = _Finite()
+POSITIVE = _Finite(min=0, min_open=True)
+
+
 def _grid_options(fn):
-    positive = click.FloatRange(min=0, min_open=True)
-    fn = click.option("--tick", type=positive, default=None, help="Tick size.")(fn)
-    fn = click.option("--ref", type=positive, default=None,
+    fn = click.option("--tick", type=POSITIVE, default=None, help="Tick size.")(fn)
+    fn = click.option("--ref", type=POSITIVE, default=None,
                       help="Reference (last traded) price.")(fn)
-    fn = click.option("--anchor", type=float, default=None,
+    fn = click.option("--anchor", type=FINITE, default=None,
                       help="A price known to be on the grid; defaults to --ref.")(fn)
     fn = click.option("--grid", "grid_file", type=click.Path(exists=True), default=None,
                       help="JSON file with tick_size/anchor/reference_price (see gen output).")(fn)
@@ -208,7 +224,7 @@ def replay(out, log, grid):
 @click.argument("log", type=click.Path(exists=True))
 @click.option("--side", type=click.Choice(["B", "S", "both"]), default="both",
               show_default=True)
-@click.option("--max-x", type=float, default=200.0, show_default=True,
+@click.option("--max-x", type=POSITIVE, default=200.0, show_default=True,
               help="Truncation distance in basis points.")
 @_grid_options
 def impact(out, log, side, max_x, grid):
@@ -232,7 +248,7 @@ def impact(out, log, side, max_x, grid):
 
 @_command
 @click.argument("logs", nargs=-1, required=True, type=click.Path(exists=True))
-@click.option("--dx", type=float, default=1.0, show_default=True,
+@click.option("--dx", type=POSITIVE, default=1.0, show_default=True,
               help="Bin width in basis points.")
 @click.option("--group", type=click.Choice(["latency", "account"]), default=None,
               help="Split profiles by participant flag.")
@@ -254,7 +270,7 @@ def density(out, logs, dx, group, grid):
 @click.argument("log", type=click.Path(exists=True))
 @click.option("--date", default=None, help="Date label for output rows (default: log stem).")
 @click.option("--min-points", type=int, default=20, show_default=True)
-@click.option("--max-x", type=float, default=200.0, show_default=True,
+@click.option("--max-x", type=POSITIVE, default=200.0, show_default=True,
               help="Truncation distance in basis points.")
 @click.option("--approx-slope", is_flag=True,
               help="Use the clearing price instead of the first occupied tick in the slope.")
@@ -290,19 +306,27 @@ def regime(out, log, date, min_points, max_x, approx_slope, full_metrics, grid):
 
 @_command
 @click.argument("log", type=click.Path(exists=True))
-@click.option("--warmup", type=float, default=30.0, show_default=True,
+@click.option("--warmup", type=FINITE, default=30.0, show_default=True,
               help="Seconds discarded at the start of the log.")
 @click.option("--with-cancels/--no-cancels", default=True, show_default=True,
               help="Include marketable cancellations.")
-@click.option("--bins", type=int, default=DEFAULT_BINS, show_default=True)
-@click.option("--omega-lo", type=float, default=DEFAULT_OMEGA_RANGE[0], show_default=True)
-@click.option("--omega-hi", type=float, default=DEFAULT_OMEGA_RANGE[1], show_default=True)
+@click.option("--bins", type=click.IntRange(min=1), default=DEFAULT_BINS, show_default=True)
+@click.option("--omega-lo", type=POSITIVE, default=DEFAULT_OMEGA_RANGE[0], show_default=True,
+              help="Lower edge of the scaled-size bins; below --omega-hi.")
+@click.option("--omega-hi", type=POSITIVE, default=DEFAULT_OMEGA_RANGE[1], show_default=True)
 @_grid_options
 def response(out, log, warmup, with_cancels, bins, omega_lo, omega_hi, grid):
     """One-lag and mechanical responses of the indicative price."""
+    if not omega_lo < omega_hi:
+        raise click.BadParameter(f"{omega_lo} is not below --omega-hi {omega_hi}.",
+                                 param_hint="'--omega-lo'")
+    try:
+        edges = log_bins(omega_lo, omega_hi, bins)
+    except ValueError as exc:  # bins too narrow to tell their edges apart
+        raise click.BadParameter(str(exc), param_hint="'--bins'") from None
     curve = response_curves(
         read_events(log), grid,
-        bins=log_bins(omega_lo, omega_hi, bins),
+        bins=edges,
         warmup_us=int(warmup * 1e6),
         with_cancels=with_cancels,
     )
@@ -313,10 +337,10 @@ def response(out, log, warmup, with_cancels, bins, omega_lo, omega_hi, grid):
 
 @_command
 @click.argument("log", type=click.Path(exists=True))
-@click.option("--interval", type=float, default=5.0, show_default=True,
-              help="Snapshot interval in seconds.")
+@click.option("--interval", type=_Finite(min=1e-6), default=5.0, show_default=True,
+              help="Snapshot interval in seconds, at least one microsecond.")
 @click.option("--min-points", type=int, default=20, show_default=True)
-@click.option("--max-x", type=float, default=200.0, show_default=True)
+@click.option("--max-x", type=POSITIVE, default=200.0, show_default=True)
 @_grid_options
 def series(out, log, interval, min_points, max_x, grid):
     """Indicative price/volume snapshots plus liquidity and max linear volume."""
@@ -356,7 +380,7 @@ def series(out, log, interval, min_points, max_x, grid):
 
 @_command
 @click.argument("metrics", type=click.Path(exists=True))
-@click.option("--threshold", type=float, default=0.01, show_default=True,
+@click.option("--threshold", type=POSITIVE, default=0.01, show_default=True,
               help="Scaled size for the zero-impact probability.")
 @click.option("--rcdf", "rcdf_col",
               type=click.Choice(["omega0", "l_cash", "beta_emp", "beta_theo"]),

@@ -39,6 +39,10 @@ CSV_HEADER = [
 # validity, which is irrelevant within a single auction replay.
 PRICED_TYPES = ("LIMIT", "VALID_FOR_AUCTION", "VALID_FOR_CLOSING")
 
+# (field, allowed values) of every enumerated event field, in validation order
+_ENUMS = (("action", ACTIONS), ("side", SIDES), ("order_type", ORDER_TYPES),
+          ("latency_flag", LATENCY_FLAGS), ("account_type", ACCOUNT_TYPES))
+
 
 @dataclass(frozen=True)
 class OrderEvent:
@@ -69,22 +73,10 @@ class OrderEvent:
         self.validate()
 
     def validate(self) -> None:
-        if self.action not in ACTIONS:
-            raise ParseError(f"unknown action {self.action!r}; expected one of {ACTIONS}")
-        if self.side not in SIDES:
-            raise ParseError(f"unknown side {self.side!r}; expected one of {SIDES}")
-        if self.order_type not in ORDER_TYPES:
-            raise ParseError(
-                f"unknown order_type {self.order_type!r}; expected one of {ORDER_TYPES}"
-            )
-        if self.latency_flag not in LATENCY_FLAGS:
-            raise ParseError(
-                f"unknown latency_flag {self.latency_flag!r}; expected one of {LATENCY_FLAGS}"
-            )
-        if self.account_type not in ACCOUNT_TYPES:
-            raise ParseError(
-                f"unknown account_type {self.account_type!r}; expected one of {ACCOUNT_TYPES}"
-            )
+        for name, allowed in _ENUMS:
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ParseError(f"unknown {name} {value!r}; expected one of {allowed}")
         if self.order_type == "MARKET":
             if self.price is not None:
                 raise ParseError("MARKET order must not carry a price")

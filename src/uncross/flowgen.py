@@ -204,13 +204,6 @@ def _split_sizes(total: int, mean: int, rng: random.Random) -> list[int]:
     return sizes
 
 
-@dataclass
-class _Pending:
-    t: int
-    ordinal: int
-    event: OrderEvent
-
-
 def generate(cfg: FlowConfig) -> tuple[list[OrderEvent], dict, dict]:
     """Produce a time-sorted event log, its ground-truth sidecar, and grid metadata.
 
@@ -223,8 +216,7 @@ def generate(cfg: FlowConfig) -> tuple[list[OrderEvent], dict, dict]:
     grid = PriceGrid(cfg.tick_size, cfg.fundamental_price, cfg.fundamental_price)
     t_clear = rng.randrange(cfg.earliest_clear_us, cfg.latest_clear_us + 1)
 
-    pending: list[_Pending] = []
-    ordinal = 0
+    events: list[OrderEvent] = []
     next_id = 1
 
     # cumulative weights, built once: ``choices`` draws the same as with ``weights=``
@@ -239,17 +231,12 @@ def generate(cfg: FlowConfig) -> tuple[list[OrderEvent], dict, dict]:
             rng.choices(acct_names, cum_weights=acct_cum, k=1)[0],
         )
 
-    def push(t: int, ev: OrderEvent) -> None:
-        nonlocal ordinal
-        pending.append(_Pending(t, ordinal, ev))
-        ordinal += 1
-
     def submit(side: str, otype: str, price: float | None, qty: int, t: int) -> str:
         nonlocal next_id
         oid = f"O{next_id:07d}"
         next_id += 1
         lat, acct = flags()
-        push(t, OrderEvent(t, oid, "SUBMIT", side, otype, price, qty, lat, acct))
+        events.append(OrderEvent(t, oid, "SUBMIT", side, otype, price, qty, lat, acct))
         return oid
 
     def t_body() -> int:
@@ -308,10 +295,9 @@ def generate(cfg: FlowConfig) -> tuple[list[OrderEvent], dict, dict]:
         oid = submit(side, otype, price, qty, t_sub)
         t_cxl = rng.randrange(t_sub + 1, t_clear + 1)
         lat, acct = flags()
-        push(t_cxl, OrderEvent(t_cxl, oid, "CANCEL", side, otype, price, qty, lat, acct))
+        events.append(OrderEvent(t_cxl, oid, "CANCEL", side, otype, price, qty, lat, acct))
 
-    pending.sort(key=lambda p: (p.t, p.ordinal))
-    events = [p.event for p in pending]
+    events.sort(key=lambda ev: ev.timestamp)  # stable: ties keep their drawing order
 
     book = AuctionBook(grid).replay(events)
     clearing = clear(book)

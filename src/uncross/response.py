@@ -18,12 +18,17 @@ Event time advances only at marketable events; everything else just moves the
 book.  Events arriving before the warmup cutoff or while the book does not
 cross are applied but not measured; so are marketable events that leave the
 book without a cross, which count as skipped like those arriving without one.
+
+The indicative price is read once per book state.  The read after a recorded
+event is the next event's pre-event read, since no event has changed the book
+in between.
 """
 from __future__ import annotations
 
+import bisect
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from .book import AuctionBook
@@ -57,34 +62,27 @@ def classify_marketable(
     ``indicative_index`` is the indicative price tick just before the event;
     None (no cross yet) makes nothing marketable.
     """
-    if indicative_index is None:
+    resting = None if indicative_index is None else _resting(ev, book)
+    if resting is None:
         return None
-    if ev.action == "SUBMIT":
-        if ev.order_type == "MARKET":
-            return (1 if ev.side == "B" else -1), ev.quantity
-        if ev.order_type == "STOP":
-            return None
-        k = book.grid.index_of(ev.price)
-        if ev.side == "B" and k >= indicative_index:
-            return 1, ev.quantity
-        if ev.side == "S" and k <= indicative_index:
-            return -1, ev.quantity
+    side, shares, tick = resting
+    if tick is not None and side * (tick - indicative_index) < 0:
+        return None  # rests behind the indicative price
+    # removing marketable volume pushes the price the opposite way
+    return (side if ev.action == "SUBMIT" else -side), shares
+
+
+def _resting(ev: OrderEvent, book: AuctionBook) -> tuple[int, int, int | None] | None:
+    """The resting order ``ev`` adds or removes, as (+1 buy / -1 sell, shares, tick
+    or None for a market order); None for a STOP submission, a modification or a
+    cancellation of a dead or dormant order."""
+    if ev.action == "SUBMIT" and ev.order_type != "STOP":
+        tick = None if ev.price is None else book.grid.index_of(ev.price)
+        return (1 if ev.side == "B" else -1), ev.quantity, tick
+    rec = book.orders.get(ev.order_id) if ev.action == "CANCEL" else None
+    if rec is None or not rec.is_resting:
         return None
-    if ev.action == "CANCEL":
-        rec = book.orders.get(ev.order_id)
-        if rec is None or not rec.is_resting:
-            return None
-        if rec.is_market:
-            marketable = True
-        elif rec.side == "B":
-            marketable = rec.price_index >= indicative_index
-        else:
-            marketable = rec.price_index <= indicative_index
-        if not marketable:
-            return None
-        # removing marketable volume pushes the price the opposite way
-        return (1 if rec.side == "S" else -1), rec.quantity
-    return None  # modifications are not classified
+    return (1 if rec.side == "B" else -1), rec.quantity, rec.price_index
 
 
 @dataclass
@@ -112,8 +110,21 @@ class ResponseCurve:
 
 
 def log_bins(lo: float, hi: float, n: int) -> list[float]:
+    """The ``n + 1`` edges of ``n`` log-spaced bins from ``lo`` to ``hi``."""
+    if not (0 < lo < hi and math.isfinite(hi) and n >= 1):
+        raise ValueError(f"log bins need finite 0 < lo < hi and n >= 1, got {lo}, {hi}, {n}")
     step = (math.log(hi) - math.log(lo)) / n
-    return [lo * math.exp(i * step) for i in range(n + 1)]
+    return _edges([lo * math.exp(i * step) for i in range(n + 1)])
+
+
+def _edges(bins: Iterable[float]) -> list[float]:
+    """``bins`` as a list, refusing fewer than 2 strictly increasing finite edges."""
+    edges = list(bins)
+    if (len(edges) < 2 or not all(math.isfinite(e) for e in edges)
+            or any(a >= b for a, b in zip(edges, edges[1:]))):
+        raise ValueError(f"bin edges must be at least 2 strictly increasing finite "
+                         f"numbers, got {edges}")
+    return edges
 
 
 def collect_marketable(
@@ -131,73 +142,44 @@ def collect_marketable(
     recorded: list[MarketableEvent] = []
     skipped = 0
     t0: int | None = None
+    ind, fresh = None, False  # ``ind`` is the book's indicative while ``fresh``
 
     for ev in events:
         if t0 is None:
             t0 = ev.timestamp
-        measured = ev.timestamp >= t0 + warmup_us and (with_cancels or ev.action != "CANCEL")
-        pre = _indicative(book) if measured else None
         cls = None
-        if measured:
-            if pre is not None:
-                try:
-                    cls = classify_marketable(ev, book, pre[0])
-                except UncrossError as exc:
-                    raise _located(ev, exc) from None
-            elif _unconditionally_marketable(ev, book):
-                skipped += 1  # marketable but no indicative price to measure against
+        if ev.timestamp >= t0 + warmup_us and (with_cancels or ev.action != "CANCEL"):
+            if not fresh:
+                ind = _indicative(book)
+            try:  # both paths may snap an off-grid price of a log row
+                if ind is not None:
+                    cls = classify_marketable(ev, book, ind[0])
+                elif (resting := _resting(ev, book)) and resting[2] is None:
+                    skipped += 1  # marketable but no indicative price to measure against
+            except UncrossError as exc:
+                raise _located(ev, exc) from None
         book.apply(ev)
+        fresh = False
         if cls is None:
             continue
-        sign, shares = cls
-        k_ind, q_ind, _ = pre
-        p_before = grid.price_at(k_ind)
-        if recorded:
-            _backfill(recorded, p_before)
-        post = _indicative(book)
-        if post is None:
+        pre, ind, fresh = ind, _indicative(book), True
+        p_before = grid.price_at(pre[0])
+        _backfill(recorded, p_before)
+        if ind is None:
             skipped += 1  # the event itself removed the cross: no price to move to
             continue
-        recorded.append(
-            MarketableEvent(
-                t=ev.timestamp,
-                sign=sign,
-                omega=shares / q_ind,
-                shares=shares,
-                kind=ev.action,
-                p_before=p_before,
-                p_after_mech=grid.price_at(post[0]),
-            )
-        )
-    final = _indicative(book)
-    if recorded and final is not None:
+        sign, shares = cls
+        recorded.append(MarketableEvent(ev.timestamp, sign, shares / pre[1], shares,
+                                        ev.action, p_before, grid.price_at(ind[0])))
+    final = ind if fresh else _indicative(book)
+    if final is not None:
         _backfill(recorded, grid.price_at(final[0]))
     return recorded, skipped
 
 
-def _unconditionally_marketable(ev: OrderEvent, book: AuctionBook) -> bool:
-    """Marketable regardless of the indicative price (pure market-order flow)."""
-    if ev.action == "SUBMIT":
-        return ev.order_type == "MARKET"
-    if ev.action == "CANCEL":
-        rec = book.orders.get(ev.order_id)
-        return rec is not None and rec.is_market
-    return False
-
-
 def _backfill(recorded: list[MarketableEvent], p_next: float) -> None:
-    last = recorded[-1]
-    if last.p_next is None:
-        recorded[-1] = MarketableEvent(
-            t=last.t,
-            sign=last.sign,
-            omega=last.omega,
-            shares=last.shares,
-            kind=last.kind,
-            p_before=last.p_before,
-            p_after_mech=last.p_after_mech,
-            p_next=p_next,
-        )
+    if recorded and recorded[-1].p_next is None:
+        recorded[-1] = replace(recorded[-1], p_next=p_next)
 
 
 def response_curves(
@@ -207,64 +189,31 @@ def response_curves(
     warmup_us: int = DEFAULT_WARMUP_US,
     with_cancels: bool = True,
 ) -> ResponseCurve:
-    """One-lag and mechanical response per log-spaced size bin."""
-    if bins is None:
-        bins = log_bins(*DEFAULT_OMEGA_RANGE, DEFAULT_BINS)
-    edges = list(bins)
-    n = len(edges) - 1
+    """One-lag and mechanical response per log-spaced size bin.
+
+    Explicit ``bins`` must be at least 2 strictly increasing finite edges; an
+    omega on an inner edge falls in the bin below it.
+    """
+    edges = log_bins(*DEFAULT_OMEGA_RANGE, DEFAULT_BINS) if bins is None else _edges(bins)
     recorded, skipped = collect_marketable(events, grid, warmup_us, with_cancels)
 
-    acc: list[list[tuple[float, float]]] = [[] for _ in range(n)]
+    acc: list[list[tuple[float, float]]] = [[] for _ in edges[1:]]
     for me in recorded:
-        if me.p_next is None:
-            continue
-        b = _bin_of(me.omega, edges)
-        if b is None:
-            continue
-        acc[b].append((me.sign * (me.p_next - me.p_before), me.sign * (me.p_after_mech - me.p_before)))
-
-    r1: list[float | None] = []
-    rm: list[float | None] = []
-    counts: list[int] = []
-    se_r1: list[float | None] = []
-    se_rm: list[float | None] = []
-    se_diff: list[float | None] = []
-    for b in range(n):
-        vals = acc[b]
-        counts.append(len(vals))
-        if not vals:
-            r1.append(None)
-            rm.append(None)
-            se_r1.append(None)
-            se_rm.append(None)
-            se_diff.append(None)
-            continue
-        a1 = [v[0] for v in vals]
-        am = [v[1] for v in vals]
-        r1.append(_mean(a1))
-        rm.append(_mean(am))
-        se_r1.append(_sem(a1))
-        se_rm.append(_sem(am))
-        se_diff.append(_sem([u - v for u, v in vals]))
-    return ResponseCurve(
-        bin_edges=edges,
-        r1=r1,
-        rm=rm,
-        counts=counts,
-        se_r1=se_r1,
-        se_rm=se_rm,
-        se_diff=se_diff,
-        skipped_no_cross=skipped,
-    )
+        b = bisect.bisect_left(edges, me.omega, 1) - 1
+        if me.p_next is not None and edges[0] <= me.omega and b < len(acc):
+            acc[b].append((me.sign * (me.p_next - me.p_before),
+                           me.sign * (me.p_after_mech - me.p_before)))
+    r1, rm, se_r1, se_rm, se_diff = (list(col) for col in zip(*map(_bin_stats, acc)))
+    return ResponseCurve(bin_edges=edges, r1=r1, rm=rm, counts=[len(v) for v in acc],
+                         se_r1=se_r1, se_rm=se_rm, se_diff=se_diff, skipped_no_cross=skipped)
 
 
-def _bin_of(omega: float, edges: Sequence[float]) -> int | None:
-    if omega < edges[0] or omega > edges[-1]:
-        return None
-    for b in range(len(edges) - 1):
-        if omega <= edges[b + 1]:
-            return b
-    return None
+def _bin_stats(vals: list[tuple[float, float]]) -> tuple[float | None, ...]:
+    """(r1, rm, se_r1, se_rm, se_diff) of one bin's (one-lag, mechanical) responses."""
+    if not vals:
+        return (None,) * 5
+    a1, am = [v[0] for v in vals], [v[1] for v in vals]
+    return _mean(a1), _mean(am), _sem(a1), _sem(am), _sem([u - v for u, v in vals])
 
 
 def _mean(vals: list[float]) -> float:

@@ -364,6 +364,13 @@ def test_indicative_final_point_equals_clearing():
     assert points[-1].q_ind == c.q_a
 
 
+@pytest.mark.parametrize("interval_us", [0, -5_000_000])
+def test_indicative_series_refuses_an_interval_below_one_microsecond(interval_us):
+    grid = PriceGrid(0.1, 10.0, 10.0)
+    with pytest.raises(ValueError, match="interval_us must be at least 1"):
+        indicative_series(_ts_events(), grid, interval_us)
+
+
 def test_indicative_no_cross_flagged_absent():
     grid = PriceGrid(0.1, 10.0, 10.0)
     evs = [

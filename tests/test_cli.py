@@ -156,27 +156,37 @@ def test_exit_code_out_of_order_timestamps(tmp_path):
 
 
 CROSSED = "0,a,SUBMIT,B,LIMIT,10.0,5,HFT,OWN\n1,b,SUBMIT,S,LIMIT,10.0,5,HFT,OWN\n"
+# two rows that leave the book without a cross
+APART = "0,a,SUBMIT,B,LIMIT,9.9,5,HFT,OWN\n1,b,SUBMIT,S,LIMIT,10.1,5,HFT,OWN\n"
 
 
-@pytest.mark.parametrize("command, row, message", [
-    ("replay", "2,a,SUBMIT,S,LIMIT,10.0,5,HFT,OWN", "order id 'a' is already live"),
-    ("series", "2,zz,CANCEL,S,LIMIT,10.0,5,HFT,OWN", "CANCEL of unknown or dead order 'zz'"),
-    ("density", "2,zz,MODIFY,B,LIMIT,10.0,5,HFT,OWN", "MODIFY of unknown or dead order 'zz'"),
+@pytest.mark.parametrize("command, prefix, row, message", [
+    ("replay", CROSSED, "2,a,SUBMIT,S,LIMIT,10.0,5,HFT,OWN", "order id 'a' is already live"),
+    ("series", CROSSED, "2,zz,CANCEL,S,LIMIT,10.0,5,HFT,OWN",
+     "CANCEL of unknown or dead order 'zz'"),
+    ("density", CROSSED, "2,zz,MODIFY,B,LIMIT,10.0,5,HFT,OWN",
+     "MODIFY of unknown or dead order 'zz'"),
     # measured after the warm-up, so classified against the indicative price first
-    ("response", "40000000,c,SUBMIT,B,LIMIT,10.05,5,HFT,OWN", "price 10.05 is not on the grid"),
-    ("replay", "2,a,CANCEL,S,MARKET,,999,NON,CLIENT",
+    ("response", CROSSED, "40000000,c,SUBMIT,B,LIMIT,10.05,5,HFT,OWN",
+     "price 10.05 is not on the grid"),
+    # measured after the warm-up, but without a cross: only the skip tally looks at it
+    ("response", APART, "40000000,c,SUBMIT,B,LIMIT,10.05,5,HFT,OWN",
+     "price 10.05 is not on the grid"),
+    ("replay", CROSSED, "2,a,CANCEL,S,MARKET,,999,NON,CLIENT",
      "CANCEL of order 'a' on side S; it is live on side B"),
-    ("series", "2,a,CANCEL,B,MARKET,,5,HFT,OWN",
+    ("series", CROSSED, "2,a,CANCEL,B,MARKET,,5,HFT,OWN",
      "CANCEL of order 'a' as MARKET; it is live as LIMIT"),
-    ("density", "2,b,CANCEL,S,LIMIT,10.1,5,HFT,OWN",
+    ("density", CROSSED, "2,b,CANCEL,S,LIMIT,10.1,5,HFT,OWN",
      "CANCEL of order 'b' at price 10.1; it is live at 10"),
-    ("replay", "2,b,MODIFY,B,LIMIT,10.0,5,HFT,OWN",
+    ("replay", CROSSED, "2,b,MODIFY,B,LIMIT,10.0,5,HFT,OWN",
      "MODIFY of order 'b' on side B; it is live on side S"),
 ], ids=["duplicate-submit", "unknown-cancel", "unknown-modify", "off-grid-price",
-        "cancel-other-side", "cancel-other-type", "cancel-other-price", "modify-other-side"])
-def test_book_reject_in_log_is_line_numbered_parse_error(tmp_path, command, row, message):
+        "off-grid-price-before-cross", "cancel-other-side", "cancel-other-type",
+        "cancel-other-price", "modify-other-side"])
+def test_book_reject_in_log_is_line_numbered_parse_error(tmp_path, command, prefix, row,
+                                                         message):
     log = tmp_path / "bad.csv"
-    log.write_text(",".join(CSV_HEADER) + "\n" + CROSSED + row + "\n")
+    log.write_text(",".join(CSV_HEADER) + "\n" + prefix + row + "\n")
     res = run([command, str(log), "--tick", "0.1", "--ref", "10.0",
                "--out-dir", str(tmp_path / "out")])
     assert res.exit_code == EXIT_PARSE, res.output
@@ -241,8 +251,15 @@ def test_bad_gen_config_is_parse_error(tmp_path, text, code, message):
     ('{"command": "impact", "inputs": {}, "params": {"log": LOG, "side": "both", '
      '"max_x": null, "tick": 0.1, "ref": 10.0, "anchor": null, "grid_file": null}}',
      "bad param 'max_x': null is not one of its values"),
+    ('{"command": "impact", "inputs": {}, "params": {"log": LOG, "side": "both", '
+     '"max_x": 0, "tick": 0.1, "ref": 10.0, "anchor": null, "grid_file": null}}',
+     "bad param 'max_x': 0.0 is not in the range x>0"),
+    ('{"command": "series", "inputs": {}, "params": {"log": LOG, "interval": NaN, '
+     '"min_points": 20, "max_x": 200.0, "tick": 0.1, "ref": 10.0, "anchor": null, '
+     '"grid_file": null}}', "bad param 'interval': nan is not a finite number"),
 ], ids=["not-json", "missing-key", "unknown-command", "rerun-itself", "unknown-param",
-        "missing-param", "bad-param-value", "null-param-value"])
+        "missing-param", "bad-param-value", "null-param-value", "param-out-of-range",
+        "param-not-finite"])
 def test_rerun_of_a_non_manifest_is_parse_error(tmp_path, text, message):
     log = tmp_path / "day.csv"
     log.write_text(",".join(CSV_HEADER) + "\n" + CROSSED)
@@ -267,6 +284,39 @@ def test_bad_grid_options_are_usage_errors(tmp_path, grid_args):
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("replay", "--tick", "inf"),
+    ("replay", "--ref", "nan"),
+    ("replay", "--anchor", "nan"),
+    ("impact", "--max-x", "0"),
+    ("impact", "--max-x", "nan"),
+    ("regime", "--max-x", "nan"),
+    ("density", "--dx", "0"),
+    ("stats", "--threshold", "0"),
+    ("stats", "--threshold", "nan"),
+    ("response", "--omega-lo", "0"),
+    ("response", "--omega-lo", "1"),  # not below the default --omega-hi 1
+    ("response", "--omega-hi", "nan"),
+    ("response", "--bins", "0"),
+    ("response", "--bins", "-3"),
+    ("response", "--warmup", "nan"),
+    ("response", "--warmup", "-inf"),
+    ("series", "--interval", "0"),
+    ("series", "--interval", "-5"),
+    ("series", "--interval", "1e-7"),  # rounds below one microsecond
+    ("series", "--interval", "nan"),
+])
+def test_option_outside_its_domain_is_usage_error(tmp_path, command, option, value):
+    log = tmp_path / "day.csv"
+    log.write_text(",".join(CSV_HEADER) + "\n" + CROSSED)
+    grid = [] if command == "stats" else ["--tick", "0.1", "--ref", "10.0"]
+    out = tmp_path / "out"
+    res = run([command, str(log), *grid, option, value, "--out-dir", str(out)])
+    assert res.exit_code == 2, res.output
+    assert f"Invalid value for '{option}'" in res.output
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 def test_exit_code_no_cross(tmp_path):

@@ -1,3 +1,6 @@
+import math
+import random
+
 import pytest
 
 from uncross.book import AuctionBook
@@ -260,3 +263,46 @@ class TestCurves:
         lines = curve.to_csv().strip().split("\n")
         assert lines[0] == "bin_lo,bin_hi,r1,rm,count"
         assert len(lines) == len(curve.counts) + 1
+
+
+@pytest.mark.parametrize("lo, hi, n", [
+    (0.0, 1.0, 3), (-1.0, 1.0, 3), (1.0, 1.0, 3), (1.0, 0.5, 3), (1e-5, math.inf, 3),
+    (math.nan, 1.0, 3), (1e-5, math.nan, 3), (1e-5, 1.0, 0), (1e-5, 1.0, -3),
+    (1.0, 1.0000000000000002, 5),  # edges too close to tell apart
+])
+def test_log_bins_refuse_malformed_ranges(lo, hi, n):
+    with pytest.raises(ValueError):
+        log_bins(lo, hi, n)
+
+
+@pytest.mark.parametrize("bins", [
+    [], [0.5], [0.1, 0.1], [0.3, 0.2, 0.4], [0.1, math.nan], [0.1, math.inf],
+    [-math.inf, 0.1],
+])
+def test_response_curves_refuse_malformed_edges(bins):
+    with pytest.raises(ValueError, match="strictly increasing finite"):
+        response_curves(_base_events(), grid10(), bins=bins, warmup_us=0)
+
+
+def test_bins_match_a_linear_scan_of_the_edges():
+    """Each omega counts in the first bin whose upper edge reaches it, inner
+    edges included, and nowhere when it lies outside the edges."""
+    from uncross.flowgen import FlowConfig, generate
+
+    cfg = FlowConfig(seed=21, shape="bell", total_shares_per_side=20_000, n_levels=60,
+                     mean_order_size=40, cancellation_rate=0.5, market_shares_per_side=2_000)
+    events, _, meta = generate(cfg)
+    grid = PriceGrid(meta["tick_size"], meta["anchor"], meta["reference_price"])
+    recorded, _ = collect_marketable(events, grid, warmup_us=0)
+    omegas = [m.omega for m in recorded if m.p_next is not None]
+    assert len(omegas) > 50
+    rng = random.Random(4)
+    for _ in range(10):
+        # edges drawn partly from the omegas themselves, so that some sit on an edge
+        edges = sorted(set(rng.sample(omegas, 3) + [rng.uniform(0, 0.2) for _ in range(4)]))
+        expected = [0] * (len(edges) - 1)
+        for w in omegas:
+            if edges[0] <= w <= edges[-1]:
+                expected[next(b for b in range(len(edges) - 1) if w <= edges[b + 1])] += 1
+        curve = response_curves(events, grid, bins=edges, warmup_us=0)
+        assert curve.counts == expected
