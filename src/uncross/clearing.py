@@ -274,10 +274,7 @@ def _snapshots(events: Iterable, book: AuctionBook, interval_us: int) -> Iterato
             next_t += interval_us
         book.apply(ev)
         last_t = ev.timestamp
-    if last_t is not None:
-        while next_t < last_t:
-            yield point(next_t)
-            next_t += interval_us
+    if last_t is not None:  # the loop above leaves no boundary before last_t
         yield point(last_t)
 
 

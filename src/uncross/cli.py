@@ -36,7 +36,7 @@ import click
 
 from . import __version__
 from .book import AuctionBook
-from .clearing import _snapshots, clear, series_to_csv
+from .clearing import _snapshots, _uncross, clear, series_to_csv
 from .density import average_density, day_profile, profiles_to_csv
 from .errors import NoCross, OffGridPrice, ParseError, TooFewPoints, UncrossError
 from .events import format_price, read_events, write_events
@@ -257,8 +257,9 @@ def density(out, logs, dx, group, grid):
     """Average scaled book density across one or more day logs."""
     daily = []
     for log in logs:
-        book, clearing = _cleared(log, grid)
-        daily.append(day_profile(book, clearing.p_a, clearing.q_a, dx=dx * 1e-4, group_by=group))
+        book = AuctionBook(grid).replay(read_events(log))
+        k_a, q_a, _ = _uncross(book)  # the profile reads only price and volume
+        daily.append(day_profile(book, grid.price_at(k_a), q_a, dx=dx * 1e-4, group_by=group))
     keys = sorted(daily[0].keys(), key=lambda k: (k is None, k))
     averaged = [average_density([d[k] for d in daily]) for k in keys]
     name = "density_profile.csv"

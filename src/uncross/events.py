@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -33,11 +34,6 @@ CSV_HEADER = [
     "latency_flag",
     "account_type",
 ]
-
-# Order types that rest on the book as priced limit volume.  Valid-for-auction
-# and valid-for-closing orders differ from plain limits only in temporal
-# validity, which is irrelevant within a single auction replay.
-PRICED_TYPES = ("LIMIT", "VALID_FOR_AUCTION", "VALID_FOR_CLOSING")
 
 # (field, allowed values) of every enumerated event field, in validation order
 _ENUMS = (("action", ACTIONS), ("side", SIDES), ("order_type", ORDER_TYPES),
@@ -83,8 +79,8 @@ class OrderEvent:
         elif self.price is None and self.action != "CANCEL":
             # cancels only need the order id; price/qty are informational
             raise ParseError(f"{self.order_type} order requires a price")
-        if self.price is not None and self.price <= 0:
-            raise ParseError(f"price must be positive, got {self.price}")
+        if self.price is not None and not 0 < self.price < math.inf:  # NaN fails too
+            raise ParseError(f"price must be positive and finite, got {self.price}")
 
 
 def _parse_row(row: list[str], line: int, path: str | None) -> OrderEvent:

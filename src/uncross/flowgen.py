@@ -8,6 +8,10 @@ and the clearing time is drawn uniformly inside the configured interval.  No
 agent reacts to anything, which is exactly what makes the mechanical and
 one-lag responses comparable on generated flow.
 
+Accumulation starts at time 0.  Both sides rest ``total_shares_per_side``
+limit shares (market orders come on top); only the peak mass may differ
+between them.  The bell shape peaks 25 ticks from the fundamental.
+
 Everything is driven by one ``random.Random(seed)``: the same config generates
 byte-identical logs.
 """
@@ -20,17 +24,15 @@ import random
 from dataclasses import dataclass, field, asdict
 
 from .book import AuctionBook
-from .clearing import clear
+from .clearing import _uncross
 from .errors import InfeasibleConfig
 from .events import ACCOUNT_TYPES, LATENCY_FLAGS, OrderEvent
 from .grid import PriceGrid
 
 SHAPES = ("constant", "bell", "piecewise")
 # the JSON values a scalar config field of each annotation accepts
-_JSON_TYPES = {
-    "int": int, "int | None": (int, type(None)), "float": (int, float),
-    "float | None": (int, float, type(None)), "str": str,
-}
+_JSON_TYPES = {"int": int, "float": (int, float), "float | None": (int, float, type(None)),
+               "str": str}
 
 
 def _json_fits(value, kind: str) -> bool:
@@ -63,7 +65,6 @@ class FlowConfig:
     seed: int = 0
     tick_size: float = 0.01
     fundamental_price: float = 100.0
-    start_us: int = 0
     earliest_clear_us: int = 300_000_000
     latest_clear_us: int = 330_000_000
     shape: str = "bell"
@@ -71,14 +72,11 @@ class FlowConfig:
     peak_mass: float = 0.2  # fraction of a side's shares resting at the fundamental
     # optional per-side overrides; asymmetric books give the two sides
     # different zero-impact volumes
-    buy_total_shares: int | None = None
-    sell_total_shares: int | None = None
     buy_peak_mass: float | None = None
     sell_peak_mass: float | None = None
     n_levels: int = 150  # priced ticks per side beyond the fundamental
     delta_star_bp: float = 50.0  # piecewise plateau half-width, basis points
     decay: float = 150.0  # log-density slope past the plateau, per unit log-price
-    bell_mode_ticks: int = 25
     cancellation_rate: float = 0.0  # churn orders per surviving order
     market_shares_per_side: int = 0
     market_size_range: tuple[int, int] = (1, 2000)
@@ -89,14 +87,13 @@ class FlowConfig:
     def validate(self) -> None:
         if self.tick_size <= 0 or self.fundamental_price <= 0:
             raise InfeasibleConfig("tick_size and fundamental_price must be positive")
-        if not self.start_us <= self.earliest_clear_us <= self.latest_clear_us:
-            raise InfeasibleConfig("need start <= earliest clear <= latest clear")
-        if self.earliest_clear_us <= self.start_us:
-            raise InfeasibleConfig("clearing window must start after the accumulation start")
+        if not 0 < self.earliest_clear_us <= self.latest_clear_us:
+            raise InfeasibleConfig("need 0 < earliest clear <= latest clear")
         if self.shape not in SHAPES:
             raise InfeasibleConfig(f"shape must be one of {SHAPES}, got {self.shape!r}")
+        total = self.total_shares_per_side
         for side in "BS":
-            total, pm = self.side_params(side)
+            pm = self.side_peak_mass(side)
             if not 0 <= pm <= 1:
                 raise InfeasibleConfig(f"peak_mass must be in [0, 1], got {pm}")
             if total <= 0:
@@ -125,18 +122,10 @@ class FlowConfig:
             if min(weights.values()) < 0 or sum(weights.values()) <= 0:
                 raise InfeasibleConfig(f"{name} must be non-negative and sum > 0")
 
-    def side_params(self, side: str) -> tuple[int, float]:
-        """Resolved (total shares, peak mass) for one side."""
-        if side == "B":
-            total = self.buy_total_shares
-            pm = self.buy_peak_mass
-        else:
-            total = self.sell_total_shares
-            pm = self.sell_peak_mass
-        return (
-            self.total_shares_per_side if total is None else total,
-            self.peak_mass if pm is None else pm,
-        )
+    def side_peak_mass(self, side: str) -> float:
+        """Peak mass of one side: its override, else ``peak_mass``."""
+        pm = self.buy_peak_mass if side == "B" else self.sell_peak_mass
+        return self.peak_mass if pm is None else pm
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2)
@@ -174,8 +163,8 @@ def _largest_remainder(weights: list[float], total: int) -> list[int]:
 
 def _level_targets(cfg: FlowConfig, side: str) -> tuple[list[int], int]:
     """Per-tick share targets for one side (tick 1..n_levels) and the peak size."""
-    total, peak_mass = cfg.side_params(side)
-    peak = round(peak_mass * total)
+    total = cfg.total_shares_per_side
+    peak = round(cfg.side_peak_mass(side) * total)
     body = total - peak
     if cfg.shape == "constant":
         per = body // cfg.n_levels
@@ -188,9 +177,8 @@ def _level_targets(cfg: FlowConfig, side: str) -> tuple[list[int], int]:
         for k in range(1, cfg.n_levels + 1):
             x = k * theta_x
             weights.append(1.0 if x <= cut else math.exp(-cfg.decay * (x - cut)))
-    else:  # bell, mode a few ticks out, heavier outer tail
-        mode = max(1, cfg.bell_mode_ticks)
-        weights = [(k / mode) ** 2 * math.exp(-2.0 * (k / mode - 1.0)) for k in range(1, cfg.n_levels + 1)]
+    else:  # bell, mode 25 ticks out, heavier outer tail
+        weights = [(k / 25) ** 2 * math.exp(-2.0 * (k / 25 - 1.0)) for k in range(1, cfg.n_levels + 1)]
     return _largest_remainder(weights, body), peak
 
 
@@ -217,7 +205,7 @@ def generate(cfg: FlowConfig) -> tuple[list[OrderEvent], dict, dict]:
     t_clear = rng.randrange(cfg.earliest_clear_us, cfg.latest_clear_us + 1)
 
     events: list[OrderEvent] = []
-    next_id = 1
+    ids = itertools.count(1)
 
     # cumulative weights, built once: ``choices`` draws the same as with ``weights=``
     lat_names = list(cfg.latency_weights)
@@ -232,24 +220,21 @@ def generate(cfg: FlowConfig) -> tuple[list[OrderEvent], dict, dict]:
         )
 
     def submit(side: str, otype: str, price: float | None, qty: int, t: int) -> str:
-        nonlocal next_id
-        oid = f"O{next_id:07d}"
-        next_id += 1
+        oid = f"O{next(ids):07d}"
         lat, acct = flags()
         events.append(OrderEvent(t, oid, "SUBMIT", side, otype, price, qty, lat, acct))
         return oid
 
     def t_body() -> int:
-        return rng.randrange(cfg.start_us, t_clear)
+        return rng.randrange(t_clear)
 
     def t_late() -> int:
         # peak liquidity leans toward the clearing
         u = rng.random() ** 2
-        return int(t_clear - u * (t_clear - cfg.start_us - 1)) - 1
+        return int(t_clear - u * (t_clear - 1)) - 1
 
     side_targets = {}
     side_peaks = {}
-    n_real = 0
     for side in ("B", "S"):
         targets, peak = _level_targets(cfg, side)
         side_targets[side] = targets
@@ -261,10 +246,8 @@ def generate(cfg: FlowConfig) -> tuple[list[OrderEvent], dict, dict]:
             price = grid.price_at(sign * k)
             for size in _split_sizes(target, cfg.mean_order_size, rng):
                 submit(side, "LIMIT", price, size, t_body())
-                n_real += 1
         for size in _split_sizes(peak, cfg.mean_order_size, rng) if peak else []:
             submit(side, "LIMIT", cfg.fundamental_price, size, t_late())
-            n_real += 1
         if cfg.market_shares_per_side:
             lo, hi = cfg.market_size_range
             left = cfg.market_shares_per_side
@@ -272,11 +255,10 @@ def generate(cfg: FlowConfig) -> tuple[list[OrderEvent], dict, dict]:
                 size = min(left, rng.randrange(lo, hi + 1))
                 submit(side, "MARKET", None, size, t_body())
                 left -= size
-                n_real += 1
 
     # churn: extra orders that are fully canceled before the clearing,
     # leaving the shaped book untouched
-    n_churn = int(cfg.cancellation_rate * n_real)
+    n_churn = int(cfg.cancellation_rate * len(events))  # every event so far is a SUBMIT
     market_prob = (
         cfg.market_shares_per_side
         / (cfg.market_shares_per_side + cfg.total_shares_per_side)
@@ -285,7 +267,7 @@ def generate(cfg: FlowConfig) -> tuple[list[OrderEvent], dict, dict]:
     )
     for _ in range(n_churn):
         side = rng.choice(("B", "S"))
-        t_sub = rng.randrange(cfg.start_us, max(cfg.start_us + 1, t_clear - 1))
+        t_sub = rng.randrange(max(1, t_clear - 1))
         qty = max(1, int(rng.expovariate(1.0 / cfg.mean_order_size)))
         if rng.random() < market_prob:
             otype, price = "MARKET", None
@@ -299,8 +281,8 @@ def generate(cfg: FlowConfig) -> tuple[list[OrderEvent], dict, dict]:
 
     events.sort(key=lambda ev: ev.timestamp)  # stable: ties keep their drawing order
 
-    book = AuctionBook(grid).replay(events)
-    clearing = clear(book)
+    # the replay checks the log; the realized clearing needs only price and volume
+    k_a, q_a, _ = _uncross(AuctionBook(grid).replay(events))
     theta_x = cfg.tick_size / cfg.fundamental_price
     # ground truth describes the joint buy+sell density the fits should see:
     # above the price that is the sell ladder, below it the buy ladder
@@ -309,31 +291,29 @@ def generate(cfg: FlowConfig) -> tuple[list[OrderEvent], dict, dict]:
     ]
     if cfg.shape == "constant":
         delta_star_bp = cfg.n_levels * theta_x * 1e4
-        l_star = mean_targets[0] / (clearing.q_a * cfg.tick_size)
+        l_star = mean_targets[0] / (q_a * cfg.tick_size)
     elif cfg.shape == "piecewise":
         delta_star_bp = cfg.delta_star_bp
         plateau = [
             t for k, t in enumerate(mean_targets, start=1)
             if k * theta_x <= delta_star_bp * 1e-4
         ]
-        l_star = (sum(plateau) / len(plateau)) / (clearing.q_a * cfg.tick_size) if plateau else None
+        l_star = (sum(plateau) / len(plateau)) / (q_a * cfg.tick_size) if plateau else None
     else:
         delta_star_bp = None
         l_star = None
-    total_b, _ = cfg.side_params("B")
-    total_s, _ = cfg.side_params("S")
     truth = {
         "delta_star_bp": delta_star_bp,
         "l_star": l_star,
-        "peak_mass": (side_peaks["B"] + side_peaks["S"]) / (total_b + total_s),
+        "peak_mass": (side_peaks["B"] + side_peaks["S"]) / (2 * cfg.total_shares_per_side),
         "clear_time_us": t_clear,
     }
     meta = {
         "tick_size": cfg.tick_size,
         "anchor": cfg.fundamental_price,
         "reference_price": cfg.fundamental_price,
-        "p_a": clearing.p_a,
-        "q_a": clearing.q_a,
+        "p_a": grid.price_at(k_a),
+        "q_a": q_a,
         "n_events": len(events),
     }
     return events, truth, meta

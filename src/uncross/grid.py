@@ -4,7 +4,8 @@ Every price handled by the book lives on a grid ``anchor + k * tick_size``
 for integer ``k``.  All internal book-keeping uses the integer tick index
 ``k``; floating point prices only appear at the boundaries (parsing and
 output).  Snapping tolerates the rounding noise of ``price = anchor + k*tick``
-round-trips but rejects genuinely off-grid prices.
+round-trips but rejects genuinely off-grid prices, and prices 2**52 ticks or
+more from the anchor, where adding one tick no longer changes a float.
 """
 from __future__ import annotations
 
@@ -15,14 +16,16 @@ from .errors import OffGridPrice
 
 # Relative tolerance when deciding whether a price sits on the grid.
 _SNAP_RTOL = 1e-6
+# From this many ticks out (a float's 52 fraction bits) one tick no longer moves a price.
+_MAX_TICKS = 2.0 ** 52
 
 
 @dataclass(frozen=True)
 class PriceGrid:
     """Tick grid with a reference price (last traded price).
 
-    tick_size: currency per tick, strictly positive.
-    anchor: a currency value guaranteed to be on the grid (index 0).
+    tick_size: currency per tick, strictly positive and finite.
+    anchor: a currency value on the grid (index 0), under 2**52 ticks from zero.
     reference_price: last traded price; must itself be on the grid.
     """
 
@@ -31,8 +34,10 @@ class PriceGrid:
     reference_price: float
 
     def __post_init__(self):
-        if not self.tick_size > 0:
-            raise ValueError(f"tick_size must be positive, got {self.tick_size}")
+        if not 0 < self.tick_size < math.inf:
+            raise ValueError(f"tick_size must be positive and finite, got {self.tick_size}")
+        if not abs(self.anchor) / self.tick_size < _MAX_TICKS:  # also refuses NaN
+            raise OffGridPrice(f"anchor {self.anchor!r} lies 2**52 ticks or more from zero")
         if not self.reference_price > 0:
             raise ValueError(
                 f"reference_price must be positive, got {self.reference_price}"
@@ -57,8 +62,9 @@ class PriceGrid:
 
     def index_of(self, price: float) -> int:
         """Snap a price to its tick index, raising OffGridPrice if it is not on the grid."""
-        k = round((price - self.anchor) / self.tick_size)
-        if abs(self.price_at(k) - price) > _SNAP_RTOL * self.tick_size:
+        ticks = (price - self.anchor) / self.tick_size
+        k = round(ticks) if abs(ticks) < _MAX_TICKS else None  # None also for NaN
+        if k is None or abs(self.price_at(k) - price) > _SNAP_RTOL * self.tick_size:
             raise OffGridPrice(
                 f"price {price!r} is not on the grid (tick={self.tick_size}, anchor={self.anchor})"
             )

@@ -184,12 +184,7 @@ def signed_curve_csv(curve_buy: ImpactCurve, curve_sell: ImpactCurve) -> str:
 # ------------------------------------------------------------- re-clearing
 
 
-def inject_and_reclear(
-    book: AuctionBook,
-    side: str,
-    q: int,
-    reference_price: float | None = None,
-) -> float:
+def inject_and_reclear(book: AuctionBook, side: str, q: int) -> float:
     """Add q market shares on a side and return the new clearing price.
 
     Runs the complete uncrossing rule chain (volume, imbalance, reference,
@@ -197,29 +192,22 @@ def inject_and_reclear(
     """
     if q < 0 or q != int(q):
         raise ValueError("injected volume must be a non-negative integer")
-    return _reclear(book, side, q, reference_price)
+    return _reclear(book, side, q)
 
 
-def cancel_market_and_reclear(
-    book: AuctionBook,
-    side: str,
-    q: int,
-    reference_price: float | None = None,
-) -> float:
+def cancel_market_and_reclear(book: AuctionBook, side: str, q: int) -> float:
     """Remove q market shares from a side and return the new clearing price."""
     if q < 0 or q != int(q):
         raise ValueError("canceled volume must be a non-negative integer")
     total = book.buy_market_total if side == "B" else book.sell_market_total
     if q > total:
         raise ValueError(f"cannot cancel {q} market shares; only {total} resting")
-    return _reclear(book, side, -q, reference_price)
+    return _reclear(book, side, -q)
 
 
-def _reclear(
-    book: AuctionBook, side: str, market_delta: int, reference_price: float | None
-) -> float:
+def _reclear(book: AuctionBook, side: str, market_delta: int) -> float:
     """Clearing price with ``market_delta`` market shares added to a side (negative removes)."""
-    k, _, _ = _uncross(book, reference_price, side, market_delta)
+    k, _, _ = _uncross(book, side=side, market_delta=market_delta)
     return book.grid.price_at(k)
 
 

@@ -7,6 +7,7 @@ Kolmogorov p-values at effective size n*m/(n+m)).
 """
 from __future__ import annotations
 
+import csv
 import io
 import math
 from dataclasses import dataclass
@@ -20,6 +21,7 @@ from .errors import (
     EmptyBatch,
     EmptySample,
     LengthMismatch,
+    ParseError,
     TooFewPoints,
 )
 
@@ -177,11 +179,19 @@ def day_metrics_to_csv(rows: Sequence[DayMetrics]) -> str:
     return buf.getvalue()
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
 def read_day_metrics(path) -> list[DayMetrics]:
-    import csv
+    """Rows of a per-day metrics CSV.
 
-    from .errors import ParseError
-
+    A row with a number that is not finite, ``q_a < 1``, ``p_a <= 0`` or
+    ``omega0 < 0`` is a ParseError at its line.
+    """
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -192,22 +202,23 @@ def read_day_metrics(path) -> list[DayMetrics]:
             )
         for line_no, rec in enumerate(reader, start=2):
             try:
-                rows.append(
-                    DayMetrics(
-                        date=rec["date"],
-                        side=rec["side"],
-                        p_a=float(rec["p_a"]),
-                        q_a=int(rec["q_a"]),
-                        omega0=float(rec["omega0"]),
-                        delta=float(rec["delta_bp"]) / 1e4 if rec["delta_bp"] else None,
-                        l_tilde=float(rec["l_tilde"]) if rec["l_tilde"] else None,
-                        omega_max=float(rec["omega_max"]) if rec["omega_max"] else None,
-                        beta_emp=float(rec["beta_emp"]) if rec["beta_emp"] else None,
-                        beta_theo=float(rec["beta_theo"]) if rec["beta_theo"] else None,
-                    )
+                row = DayMetrics(
+                    date=rec["date"],
+                    side=rec["side"],
+                    p_a=_finite(rec["p_a"]),
+                    q_a=int(rec["q_a"]),
+                    omega0=_finite(rec["omega0"]),
+                    delta=_finite(rec["delta_bp"]) / 1e4 if rec["delta_bp"] else None,
+                    l_tilde=_finite(rec["l_tilde"]) if rec["l_tilde"] else None,
+                    omega_max=_finite(rec["omega_max"]) if rec["omega_max"] else None,
+                    beta_emp=_finite(rec["beta_emp"]) if rec["beta_emp"] else None,
+                    beta_theo=_finite(rec["beta_theo"]) if rec["beta_theo"] else None,
                 )
-            except (ValueError, KeyError) as exc:
+                if row.q_a < 1 or row.p_a <= 0 or row.omega0 < 0:
+                    raise ValueError("need q_a >= 1, p_a > 0 and omega0 >= 0")
+            except (ValueError, TypeError, KeyError) as exc:  # TypeError: a short row
                 raise ParseError(f"bad day metrics row: {exc}", line=line_no, path=str(path))
+            rows.append(row)
     return rows
 
 

@@ -371,6 +371,21 @@ def test_indicative_series_refuses_an_interval_below_one_microsecond(interval_us
         indicative_series(_ts_events(), grid, interval_us)
 
 
+@pytest.mark.parametrize("last_ts", [1_400, 1_450], ids=["last-on-a-boundary", "last-off-a-boundary"])
+def test_indicative_points_fall_on_boundaries_then_on_the_last_event(last_ts):
+    grid = PriceGrid(0.1, 10.0, 10.0)
+    evs = [
+        OrderEvent(1_000, "s1", "SUBMIT", "S", "LIMIT", 10.0, 50),
+        OrderEvent(1_050, "b1", "SUBMIT", "B", "LIMIT", 10.0, 30),
+        # a gap that spans two boundaries
+        OrderEvent(1_230, "b2", "SUBMIT", "B", "LIMIT", 10.1, 40),
+        OrderEvent(last_ts, "b3", "SUBMIT", "B", "LIMIT", 10.0, 5),
+    ]
+    _, points = indicative_series(evs, grid, 100)
+    # first_ts + i * interval for every boundary before the last event, then the last event once
+    assert [p.t for p in points] == [*range(1_000, last_ts, 100), last_ts]
+
+
 def test_indicative_no_cross_flagged_absent():
     grid = PriceGrid(0.1, 10.0, 10.0)
     evs = [

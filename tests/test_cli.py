@@ -11,6 +11,7 @@ import uncross
 from uncross.cli import EXIT_NOCROSS, EXIT_OTHER, EXIT_PARSE, EXIT_TOOFEW, main
 from uncross.events import CSV_HEADER, write_events
 from uncross.flowgen import FlowConfig, generate
+from uncross.stats import DayMetrics, day_metrics_to_csv, ks_two_sample, spearman
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +101,72 @@ def test_regime_and_stats(workspace):
     assert rcdf_lines[0] == "value,fraction_ge"
 
 
+def _metrics_csv(path, pairs):
+    """A per-day metrics CSV with a B and an S row per (omega0 B, omega0 S) pair."""
+    rows = [DayMetrics(date=f"2017-05-{i + 1:02d}", side=side, p_a=100.0 + i, q_a=1000 * (i + 1),
+                       omega0=w, delta=0.004, l_tilde=0.5 + 0.1 * i + 0.03 * (side == "S"),
+                       omega_max=0.3, beta_emp=0.02, beta_theo=0.021)
+            for i, pair in enumerate(pairs) for side, w in zip("BS", pair)]
+    path.write_text(day_metrics_to_csv(rows))
+    return path
+
+
+def test_stats_over_paired_days(tmp_path):
+    pairs = [(0.01, 0.02), (0.05, 0.03), (0.02, 0.07), (0.04, 0.04)]
+    metrics = _metrics_csv(tmp_path / "metrics.csv", pairs)
+    out = tmp_path / "out"
+    res = run(["stats", str(metrics), "--kde", "l_cash", "--out-dir", str(out)])
+    assert res.exit_code == 0, res.output
+    report = json.loads((out / "stats_report.json").read_text())
+    xs, ys = zip(*pairs)
+    sp, ks = spearman(xs, ys), ks_two_sample(xs, ys)
+    assert report["n_days_paired"] == 4
+    assert report["spearman_omega0"] == {"rho": sp.rho, "p_value": sp.p_value, "stars": sp.stars}
+    assert report["ks_omega0"] == {"statistic": ks.statistic, "p_value": ks.p_value}
+    kde = (out / "stats_kde_l_cash.csv").read_text().splitlines()
+    assert kde[0] == "value,density" and len(kde) == 1 + 256
+
+
+def test_stats_reports_a_spearman_it_cannot_compute(tmp_path):
+    metrics = _metrics_csv(tmp_path / "metrics.csv", [(0.02, 0.02)] * 3)
+    res = run(["stats", str(metrics), "--out-dir", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    report = json.loads((tmp_path / "stats_report.json").read_text())
+    assert report["spearman_omega0"] == {"error": "constant sample has no rank correlation"}
+    assert report["ks_omega0"]["statistic"] == 0.0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("omega0", "nan"), ("omega0", "inf"), ("omega0", "-0.1"), ("l_tilde", "inf"),
+    ("delta_bp", "nan"), ("beta_emp", "-inf"), ("p_a", "nan"), ("p_a", "0.0"), ("p_a", "-1.0"),
+    ("q_a", "0"), ("q_a", "-5"), (None, "short-row"),
+])
+def test_bad_day_metrics_row_is_parse_error(tmp_path, field, value):
+    metrics = _metrics_csv(tmp_path / "metrics.csv", [(0.01, 0.02)])
+    header, first, second = metrics.read_text().splitlines()
+    cells = second.split(",")
+    if field is None:
+        cells = cells[:3]
+    else:
+        cells[header.split(",").index(field)] = value
+    metrics.write_text("\n".join([header, first, ",".join(cells)]) + "\n")
+    res = run(["stats", str(metrics), "--out-dir", str(tmp_path / "out")])
+    assert res.exit_code == EXIT_PARSE, res.output
+    assert f"{metrics}:3: bad day metrics row" in res.output
+    assert not (tmp_path / "out").exists() or list((tmp_path / "out").iterdir()) == []
+
+
+def test_series_rows_without_a_fit_keep_price_and_volume(workspace, tmp_path):
+    res = run(["series", str(workspace / "day.csv"), "--grid", str(workspace / "day_meta.json"),
+               "--interval", "60", "--min-points", "1000000", "--out-dir", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    ind = [r.split(",") for r in (tmp_path / "day_indicative.csv").read_text().splitlines()[1:]]
+    liq = [r.split(",") for r in (tmp_path / "day_liquidity.csv").read_text().splitlines()[1:]]
+    assert any(p for _, p, _ in ind)
+    # every fit fails: each side's row keeps t, p_ind and q_ind and leaves the fit empty
+    assert liq == [[t, side, p, q, "", "", "", ""] for t, p, q in ind for side in "BS"]
+
+
 def test_response_and_series(workspace):
     res = run(["response", str(workspace / "day.csv"),
                "--grid", str(workspace / "day_meta.json"),
@@ -134,13 +201,19 @@ def test_density_multi_day(tmp_path):
     assert {l.split(",")[-1] for l in lines[1:]} == {"HFT", "MIX", "NON"}
 
 
-def test_exit_code_parse_error(tmp_path):
+@pytest.mark.parametrize("price, message", [
+    ("nope", "bad price 'nope'"),
+    ("nan", "price must be positive and finite, got nan"),
+    ("inf", "price must be positive and finite, got inf"),
+    ("1e400", "price must be positive and finite, got inf"),  # parses as inf
+], ids=["not-a-number", "nan", "inf", "beyond-float-range"])
+def test_exit_code_parse_error(tmp_path, price, message):
     bad = tmp_path / "bad.csv"
-    bad.write_text(",".join(CSV_HEADER) + "\n0,a,SUBMIT,B,LIMIT,nope,5,HFT,OWN\n")
+    bad.write_text(",".join(CSV_HEADER) + f"\n0,a,SUBMIT,B,LIMIT,{price},5,HFT,OWN\n")
     res = run(["replay", str(bad), "--tick", "0.1", "--ref", "10.0",
                "--out-dir", str(tmp_path)])
-    assert res.exit_code == EXIT_PARSE
-    assert "bad price" in res.output
+    assert res.exit_code == EXIT_PARSE, res.output
+    assert f"bad.csv:2: {message}" in res.output
 
 
 def test_exit_code_out_of_order_timestamps(tmp_path):
@@ -180,9 +253,12 @@ APART = "0,a,SUBMIT,B,LIMIT,9.9,5,HFT,OWN\n1,b,SUBMIT,S,LIMIT,10.1,5,HFT,OWN\n"
      "CANCEL of order 'b' at price 10.1; it is live at 10"),
     ("replay", CROSSED, "2,b,MODIFY,B,LIMIT,10.0,5,HFT,OWN",
      "MODIFY of order 'b' on side B; it is live on side S"),
+    # so far out that one tick no longer moves the price
+    ("replay", CROSSED, "2,c,SUBMIT,B,LIMIT,1e300,5,HFT,OWN",
+     "price 1e+300 is not on the grid"),
 ], ids=["duplicate-submit", "unknown-cancel", "unknown-modify", "off-grid-price",
         "off-grid-price-before-cross", "cancel-other-side", "cancel-other-type",
-        "cancel-other-price", "modify-other-side"])
+        "cancel-other-price", "modify-other-side", "price-beyond-float-ticks"])
 def test_book_reject_in_log_is_line_numbered_parse_error(tmp_path, command, prefix, row,
                                                          message):
     log = tmp_path / "bad.csv"
@@ -199,7 +275,18 @@ def test_book_reject_in_log_is_line_numbered_parse_error(tmp_path, command, pref
     ("tick_size=0.1", "bad grid file: Expecting value"),
     ('{"tick_size": 0.1, "anchor": 10.0, "reference_price": 10.05}',
      "bad grid file: price 10.05 is not on the grid"),
-], ids=["missing-key", "not-json", "off-grid-ref"])
+    ('{"tick_size": 1e-300, "anchor": 1e300, "reference_price": 1}',
+     "bad grid file: anchor 1e+300 lies 2**52 ticks or more from zero"),
+    ('{"tick_size": 1, "anchor": 1e300, "reference_price": 1e300}',
+     "bad grid file: anchor 1e+300 lies 2**52 ticks or more from zero"),
+    ('{"tick_size": 0.1, "anchor": NaN, "reference_price": 10.0}',
+     "bad grid file: anchor nan lies 2**52 ticks or more from zero"),
+    ('{"tick_size": 1e-10, "anchor": 10.0, "reference_price": 1e300}',
+     "bad grid file: price 1e+300 is not on the grid"),
+    ('{"tick_size": Infinity, "anchor": 10.0, "reference_price": 10.0}',
+     "bad grid file: tick_size must be positive and finite, got inf"),
+], ids=["missing-key", "not-json", "off-grid-ref", "ticks-overflow", "anchor-too-far",
+        "nan-anchor", "ref-beyond-float-ticks", "infinite-tick"])
 def test_bad_grid_file_is_parse_error(tmp_path, text, message):
     log = tmp_path / "day.csv"
     log.write_text(",".join(CSV_HEADER) + "\n" + CROSSED)
@@ -223,8 +310,15 @@ def test_bad_grid_file_is_parse_error(tmp_path, text, message):
      "bad config file: config field 'market_size_range' must be tuple[int, int], got [1, 'a']"),
     # well formed but unsatisfiable: not a parse error
     ('{"shape": "triangle"}', EXIT_OTHER, "shape must be one of"),
+    # fields that are constants of the generator, not knobs
+    ('{"start_us": 0}', EXIT_PARSE, "bad config file: unknown config fields: ['start_us']"),
+    ('{"bell_mode_ticks": 25}', EXIT_PARSE,
+     "bad config file: unknown config fields: ['bell_mode_ticks']"),
+    ('{"buy_total_shares": 1000}', EXIT_PARSE,
+     "bad config file: unknown config fields: ['buy_total_shares']"),
 ], ids=["not-json", "unknown-field", "wrong-type", "not-an-object", "wrong-weight",
-        "wrong-range-element", "infeasible"])
+        "wrong-range-element", "infeasible", "start_us", "bell_mode_ticks",
+        "buy_total_shares"])
 def test_bad_gen_config_is_parse_error(tmp_path, text, code, message):
     config = tmp_path / "config.json"
     config.write_text(text)
@@ -276,7 +370,10 @@ def test_rerun_of_a_non_manifest_is_parse_error(tmp_path, text, message):
     ["--tick", "0.1", "--ref", "0"],
     ["--tick", "0.1", "--ref", "10.05", "--anchor", "10.0"],
     ["--tick", "nan", "--ref", "10.0"],
-], ids=["negative-tick", "zero-ref", "off-grid-ref", "nan-tick"])
+    ["--tick", "1e-300", "--ref", "10.0"],  # the reference lies 1e301 ticks from zero
+    ["--tick", "1e-300", "--anchor", "1e300", "--ref", "1"],  # ticks overflow a float
+], ids=["negative-tick", "zero-ref", "off-grid-ref", "nan-tick", "tick-too-fine",
+        "ticks-overflow"])
 def test_bad_grid_options_are_usage_errors(tmp_path, grid_args):
     log = tmp_path / "day.csv"
     log.write_text(",".join(CSV_HEADER) + "\n" + CROSSED)
@@ -289,6 +386,8 @@ def test_bad_grid_options_are_usage_errors(tmp_path, grid_args):
 @pytest.mark.parametrize("command, option, value", [
     ("replay", "--tick", "inf"),
     ("replay", "--ref", "nan"),
+    ("replay", "--ref", "1e300"),  # one tick of 0.1 cannot move a price that large
+    ("density", "--ref", "1e20"),
     ("replay", "--anchor", "nan"),
     ("impact", "--max-x", "0"),
     ("impact", "--max-x", "nan"),

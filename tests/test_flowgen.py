@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import pytest
@@ -39,6 +41,32 @@ def test_same_seed_byte_identical(tmp_path):
     write_events(p2, e2)
     assert p1.read_bytes() == p2.read_bytes()
     assert t1 == t2 and m1 == m2
+
+
+@pytest.mark.parametrize("shape, log, truth, meta", [
+    ("constant", "10c256e0d907a32a862351cfc724d5b7c7fee1adf6fe21a1d4ff0df1f3796fff",
+     "a9f69bdd2b3870494b292343a60dc48de47cfe5fa325fc866b295d9ed36461f2",
+     "595d662459046f2cda3243c13e341387757d2efea383ebb113025be91b478d02"),
+    ("bell", "651aa0b72f30a03f887a6662a8d62d7483b00fa5b6a6c78febef0d7701e4d4cc",
+     "60962b71a12ddcd2b1d07e4827ab6fd153b85e16c636f026ac4af4c9715e0172",
+     "2e5f0dbce2d65a61338fe7338c432837bb12871fa4134a2c5551d34c4346efbf"),
+    ("piecewise", "1a09d10b3c6d00090ccc2349271bf481c2c6b787a2e15309693bff7a3510038f",
+     "768db27d63a15f8d4a06e7986ec7cc2ad6015b21db8274eb4a6c79dd54380db7",
+     "7ef2bcdf96779632d9536b6533556e0c8c24c2c40b9e85ed9ffdf76ddbfe248a"),
+])
+def test_generated_bytes_are_pinned(tmp_path, shape, log, truth, meta):
+    """sha256 of the log, truth and meta: a change to what ``generate`` draws shows here.
+
+    A change that alters the generated days on purpose records the new digests.
+    """
+    cfg = FlowConfig(seed=7, shape=shape, total_shares_per_side=8_000, n_levels=80,
+                     mean_order_size=100, cancellation_rate=0.5, market_shares_per_side=400)
+    events, t, m = generate(cfg)
+    path = tmp_path / "flow.csv"
+    write_events(path, events)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == log
+    assert hashlib.sha256(json.dumps(t, sort_keys=True).encode()).hexdigest() == truth
+    assert hashlib.sha256(json.dumps(m, sort_keys=True).encode()).hexdigest() == meta
 
 
 def test_different_seeds_differ():
