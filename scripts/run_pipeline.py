@@ -56,7 +56,7 @@ def run_day(i: int, seed: int, out: Path) -> tuple[list[DayMetrics], dict]:
     clearing = clear(book)
     rows = []
     for side in "BS":
-        fit = fit_regime(book, clearing, side)
+        fit = fit_regime(book, side)
         rows.append(
             DayMetrics(
                 date=f"day_{i}",

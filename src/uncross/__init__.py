@@ -15,7 +15,7 @@ from .impact import (
     post_clearing_impact,
     theoretical_slope,
 )
-from .regime import RegimeFit, changepoint, empirical_slope, fit_regime, omega_max
+from .regime import RegimeFit, changepoint, empirical_slope, fit_regime
 from .response import (
     MarketableEvent,
     ResponseCurve,
@@ -64,7 +64,6 @@ __all__ = [
     "indicative_series",
     "inject_and_reclear",
     "ks_two_sample",
-    "omega_max",
     "post_clearing_impact",
     "read_events",
     "response_curves",

@@ -88,6 +88,8 @@ class AuctionBook:
     sell_levels: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        """Open the level window around the reference tick, whose price is positive;
+        ``_slot`` only grows the window, so it holds that tick for the book's life."""
         ref = self.grid.reference_index
         self.lo_index = max(ref - _PAD, self.grid.min_price_index)
         n = ref + _PAD - self.lo_index + 1
@@ -205,7 +207,8 @@ class AuctionBook:
         The window keeps at least one empty tick beyond every level it holds
         (the uncrossing's sentinel ticks), except at the smallest positive-price
         tick, below which it never reaches.  Growth is at least half the current
-        width, so it costs amortized O(1) per event.
+        width, so it costs amortized O(1) per event.  It never shrinks, so it
+        keeps the reference tick it opened on.
         """
         n = len(self.buy_levels)
         if index <= self.lo_index and self.lo_index > self.grid.min_price_index:

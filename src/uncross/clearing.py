@@ -5,11 +5,11 @@ Among maximizers it minimizes the absolute imbalance ``|S(p) - D(p)|``, then
 the distance to the reference price, and finally takes the lower price, which
 makes the outcome fully deterministic.
 
-Candidate prices are the ticks of the book's level window, which holds every
-non-empty tick plus an empty sentinel tick beyond the lowest and the highest,
-widened to include the reference price.  Outside the occupied range both curves
-are flat, so any price there ties with the nearest sentinel tick and loses the
-distance tie-break to it (or to the reference tick itself).
+Candidate prices are the ticks of the book's level window, which always holds
+the reference tick and every non-empty tick, plus an empty sentinel tick beyond
+the lowest and the highest (``AuctionBook._slot``).  Outside the window both
+curves are flat, so any price there ties with the window's edge tick and loses
+the distance tie-break to it.
 
 Each side fills ``q_a`` shares in priority order: market orders first, then
 limit orders through the price, then limit orders at the price.  The clearing
@@ -63,36 +63,22 @@ def uncross_values(
 
 
 def _uncross(
-    book: AuctionBook,
-    reference_price: float | None = None,
-    side: str | None = None,
-    market_delta: int = 0,
+    book: AuctionBook, side: str | None = None, market_delta: int = 0
 ) -> tuple[int, int, int]:
     """``uncross_values`` over the book's level arrays.
 
     ``market_delta`` shares are added to the market total of ``side`` (removed
     when negative) for this scan only.  The scan covers the book's tick window,
-    widened to the reference tick when that lies outside, without growing the
-    book.  The widening stops at the smallest positive-price tick: an auction
-    cannot clear at a non-positive price.
+    which holds the reference tick and never reaches below the smallest
+    positive-price tick: an auction cannot clear at a non-positive price.
     """
-    grid = book.grid
-    ref_index = (
-        grid.reference_index if reference_price is None else grid.index_of(reference_price)
-    )
-    lo = book.lo_index
-    vb, vs = book.buy_levels, book.sell_levels
-    reach = max(ref_index, grid.min_price_index)
-    below, above = max(lo - reach, 0), max(reach - (lo + len(vb) - 1), 0)
-    if below or above:
-        vb, vs = np.pad(vb, (below, above)), np.pad(vs, (below, above))
     return uncross_values(
-        vb,
-        vs,
+        book.buy_levels,
+        book.sell_levels,
         book.buy_market_total + (market_delta if side == "B" else 0),
         book.sell_market_total + (market_delta if side == "S" else 0),
-        lo - below,
-        ref_index,
+        book.lo_index,
+        book.grid.reference_index,
     )
 
 
@@ -207,9 +193,9 @@ def _fill_side(eligible: int, market: int, at: int, q_a: int) -> tuple[int, int,
     return q_a - market_fill - through_fill, market - market_fill, through - through_fill
 
 
-def clear(book: AuctionBook, reference_price: float | None = None) -> ClearingResult:
+def clear(book: AuctionBook) -> ClearingResult:
     """Uncross the book, allocate fills, and return the full clearing record."""
-    k_a, q_a, imb = _uncross(book, reference_price)
+    k_a, q_a, imb = _uncross(book)
     vb_at, vs_at = book.volume_at(k_a)
     # q_a = min(S, D) and imb = S - D at the clearing tick
     supply_at, demand_at = q_a + max(imb, 0), q_a + max(-imb, 0)

@@ -16,10 +16,10 @@ outputs byte for byte.
 
 Exit codes: 0 success; 65 malformed input, named by file and line (a bad row,
 a log event the book rejects) or by file (a bad grid file, a ``gen`` config
-that is not a JSON object of known, well-typed fields, a ``rerun`` file that
-is not a manifest or whose params the command does not take); 66 no cross; 67
-too few points; 70 other package errors, and a rerun whose inputs are missing
-or changed.  Click itself uses 2 for usage errors.
+that is not a JSON object of known, well-typed, finite fields, a ``rerun``
+file that is not a manifest or whose params the command does not take); 66 no
+cross; 67 too few points; 70 other package errors, and a rerun whose inputs
+are missing or changed.  Click itself uses 2 for usage errors.
 """
 from __future__ import annotations
 
@@ -285,8 +285,7 @@ def regime(out, log, date, min_points, max_x, approx_slope, full_metrics, grid):
     outputs = []
     book, clearing = _cleared(log, grid)
     fits = [
-        (date, fit_regime(book, clearing, s, max_x=max_x * 1e-4,
-                          min_points=min_points,
+        (date, fit_regime(book, s, max_x=max_x * 1e-4, min_points=min_points,
                           slope_from_auction_price=approx_slope))
         for s in ("B", "S")
     ]
@@ -357,11 +356,9 @@ def series(out, log, interval, min_points, max_x, grid):
                 liq_rows.append(f"{t},{s},,,,,,")
             continue
         p_ind = format_price(grid.price_at(pt.price_index))
-        snap_clearing = clear(book)
         for s in ("B", "S"):
             try:
-                fit = fit_regime(book, snap_clearing, s, max_x=max_x * 1e-4,
-                                 min_points=min_points)
+                fit = fit_regime(book, s, max_x=max_x * 1e-4, min_points=min_points)
                 l_abs = fit.l_tilde * q_ind
                 q_max = fit.omega_max * q_ind
                 liq_rows.append(

@@ -53,28 +53,16 @@ def density(
     return out
 
 
-def total_density_samples(
-    book: AuctionBook,
-    price_index_a: int,
-    q_a: int,
-    side: str,
-    max_x: float,
-) -> tuple[list[float], list[float]]:
-    """Summed buy+sell density on the occupied ticks beyond the clearing price.
-
-    Used by the regime fit: samples are (|log-price distance|, density), the
-    tick width being the gap to the next occupied tick walking away from the
-    price, which may lie beyond ``max_x``.  Only ticks within ``max_x`` are
-    returned.
-    """
-    return _density_samples(book.levels_past(price_index_a, side, max_x),
-                            book.grid.tick_size, q_a, max_x)
-
-
 def _density_samples(
     walk: list[tuple[int, float, int]], tick: float, q_a: int, max_x: float
 ) -> tuple[list[float], list[float]]:
-    """``total_density_samples`` over a ``levels_past`` walk taken with ``max_x``."""
+    """Summed buy+sell density on the occupied ticks of a ``levels_past`` walk
+    from the clearing price taken with ``max_x``, for the regime fit.
+
+    Samples are (|log-price distance|, density), the tick width being the gap
+    to the next tick of the walk, which may lie beyond ``max_x``; only ticks
+    within ``max_x`` are returned.
+    """
     if q_a <= 0:
         raise ValueError(f"q_a must be positive, got {q_a}")
     xs: list[float] = []

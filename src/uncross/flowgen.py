@@ -42,6 +42,8 @@ def _json_fits(value, kind: str) -> bool:
                 and all(_json_fits(v, "int") for v in value))
     if kind == "dict[str, float]":
         return isinstance(value, dict) and all(_json_fits(v, "float") for v in value.values())
+    if isinstance(value, float) and not math.isfinite(value):
+        return False  # json reads NaN, Infinity and 1e400 as floats; no field takes them
     return not isinstance(value, bool) and isinstance(value, _JSON_TYPES[kind])
 
 
@@ -111,6 +113,9 @@ class FlowConfig:
             raise InfeasibleConfig("cancellation_rate must be >= 0")
         if self.market_shares_per_side < 0:
             raise InfeasibleConfig("market_shares_per_side must be >= 0")
+        lo, hi = self.market_size_range
+        if not 1 <= lo <= hi:
+            raise InfeasibleConfig(f"market_size_range needs 1 <= lo <= hi, got [{lo}, {hi}]")
         if self.mean_order_size < 1:
             raise InfeasibleConfig("mean_order_size must be >= 1")
         for name, weights, allowed in (

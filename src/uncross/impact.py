@@ -9,7 +9,9 @@ whose discontinuities can be read directly off the cleared book:
   own side at the clearing price plus the opposite remainder
   (``omega0 = (vsr + vbm) / q_a`` for a buy, ``(vsm + vbr) / q_a`` for a sell);
 * each further jump requires the combined buy+sell volume resting at the next
-  non-empty tick in the walk direction (``AuctionBook.levels_past``).
+  non-empty tick in the walk direction (``AuctionBook.levels_past``);
+* a side whose market volume in the book exceeds ``q_a`` is pinned: no
+  injection on it moves the price.
 
 Volumes at jumps are kept as exact integer share counts (numerator over the
 auction volume) so breakpoint comparisons never suffer float-equality bugs;
@@ -59,7 +61,7 @@ class ImpactCurve:
     omega0_num: int
     breakpoints: tuple[Breakpoint, ...]
     cap_num: int  # first share count past the computed domain
-    pinned: bool = False  # own-side market volume already rationed: price cannot move
+    pinned: bool = False  # own-side market volume above q_a, rationed: price cannot move
 
     @property
     def p_a(self) -> float:
@@ -120,33 +122,31 @@ def impact_curve(
     ``max_x`` in log-price from the clearing price (or at the edge of the
     book); the curve's domain ends at the volume that would reach it.
     """
-    return _impact_curve(book, clearing, side, max_x,
-                         book.levels_past(clearing.price_index, side, max_x))
+    k_a = clearing.price_index
+    walk = book.levels_past(k_a, side, max_x)
+    return _impact_curve(book, k_a, clearing.q_a, clearing.imbalance, side, max_x, walk)
 
 
 def _impact_curve(
-    book: AuctionBook,
-    clearing: ClearingResult,
-    side: str,
-    max_x: float,
+    book: AuctionBook, k_a: int, q_a: int, imbalance: int, side: str, max_x: float,
     walk: list[tuple[int, float, int]],
 ) -> ImpactCurve:
-    """``impact_curve`` over a ``levels_past`` walk from the clearing price taken with ``max_x``."""
-    if clearing.q_a <= 0:
+    """``impact_curve`` from the clearing tick, volume and imbalance S - D, over
+    a ``levels_past`` walk from ``k_a`` taken with ``max_x``."""
+    if q_a <= 0:
         raise DegenerateAuction("auction volume is zero")
     if max_x <= 0:
         raise ValueError("max_x must be positive")
     if side not in ("B", "S"):
         raise ValueError(f"side must be 'B' or 'S', got {side!r}")
-    k_a = clearing.price_index
     vb_at, vs_at = book.volume_at(k_a)
+    # market orders fill first, so own-side market volume beyond q_a is rationed
     if side == "B":
-        # rationed buy market volume means no buy can ever lift the price
-        pinned = clearing.market_buy_unfilled > 0
-        omega_num = clearing.imbalance + vb_at  # S(p_a) - D(p_a) + V_B(p_a)
+        pinned = book.buy_market_total > q_a
+        omega_num = imbalance + vb_at  # S(p_a) - D(p_a) + V_B(p_a)
     else:
-        pinned = clearing.market_sell_unfilled > 0
-        omega_num = -clearing.imbalance + vs_at  # D(p_a) - S(p_a) + V_S(p_a)
+        pinned = book.sell_market_total > q_a
+        omega_num = -imbalance + vs_at  # D(p_a) - S(p_a) + V_S(p_a)
     # A zero threshold is a real jump (no zero-impact volume on this side:
     # one share moves the price).  A negative threshold only arises when the
     # rationed side's surplus rests beyond the clearing price; the price then
@@ -162,7 +162,7 @@ def _impact_curve(
     cap_num = 0 if pinned else max(omega_num, 0)
     return ImpactCurve(
         side=side,
-        q_a=clearing.q_a,
+        q_a=q_a,
         price_index_a=k_a,
         grid=book.grid,
         omega0_num=breakpoints[0].omega_num if breakpoints else cap_num,

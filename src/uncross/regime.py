@@ -13,7 +13,7 @@ Both segment costs at every cut come from running sums of the centred samples
 (prefix sums for the window, suffix sums for the tail), so a fit is O(n) array
 work after the sort rather than one refit per cut.  The density samples, the
 impact curve and the window volume all read one walk of the book's occupied
-ticks past the clearing price.
+ticks past the clearing price, which the fit finds by uncrossing the book.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .book import AuctionBook
-from .clearing import ClearingResult
+from .clearing import _uncross
 from .density import _density_samples
 from .errors import NonPositiveDensity, TooFewPoints
 from .impact import ImpactCurve, _impact_curve, theoretical_slope
@@ -111,23 +111,10 @@ def changepoint(
     )
 
 
-def omega_max(
-    curve: ImpactCurve,
-    book: AuctionBook,
-    delta_b: float,
-    delta_s: float,
-) -> float:
-    """Largest scaled order with zero-or-linear impact on the curve's side.
-
-    Adds to ``omega0`` the scaled buy+sell volume of every occupied tick within
-    the matching side's constant window.
-    """
-    delta = delta_b if curve.side == "B" else delta_s
-    return _omega_max(curve, book.levels_past(curve.price_index_a, curve.side, delta), delta)
-
-
 def _omega_max(curve: ImpactCurve, walk: list[tuple[int, float, int]], delta: float) -> float:
-    """``omega_max`` over a ``levels_past`` walk from the curve's price reaching past ``delta``."""
+    """Largest scaled order with zero-or-linear impact on the curve's side: ``omega0``
+    plus the scaled volume of the ticks of a ``levels_past`` walk from the curve's
+    price inside the constant window ``0 < x <= delta``."""
     total = sum(shares for _, x, shares in walk if 0 < x <= delta)
     return float(curve.omega0) + total / curve.q_a
 
@@ -185,7 +172,6 @@ REGIME_CSV_HEADER = "date,side,delta_bp,l_tilde,omega_max,beta_emp,beta_theo,n_p
 
 def fit_regime(
     book: AuctionBook,
-    clearing: ClearingResult,
     side: str,
     max_x: float = 0.02,
     min_points: int = DEFAULT_MIN_POINTS,
@@ -193,19 +179,21 @@ def fit_regime(
 ) -> RegimeFit:
     """Full one-side pipeline: density samples, change point, window, slopes.
 
-    One walk of the occupied ticks past the clearing price, out to ``max_x``,
-    feeds the density samples, the impact curve and the window volume; the
-    window's ticks (``0 < x <= delta <= max_x``) are a prefix of it.
+    The fit uncrosses the book itself (NoCross without a cross).  One walk of
+    the occupied ticks past the clearing price, out to ``max_x``, feeds the
+    density samples, the impact curve and the window volume; the window's
+    ticks (``0 < x <= delta <= max_x``) are a prefix of it.
     """
-    walk = book.levels_past(clearing.price_index, side, max_x)
-    xs, rhos = _density_samples(walk, book.grid.tick_size, clearing.q_a, max_x)
+    k_a, q_a, imbalance = _uncross(book)
+    walk = book.levels_past(k_a, side, max_x)
+    xs, rhos = _density_samples(walk, book.grid.tick_size, q_a, max_x)
     cp = changepoint(xs, rhos, min_points=min_points)
-    curve = _impact_curve(book, clearing, side, max_x, walk)
+    curve = _impact_curve(book, k_a, q_a, imbalance, side, max_x, walk)
     if not curve.breakpoints:
         raise TooFewPoints("no occupied ticks past the clearing price inside the window")
     w_max = _omega_max(curve, walk, cp.delta)
     p_first = curve.grid.price_at(curve.breakpoints[0].target_index)
-    ref = clearing.p_a if slope_from_auction_price else p_first
+    ref = curve.p_a if slope_from_auction_price else p_first
     beta_theo = theoretical_slope(ref, cp.l_tilde)
     try:
         beta_emp, _ = empirical_slope(curve, float(curve.omega0), w_max)

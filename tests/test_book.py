@@ -252,3 +252,28 @@ def test_supply_monotone_demand_antitone(levels, mb, ms):
     assert supplies == sorted(supplies)
     assert demands == sorted(demands, reverse=True)
     assert all(s >= 0 for s in supplies) and all(d >= 0 for d in demands)
+
+
+@given(
+    # (tick, anchor, reference): the last puts the reference five ticks above zero
+    st.sampled_from([(0.1, 10.0, 10.0), (1.0, 1.0, 1.0), (0.5, 3.0, 200.0), (0.01, 0.0, 0.05)]),
+    st.lists(st.tuples(st.sampled_from("BS"), st.integers(-3000, 3000), st.booleans()),
+             max_size=30),
+)
+@settings(max_examples=200, deadline=None)
+def test_level_window_always_holds_the_reference_tick(grid_args, orders):
+    """Clearing scans only the level window, so it must hold the reference tick
+    after any replay, including far SUBMIT/CANCEL pairs that grow it."""
+    grid = PriceGrid(*grid_args)
+    book = AuctionBook(grid)
+
+    def holds_reference():
+        return book.lo_index <= grid.reference_index < book.lo_index + len(book.buy_levels)
+
+    assert holds_reference()
+    for t, (side, offset, cancel) in enumerate(orders):
+        price = grid.price_at(max(grid.reference_index + offset, grid.min_price_index))
+        book.apply(OrderEvent(t, f"o{t}", "SUBMIT", side, "LIMIT", price, 5))
+        if cancel:
+            book.apply(OrderEvent(t, f"o{t}", "CANCEL", side, "LIMIT", price, 5))
+        assert holds_reference()

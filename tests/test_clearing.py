@@ -109,12 +109,20 @@ def test_penny_book_never_clears_at_nonpositive_price():
     assert all(book.grid.price_at(bp.target_index) > 0 for bp in curve.breakpoints)
 
 
+def grow_window_far_out(book, far):
+    """Submit and cancel one order at each tick of ``far``: the level window
+    grows to reach them, and the book's volume is unchanged."""
+    for i, (side, k) in enumerate(zip("SB", far)):
+        price = book.grid.price_at(k)
+        book.apply(OrderEvent(100 + i, f"far{i}", "SUBMIT", side, "LIMIT", price, 7))
+        book.apply(OrderEvent(100 + i, f"far{i}", "CANCEL", side, "LIMIT", price, 7))
+
+
 def test_level_store_after_window_growth_matches_oracle():
     """Orders submitted and canceled far from a random book grow its level
-    window past the occupied range; clearing, at the grid reference and at
-    references outside the window, and the level views must not notice."""
-    from dataclasses import replace
-
+    window past the occupied range; clearing, with the grid reference inside
+    the occupied range and with references beyond the grown window, and the
+    level views must not notice."""
     below_checked = 0
     for seed in range(200):
         spec = random_book(seed)
@@ -122,10 +130,7 @@ def test_level_store_after_window_growth_matches_oracle():
         grid = book.grid
         occupied = spec.buy.keys() | spec.sell.keys()
         far = (max(occupied) + 200, max(min(occupied) - 150, grid.min_price_index))
-        for i, (side, k) in enumerate(zip("SB", far)):
-            price = grid.price_at(k)
-            book.apply(OrderEvent(100 + i, f"far{i}", "SUBMIT", side, "LIMIT", price, 7))
-            book.apply(OrderEvent(100 + i, f"far{i}", "CANCEL", side, "LIMIT", price, 7))
+        grow_window_far_out(book, far)
         top = book.lo_index + len(book.buy_levels) - 1
         assert top > far[0] and book.lo_index <= far[1], seed
 
@@ -141,9 +146,11 @@ def test_level_store_after_window_growth_matches_oracle():
             outside.append(book.lo_index - 50)
             below_checked += 1
         for ref in outside:
-            c = clear(book, reference_price=grid.price_at(ref))
-            want = naive_clear(replace(spec, ref_index=ref))
-            assert (c.price_index, c.q_a, c.imbalance) == want, (seed, ref)
+            moved = replace(spec, ref_index=ref)
+            far_book = spec_to_book(moved)
+            grow_window_far_out(far_book, far)
+            c = clear(far_book)
+            assert (c.price_index, c.q_a, c.imbalance) == naive_clear(moved), (seed, ref)
     assert below_checked > 50
 
 
@@ -198,9 +205,9 @@ def test_allocation_market_orders_first():
 
 
 def test_allocation_completeness_and_identities_on_random_books():
-    """The closed-form record against the per-order fills, at the grid's
-    reference and at a reference up to 300 ticks beyond the level window,
-    where the tie chain can leave volume unfilled past the price."""
+    """The closed-form record against the per-order fills, at the spec's
+    reference and at a reference up to 300 ticks beyond the spec's level
+    window, where the tie chain can leave volume unfilled past the price."""
     for seed in range(300):
         for make in (random_book, dense_random_book):
             spec = make(seed)
@@ -209,13 +216,10 @@ def test_allocation_completeness_and_identities_on_random_books():
             away = 1 + seed % 300
             off = top + away if seed % 2 else max(book.lo_index - away,
                                                   book.grid.min_price_index)
-            for ref in (None, off):
-                if ref is None:
-                    c, oracle = clear(book), naive_clear(spec)
-                else:
-                    c = clear(book, reference_price=book.grid.price_at(ref))
-                    oracle = naive_clear(replace(spec, ref_index=ref))
-                assert_record_matches_fills(book, c, oracle, (make.__name__, seed, ref))
+            for moved in (spec, replace(spec, ref_index=off)):
+                moved_book = spec_to_book(moved)
+                assert_record_matches_fills(moved_book, clear(moved_book), naive_clear(moved),
+                                            (make.__name__, seed, moved.ref_index))
 
 
 def assert_record_matches_fills(book, c, oracle, where):

@@ -8,9 +8,13 @@ import pytest
 from click.testing import CliRunner
 
 import uncross
+from uncross.book import AuctionBook
 from uncross.cli import EXIT_NOCROSS, EXIT_OTHER, EXIT_PARSE, EXIT_TOOFEW, main
-from uncross.events import CSV_HEADER, write_events
+from uncross.errors import UncrossError
+from uncross.events import CSV_HEADER, read_events, write_events
 from uncross.flowgen import FlowConfig, generate
+from uncross.grid import PriceGrid
+from uncross.regime import fit_regime
 from uncross.stats import DayMetrics, day_metrics_to_csv, ks_two_sample, spearman
 
 
@@ -167,6 +171,34 @@ def test_series_rows_without_a_fit_keep_price_and_volume(workspace, tmp_path):
     assert liq == [[t, side, p, q, "", "", "", ""] for t, p, q in ind for side in "BS"]
 
 
+def test_series_liquidity_rows_equal_a_fit_of_a_fresh_replay(workspace, tmp_path):
+    """Each snapshot's fits describe the book of the events up to its instant."""
+    log, meta = workspace / "day.csv", json.loads((workspace / "day_meta.json").read_text())
+    res = run(["series", str(log), "--grid", str(workspace / "day_meta.json"),
+               "--interval", "60", "--min-points", "5", "--out-dir", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    grid = PriceGrid(meta["tick_size"], meta["anchor"], meta["reference_price"])
+    events = list(read_events(log))
+    points = [r.split(",") for r in (tmp_path / "day_indicative.csv").read_text().splitlines()[1:]]
+    want = []
+    for t, p_ind, q_ind in points:
+        book = AuctionBook(grid).replay(e for e in events if e.timestamp <= int(t))
+        for side in "BS":
+            if not p_ind:
+                want.append(f"{t},{side},,,,,,")
+                continue
+            try:
+                fit = fit_regime(book, side, max_x=0.02, min_points=5)
+            except UncrossError:
+                want.append(f"{t},{side},{p_ind},{q_ind},,,,")
+                continue
+            q = int(q_ind)
+            want.append(f"{t},{side},{p_ind},{q_ind},{fit.l_tilde!r},{fit.l_tilde * q!r},"
+                        f"{fit.omega_max!r},{fit.omega_max * q!r}")
+    assert sum(1 for _, p_ind, _ in points if p_ind) >= 3
+    assert (tmp_path / "day_liquidity.csv").read_text().splitlines()[1:] == want
+
+
 def test_response_and_series(workspace):
     res = run(["response", str(workspace / "day.csv"),
                "--grid", str(workspace / "day_meta.json"),
@@ -201,19 +233,40 @@ def test_density_multi_day(tmp_path):
     assert {l.split(",")[-1] for l in lines[1:]} == {"HFT", "MIX", "NON"}
 
 
-@pytest.mark.parametrize("price, message", [
-    ("nope", "bad price 'nope'"),
-    ("nan", "price must be positive and finite, got nan"),
-    ("inf", "price must be positive and finite, got inf"),
-    ("1e400", "price must be positive and finite, got inf"),  # parses as inf
-], ids=["not-a-number", "nan", "inf", "beyond-float-range"])
-def test_exit_code_parse_error(tmp_path, price, message):
+HEADER = ",".join(CSV_HEADER) + "\n"
+
+
+def submit_at(price):
+    return HEADER + f"0,a,SUBMIT,B,LIMIT,{price},5,HFT,OWN\n"
+
+
+@pytest.mark.parametrize("text, where", [
+    (submit_at("nope"), "2: bad price 'nope'"),
+    (submit_at("nan"), "2: price must be positive and finite, got nan"),
+    (submit_at("inf"), "2: price must be positive and finite, got inf"),
+    (submit_at("1e400"), "2: price must be positive and finite, got inf"),  # parses as inf
+    ("", "1: empty file"),
+    (HEADER + "soon,a,SUBMIT,B,LIMIT,10.0,5,HFT,OWN\n", "2: bad timestamp_us 'soon'"),
+], ids=["not-a-number", "nan", "inf", "beyond-float-range", "empty-file", "bad-timestamp"])
+def test_exit_code_parse_error(tmp_path, text, where):
     bad = tmp_path / "bad.csv"
-    bad.write_text(",".join(CSV_HEADER) + f"\n0,a,SUBMIT,B,LIMIT,{price},5,HFT,OWN\n")
+    bad.write_text(text)
     res = run(["replay", str(bad), "--tick", "0.1", "--ref", "10.0",
                "--out-dir", str(tmp_path)])
     assert res.exit_code == EXIT_PARSE, res.output
-    assert f"bad.csv:2: {message}" in res.output
+    assert f"bad.csv:{where}" in res.output
+
+
+def test_blank_lines_in_a_log_are_skipped(tmp_path):
+    rows = CROSSED.splitlines(keepends=True)
+    for name, text in (("tight", HEADER + CROSSED), ("loose", HEADER + "\n" + "\n\n".join(rows))):
+        (tmp_path / f"{name}.csv").write_text(text)
+        res = run(["replay", str(tmp_path / f"{name}.csv"), "--tick", "0.1", "--ref", "10.0",
+                   "--out-dir", str(tmp_path / name)])
+        assert res.exit_code == 0, res.output
+    for suffix in ("clearing.json", "book.csv"):
+        loose = (tmp_path / "loose" / f"loose_{suffix}").read_bytes()
+        assert loose == (tmp_path / "tight" / f"tight_{suffix}").read_bytes(), suffix
 
 
 def test_exit_code_out_of_order_timestamps(tmp_path):
@@ -256,9 +309,11 @@ APART = "0,a,SUBMIT,B,LIMIT,9.9,5,HFT,OWN\n1,b,SUBMIT,S,LIMIT,10.1,5,HFT,OWN\n"
     # so far out that one tick no longer moves the price
     ("replay", CROSSED, "2,c,SUBMIT,B,LIMIT,1e300,5,HFT,OWN",
      "price 1e+300 is not on the grid"),
+    ("replay", CROSSED, "2,a,MODIFY,B,LIMIT,10.0,0,HFT,OWN", "quantity must be >= 1, got 0"),
 ], ids=["duplicate-submit", "unknown-cancel", "unknown-modify", "off-grid-price",
         "off-grid-price-before-cross", "cancel-other-side", "cancel-other-type",
-        "cancel-other-price", "modify-other-side", "price-beyond-float-ticks"])
+        "cancel-other-price", "modify-other-side", "price-beyond-float-ticks",
+        "modify-to-zero"])
 def test_book_reject_in_log_is_line_numbered_parse_error(tmp_path, command, prefix, row,
                                                          message):
     log = tmp_path / "bad.csv"
@@ -316,9 +371,30 @@ def test_bad_grid_file_is_parse_error(tmp_path, text, message):
      "bad config file: unknown config fields: ['bell_mode_ticks']"),
     ('{"buy_total_shares": 1000}', EXIT_PARSE,
      "bad config file: unknown config fields: ['buy_total_shares']"),
+    # market order sizes are drawn from [lo, hi]; a size below 1 never ends the draws
+    ('{"market_shares_per_side": 100, "market_size_range": [5, 1]}', EXIT_OTHER,
+     "market_size_range needs 1 <= lo <= hi, got [5, 1]"),
+    ('{"market_shares_per_side": 100, "market_size_range": [0, 0]}', EXIT_OTHER,
+     "market_size_range needs 1 <= lo <= hi, got [0, 0]"),
+    ('{"market_shares_per_side": 100, "market_size_range": [-3, -1]}', EXIT_OTHER,
+     "market_size_range needs 1 <= lo <= hi, got [-3, -1]"),
+    # json reads these literals as floats, but no field takes them
+    ('{"tick_size": NaN}', EXIT_PARSE,
+     "bad config file: config field 'tick_size' must be float, got nan"),
+    ('{"delta_star_bp": Infinity}', EXIT_PARSE,
+     "bad config file: config field 'delta_star_bp' must be float, got inf"),
+    ('{"cancellation_rate": -Infinity}', EXIT_PARSE,
+     "bad config file: config field 'cancellation_rate' must be float, got -inf"),
+    ('{"decay": NaN}', EXIT_PARSE, "bad config file: config field 'decay' must be float, got nan"),
+    ('{"buy_peak_mass": 1e400}', EXIT_PARSE,
+     "bad config file: config field 'buy_peak_mass' must be float | None, got inf"),
+    ('{"latency_weights": {"HFT": NaN}}', EXIT_PARSE,
+     "bad config file: config field 'latency_weights' must be dict[str, float], got {'HFT': nan}"),
 ], ids=["not-json", "unknown-field", "wrong-type", "not-an-object", "wrong-weight",
         "wrong-range-element", "infeasible", "start_us", "bell_mode_ticks",
-        "buy_total_shares"])
+        "buy_total_shares", "range-reversed", "range-zero", "range-negative", "nan-tick",
+        "infinite-delta", "negative-infinite-churn", "nan-decay", "overflowing-peak-mass",
+        "nan-weight"])
 def test_bad_gen_config_is_parse_error(tmp_path, text, code, message):
     config = tmp_path / "config.json"
     config.write_text(text)
@@ -372,8 +448,11 @@ def test_rerun_of_a_non_manifest_is_parse_error(tmp_path, text, message):
     ["--tick", "nan", "--ref", "10.0"],
     ["--tick", "1e-300", "--ref", "10.0"],  # the reference lies 1e301 ticks from zero
     ["--tick", "1e-300", "--anchor", "1e300", "--ref", "1"],  # ticks overflow a float
+    [],
+    ["--tick", "0.1"],
+    ["--ref", "10.0", "--anchor", "10.0"],
 ], ids=["negative-tick", "zero-ref", "off-grid-ref", "nan-tick", "tick-too-fine",
-        "ticks-overflow"])
+        "ticks-overflow", "no-grid", "tick-only", "ref-only"])
 def test_bad_grid_options_are_usage_errors(tmp_path, grid_args):
     log = tmp_path / "day.csv"
     log.write_text(",".join(CSV_HEADER) + "\n" + CROSSED)
@@ -416,6 +495,27 @@ def test_option_outside_its_domain_is_usage_error(tmp_path, command, option, val
     assert res.exit_code == 2, res.output
     assert f"Invalid value for '{option}'" in res.output
     assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_bins_too_narrow_to_tell_apart_are_usage_error(tmp_path):
+    log = tmp_path / "day.csv"
+    log.write_text(HEADER + CROSSED)
+    out = tmp_path / "out"
+    res = run(["response", str(log), "--tick", "0.1", "--ref", "10.0", "--omega-lo", "1",
+               "--omega-hi", "1.0000000000000002", "--bins", "40", "--out-dir", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "Invalid value for '--bins'" in res.output
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("text", ["date,side,p_a\n2017-05-01,B,100.0\n", ""],
+                         ids=["missing-columns", "empty-file"])
+def test_metrics_csv_without_its_columns_is_parse_error(tmp_path, text):
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_text(text)
+    res = run(["stats", str(metrics), "--out-dir", str(tmp_path / "out")])
+    assert res.exit_code == EXIT_PARSE, res.output
+    assert f"{metrics}:1: day metrics header must contain" in res.output
 
 
 def test_exit_code_no_cross(tmp_path):

@@ -3,11 +3,11 @@ import pytest
 from uncross.book import AuctionBook
 from uncross.clearing import clear
 from uncross.density import (
+    _density_samples,
     average_density,
     day_profile,
     density,
     profiles_to_csv,
-    total_density_samples,
 )
 from uncross.errors import EmptySide, MismatchedBinning
 from uncross.events import OrderEvent
@@ -79,7 +79,8 @@ def test_total_density_constant_book():
     book = make_book(buys=buys, sells=sells)
     c = clear(book)
     assert c.p_a == pytest.approx(10.0)
-    xs, rhos = total_density_samples(book, c.price_index, c.q_a, "B", max_x=0.1)
+    walk = book.levels_past(c.price_index, "B", 0.1)
+    xs, rhos = _density_samples(walk, book.grid.tick_size, c.q_a, max_x=0.1)
     assert len(xs) == 5
     for rho in rhos[:-1]:
         assert rho == pytest.approx(30 / (0.1 * c.q_a))
@@ -89,7 +90,8 @@ def test_total_density_last_sample_spans_the_gap_beyond_max_x():
     # sells at 10.1 and 10.2 lie inside max_x; the next occupied tick, 10.5, does not
     book = make_book(buys=[(10.0, 40)], sells=[(10.0, 40), (10.1, 30), (10.2, 20), (10.5, 60)])
     c = clear(book)
-    xs, rhos = total_density_samples(book, c.price_index, c.q_a, "B", max_x=0.03)
+    walk = book.levels_past(c.price_index, "B", 0.03)
+    xs, rhos = _density_samples(walk, book.grid.tick_size, c.q_a, max_x=0.03)
     assert len(xs) == 2
     assert rhos[0] == pytest.approx(30 / (0.1 * c.q_a))
     assert rhos[1] == pytest.approx(20 / (0.3 * c.q_a))  # not 20 / (0.1 * q_a)

@@ -135,10 +135,9 @@ def test_piecewise_end_to_end_recovers_delta():
     )
     events, truth, meta = generate(cfg)
     book = replay(events, cfg)
-    c = clear(book)
     one_bin_bp = cfg.tick_size / cfg.fundamental_price * 1e4
     for side in "BS":
-        fit = fit_regime(book, c, side, max_x=0.02)
+        fit = fit_regime(book, side, max_x=0.02)
         assert abs(fit.delta * 1e4 - truth["delta_star_bp"]) <= one_bin_bp + 1e-9
         assert fit.l_tilde == pytest.approx(truth["l_star"], rel=0.05)
 

@@ -9,6 +9,7 @@ from uncross.errors import (
     BeyondTruncation,
     DegenerateAuction,
     NoPositiveRoot,
+    TooFewPoints,
     ZeroLiquidity,
 )
 from uncross.impact import (
@@ -19,6 +20,7 @@ from uncross.impact import (
     post_clearing_impact,
     theoretical_slope,
 )
+from uncross.regime import fit_regime
 
 from conftest import make_book
 from oracles import dense_random_book, naive_inject_prices, random_book, spec_to_book
@@ -245,3 +247,39 @@ def test_curve_csv_round_trip_columns(worked_book):
     first = lines[1].split(",")
     assert first[0] == "B" and first[1] == "0"
     assert int(first[2]) == 70 and int(first[3]) == 60
+
+
+def pinned_books():
+    """Hand-built books whose market volume on one side exceeds the whole opposite side."""
+    ladder = [(10.0 + 0.1 * k, 10) for k in range(-12, 13)]
+    return [
+        make_book(buys=ladder, sells=[(10.0, 100)], buy_market=500),
+        make_book(buys=[(10.0, 100)], sells=ladder, sell_market=500),
+        make_book(buys=ladder, sells=ladder, buy_market=5_000),
+        make_book(buys=ladder, sells=ladder, sell_market=5_000),
+    ]
+
+
+def test_pinned_side_is_read_off_the_book():
+    """A side is pinned exactly when the clearing leaves its market volume
+    unfilled.  Its price then never moves under injection, and nothing rests
+    past it (more supply above a buy-pinned price would clear more volume;
+    more demand would lose the imbalance tie-break), so a regime fit there
+    has no samples."""
+    books = pinned_books() + [spec_to_book(make(seed)) for seed in range(300)
+                              for make in (random_book, dense_random_book)]
+    pinned = []
+    for book in books:
+        c = clear(book)
+        for side, unfilled in (("B", c.market_buy_unfilled), ("S", c.market_sell_unfilled)):
+            curve = impact_curve(book, c, side, max_x=1.0)
+            assert curve.pinned == (unfilled > 0)
+            if not curve.pinned:
+                continue
+            pinned.append(side)
+            for q in (1, c.q_a, 10 * c.q_a + 7):
+                assert inject_and_reclear(book, side, q) == c.p_a
+            assert book.levels_past(c.price_index, side, 1.0) == []
+            with pytest.raises(TooFewPoints):
+                fit_regime(book, side, max_x=1.0, min_points=2)
+    assert pinned.count("B") >= 2 and pinned.count("S") >= 2

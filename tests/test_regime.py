@@ -7,7 +7,7 @@ import pytest
 from uncross.clearing import clear
 from uncross.errors import NonPositiveDensity, TooFewPoints
 from uncross.impact import impact_curve, theoretical_slope
-from uncross.regime import changepoint, empirical_slope, fit_regime, omega_max
+from uncross.regime import _omega_max, changepoint, empirical_slope, fit_regime
 
 from conftest import make_book
 from oracles import naive_changepoint
@@ -155,7 +155,7 @@ class TestOmegaMax:
         c = clear(book)
         curve = impact_curve(book, c, "B", max_x=0.3)
         # a window narrower than the first tick adds nothing
-        w = omega_max(curve, book, delta_b=1e-6, delta_s=1e-6)
+        w = _omega_max(curve, book.levels_past(c.price_index, "B", 1e-6), 1e-6)
         assert w == pytest.approx(float(curve.omega0))
 
     def test_counts_window_ticks(self):
@@ -164,7 +164,7 @@ class TestOmegaMax:
         curve = impact_curve(book, c, "B", max_x=0.3)
         # window wide enough for exactly 5 ticks above the price
         delta = abs(math.log((10.0 + 0.5) / 10.0))
-        w = omega_max(curve, book, delta_b=delta, delta_s=delta)
+        w = _omega_max(curve, book.levels_past(c.price_index, "B", delta), delta)
         assert w == pytest.approx(float(curve.omega0) + 5 * 40 / c.q_a)
 
     def test_never_below_omega0(self):
@@ -172,7 +172,8 @@ class TestOmegaMax:
         c = clear(book)
         for side in "BS":
             curve = impact_curve(book, c, side, max_x=0.3)
-            assert omega_max(curve, book, 0.01, 0.01) >= float(curve.omega0)
+            walk = book.levels_past(c.price_index, side, 0.01)
+            assert _omega_max(curve, walk, 0.01) >= float(curve.omega0)
 
     def test_batch_threshold_fraction_matches_stats_recount(self):
         """P[omega_max > 1/2] over a batch agrees with the stats module's
@@ -185,7 +186,8 @@ class TestOmegaMax:
             c = clear(book)
             for side in "BS":
                 curve = impact_curve(book, c, side, max_x=0.3)
-                values.append(omega_max(curve, book, 0.05, 0.05))
+                values.append(_omega_max(curve, book.levels_past(c.price_index, side, 0.05),
+                                         0.05))
         manual = sum(1 for w in values if w >= 0.5) / len(values)
         rows = [
             DayMetrics(date=str(i), side="B", p_a=10.0, q_a=100, omega0=w)
@@ -252,7 +254,7 @@ class TestFitRegime:
     def test_constant_book_pipeline(self):
         book = constant_density_book(n_levels=40, v=60, peak=600, tick=0.01)
         c = clear(book)
-        fit = fit_regime(book, c, "B", max_x=0.03, min_points=10)
+        fit = fit_regime(book, "B", max_x=0.03, min_points=10)
         assert fit.omega0 == float(impact_curve(book, c, "B", max_x=0.03).omega0)
         # exactly constant density: the window extends to the truncation
         assert fit.n_points >= 10
@@ -271,8 +273,7 @@ class TestFitRegime:
         fits = []
         for mult in (1, 3):
             book = build(mult)
-            c = clear(book)
-            fits.append(fit_regime(book, c, "B", max_x=0.03, min_points=10))
+            fits.append(fit_regime(book, "B", max_x=0.03, min_points=10))
         assert fits[0].delta == pytest.approx(fits[1].delta)
         assert fits[0].l_tilde == pytest.approx(fits[1].l_tilde)
         assert fits[0].beta_theo == pytest.approx(fits[1].beta_theo)
@@ -280,8 +281,7 @@ class TestFitRegime:
 
     def test_csv_row_format(self):
         book = constant_density_book(n_levels=40, v=60, peak=600, tick=0.01)
-        c = clear(book)
-        fit = fit_regime(book, c, "S", max_x=0.03, min_points=10)
+        fit = fit_regime(book, "S", max_x=0.03, min_points=10)
         row = fit.csv_row("2017-05-05")
         fields = row.split(",")
         assert fields[0] == "2017-05-05" and fields[1] == "S"
