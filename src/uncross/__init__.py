@@ -2,7 +2,7 @@
 
 from .book import AuctionBook, OrderRecord
 from .clearing import ClearingResult, IndicativePoint, clear, indicative_series
-from .density import DensityProfile, average_density, day_profile, density
+from .density import DensityProfile, average_density, day_profile
 from .events import OrderEvent, read_events, write_events
 from .flowgen import FlowConfig, generate
 from .grid import PriceGrid
@@ -55,7 +55,6 @@ __all__ = [
     "collect_marketable",
     "clear",
     "day_profile",
-    "density",
     "distribution_report",
     "empirical_slope",
     "fit_regime",

@@ -32,7 +32,6 @@ import numpy as np
 from .errors import (
     ContradictsLiveOrder,
     DuplicateOrderId,
-    EmptySide,
     NonPositiveQuantity,
     UncrossError,
     UnknownOrderId,
@@ -257,18 +256,9 @@ class AuctionBook:
             return int(self.buy_levels[i]), int(self.sell_levels[i])
         return 0, 0
 
-    def nonempty_indices(self, side: str | None = None) -> list[int]:
-        """Sorted tick indices carrying volume; both sides combined when side is None."""
-        if side == "B":
-            levels = self.buy_levels
-        elif side == "S":
-            levels = self.sell_levels
-        else:
-            levels = self.buy_levels | self.sell_levels
-        out = (np.flatnonzero(levels) + self.lo_index).tolist()
-        if side is not None and not out:
-            raise EmptySide(f"no resting limit volume on side {side}")
-        return out
+    def nonempty_indices(self) -> list[int]:
+        """Sorted tick indices carrying buy or sell volume."""
+        return (np.flatnonzero(self.buy_levels | self.sell_levels) + self.lo_index).tolist()
 
     def levels_past(self, index: int, side: str, max_x: float) -> list[tuple[int, float, int]]:
         """Occupied ticks past ``index`` as ``(tick, x, buy+sell shares)``, nearest first.

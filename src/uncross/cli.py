@@ -283,7 +283,7 @@ def regime(out, log, date, min_points, max_x, approx_slope, full_metrics, grid):
     stem = Path(log).stem
     date = date or stem
     outputs = []
-    book, clearing = _cleared(log, grid)
+    book = AuctionBook(grid).replay(read_events(log))
     fits = [
         (date, fit_regime(book, s, max_x=max_x * 1e-4, min_points=min_points,
                           slope_from_auction_price=approx_slope))
@@ -293,7 +293,8 @@ def regime(out, log, date, min_points, max_x, approx_slope, full_metrics, grid):
     _write(out / name, fits_to_csv(fits))
     outputs.append(name)
     if full_metrics:
-        rows = [DayMetrics(date=date, side=fit.side, p_a=clearing.p_a, q_a=clearing.q_a,
+        k_a, q_a, _ = _uncross(book)  # the metrics read only price and volume
+        rows = [DayMetrics(date=date, side=fit.side, p_a=grid.price_at(k_a), q_a=q_a,
                            omega0=fit.omega0, delta=fit.delta, l_tilde=fit.l_tilde,
                            omega_max=fit.omega_max, beta_emp=fit.beta_emp,
                            beta_theo=fit.beta_theo)

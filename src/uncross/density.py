@@ -1,20 +1,15 @@
-"""Book densities: per-tick with the gap rule, and binned profiles for averaging.
+"""Binned book density profiles and their cross-day average.
 
-The per-tick density divides the resting volume at a tick by the distance to
-the next occupied tick outward from the clearing price (above for buys, below
-for sells), so sparse books do not read as spuriously thin.  The outermost
-occupied tick, which has no neighbour, uses one tick size as its width.
-
-For cross-day averaging the gap rule is replaced by fixed bins of width ``dx``
-in log-price distance from the clearing price, with volumes scaled by each
-day's auction volume before averaging.
+Each day's resting limit volume is binned by log-price distance from the
+clearing price in fixed bins of width ``dx`` and scaled by the day's auction
+volume, so profiles of different days average bin by bin.
 """
 from __future__ import annotations
 
 import io
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .book import AuctionBook
 from .errors import MismatchedBinning
@@ -24,59 +19,6 @@ DEFAULT_DX = 1e-4  # 1 basis point bins
 # per ``group_by``: the order record's flag field, and the profile keys
 _GROUPS = {None: (None, (None,)), "latency": ("latency_flag", LATENCY_FLAGS),
            "account": ("account_type", ACCOUNT_TYPES)}
-
-
-class DensityPoint(NamedTuple):
-    price: float
-    x: float  # log(price / auction price)
-    rho: float  # shares per currency unit per auction volume
-
-
-def density(
-    book: AuctionBook, side: str, auction_price: float, q_a: int
-) -> list[DensityPoint]:
-    """Per-tick scaled density for one side, using the own-side gap rule."""
-    if q_a <= 0:
-        raise ValueError(f"q_a must be positive, got {q_a}")
-    grid = book.grid
-    grid.index_of(auction_price)  # validates on-grid
-    ticks = book.nonempty_indices(side)  # raises EmptySide when bare
-    levels = book.buy_volume if side == "B" else book.sell_volume
-    out = []
-    for pos, k in enumerate(ticks):
-        if side == "B":
-            dp = (ticks[pos + 1] - k) * grid.tick_size if pos + 1 < len(ticks) else grid.tick_size
-        else:
-            dp = (k - ticks[pos - 1]) * grid.tick_size if pos > 0 else grid.tick_size
-        price = grid.price_at(k)
-        out.append(DensityPoint(price, math.log(price / auction_price), levels[k] / (dp * q_a)))
-    return out
-
-
-def _density_samples(
-    walk: list[tuple[int, float, int]], tick: float, q_a: int, max_x: float
-) -> tuple[list[float], list[float]]:
-    """Summed buy+sell density on the occupied ticks of a ``levels_past`` walk
-    from the clearing price taken with ``max_x``, for the regime fit.
-
-    Samples are (|log-price distance|, density), the tick width being the gap
-    to the next tick of the walk, which may lie beyond ``max_x``; only ticks
-    within ``max_x`` are returned.
-    """
-    if q_a <= 0:
-        raise ValueError(f"q_a must be positive, got {q_a}")
-    xs: list[float] = []
-    rhos: list[float] = []
-    for pos, (k, x, shares) in enumerate(walk):
-        if x > max_x:
-            break
-        dp = abs(walk[pos + 1][0] - k) * tick if pos + 1 < len(walk) else tick
-        xs.append(x)
-        rhos.append(shares / (dp * q_a))
-    return xs, rhos
-
-
-# ---------------------------------------------------------------- binned form
 
 
 @dataclass

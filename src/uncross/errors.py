@@ -38,10 +38,6 @@ class AllocationInvariantError(UncrossError):
     """
 
 
-class EmptySide(UncrossError):
-    """No resting limit volume on the requested side."""
-
-
 class MismatchedBinning(UncrossError):
     """Density profiles use different bin widths and cannot be combined."""
 

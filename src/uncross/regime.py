@@ -14,6 +14,8 @@ Both segment costs at every cut come from running sums of the centred samples
 work after the sort rather than one refit per cut.  The density samples, the
 impact curve and the window volume all read one walk of the book's occupied
 ticks past the clearing price, which the fit finds by uncrossing the book.
+A sample's width is the gap to the next occupied tick of the walk (the gap
+rule), so a sparse book does not read as spuriously thin.
 """
 from __future__ import annotations
 
@@ -24,9 +26,8 @@ import numpy as np
 
 from .book import AuctionBook
 from .clearing import _uncross
-from .density import _density_samples
 from .errors import NonPositiveDensity, TooFewPoints
-from .impact import ImpactCurve, _impact_curve, theoretical_slope
+from .impact import DEFAULT_MAX_X, ImpactCurve, _impact_curve, theoretical_slope
 
 DEFAULT_MIN_POINTS = 20
 
@@ -111,6 +112,30 @@ def changepoint(
     )
 
 
+def _density_samples(
+    walk: list[tuple[int, float, int]], tick: float, q_a: int, max_x: float
+) -> tuple[list[float], list[float]]:
+    """Summed buy+sell density on the occupied ticks of a ``levels_past`` walk
+    from the clearing price taken with ``max_x``.
+
+    Samples are (|log-price distance|, density).  A tick's width is the gap to
+    the next tick of the walk, outward from the price, which may lie beyond
+    ``max_x``; the walk's last tick, with no tick past it, is one tick wide.
+    Only ticks within ``max_x`` are returned.
+    """
+    if q_a <= 0:
+        raise ValueError(f"q_a must be positive, got {q_a}")
+    xs: list[float] = []
+    rhos: list[float] = []
+    for pos, (k, x, shares) in enumerate(walk):
+        if x > max_x:
+            break
+        dp = abs(walk[pos + 1][0] - k) * tick if pos + 1 < len(walk) else tick
+        xs.append(x)
+        rhos.append(shares / (dp * q_a))
+    return xs, rhos
+
+
 def _omega_max(curve: ImpactCurve, walk: list[tuple[int, float, int]], delta: float) -> float:
     """Largest scaled order with zero-or-linear impact on the curve's side: ``omega0``
     plus the scaled volume of the ticks of a ``levels_past`` walk from the curve's
@@ -173,7 +198,7 @@ REGIME_CSV_HEADER = "date,side,delta_bp,l_tilde,omega_max,beta_emp,beta_theo,n_p
 def fit_regime(
     book: AuctionBook,
     side: str,
-    max_x: float = 0.02,
+    max_x: float = DEFAULT_MAX_X,
     min_points: int = DEFAULT_MIN_POINTS,
     slope_from_auction_price: bool = False,
 ) -> RegimeFit:
@@ -189,9 +214,8 @@ def fit_regime(
     xs, rhos = _density_samples(walk, book.grid.tick_size, q_a, max_x)
     cp = changepoint(xs, rhos, min_points=min_points)
     curve = _impact_curve(book, k_a, q_a, imbalance, side, max_x, walk)
-    if not curve.breakpoints:
-        raise TooFewPoints("no occupied ticks past the clearing price inside the window")
     w_max = _omega_max(curve, walk, cp.delta)
+    # the change point had two samples, and the second tick's threshold is never negative
     p_first = curve.grid.price_at(curve.breakpoints[0].target_index)
     ref = curve.p_a if slope_from_auction_price else p_first
     beta_theo = theoretical_slope(ref, cp.l_tilde)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import stdtr
 
 from .errors import (
     DegenerateSample,
@@ -74,6 +73,8 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> SpearmanResult:
     if abs(rho) == 1.0:
         p = 0.0
     else:
+        from scipy.special import stdtr  # here, not at the top: every CLI process would load scipy
+
         t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
         p = 2.0 * float(stdtr(n - 2, -abs(t)))
     return SpearmanResult(rho, p)

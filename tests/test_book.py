@@ -9,7 +9,6 @@ from uncross.book import AuctionBook
 from uncross.errors import (
     ContradictsLiveOrder,
     DuplicateOrderId,
-    EmptySide,
     NonPositiveQuantity,
     OffGridPrice,
     UnknownOrderId,
@@ -135,12 +134,6 @@ def test_market_orders_go_to_totals():
     assert book.buy_market_total == 25
     book.apply(OrderEvent(2, "m", "CANCEL", "B", "MARKET", None, 25))
     assert book.buy_market_total == 0
-
-
-def test_empty_side_raises():
-    book = make_book(buys=[(10.0, 5)])
-    with pytest.raises(EmptySide):
-        book.nonempty_indices("S")
 
 
 def _random_events(seed, n=1000):

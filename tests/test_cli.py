@@ -524,9 +524,10 @@ def test_exit_code_no_cross(tmp_path):
         ",".join(CSV_HEADER)
         + "\n0,a,SUBMIT,B,LIMIT,9.9,5,HFT,OWN\n1,b,SUBMIT,S,LIMIT,10.1,5,HFT,OWN\n"
     )
-    res = run(["replay", str(log), "--tick", "0.1", "--ref", "10.0",
-               "--out-dir", str(tmp_path)])
-    assert res.exit_code == EXIT_NOCROSS
+    for command in (["replay"], ["regime"], ["regime", "--full-metrics"]):
+        res = run([*command, str(log), "--tick", "0.1", "--ref", "10.0",
+                   "--out-dir", str(tmp_path)])
+        assert res.exit_code == EXIT_NOCROSS, command
 
 
 def test_exit_code_too_few_points(tmp_path):
@@ -623,18 +624,27 @@ def test_rerun_refuses_changed_or_missing_input(workspace, tmp_path):
     assert not out2.exists()
 
 
-def test_python_m_runs_the_cli(tmp_path):
+def _python(*args, cwd):
+    """Run a fresh interpreter that imports this checkout's ``uncross``."""
     src = str(Path(uncross.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=60)
 
-    def py_m(*args):
-        return subprocess.run([sys.executable, "-m", *args], cwd=tmp_path, env=env,
-                              capture_output=True, text=True, timeout=60)
 
-    version = py_m("uncross", "--version")
+def test_python_m_runs_the_cli(tmp_path):
+    version = _python("-m", "uncross", "--version", cwd=tmp_path)
     assert version.returncode == 0, version.stderr
     assert "0.1.0" in version.stdout
-    missing = py_m("uncross.cli", "replay", "missing.csv")
+    missing = _python("-m", "uncross.cli", "replay", "missing.csv", cwd=tmp_path)
     assert missing.returncode == 2
     assert "missing.csv" in missing.stderr
+
+
+def test_importing_the_cli_leaves_scipy_unloaded(tmp_path):
+    """Only ``spearman`` uses scipy, so a command that takes no statistic never loads it."""
+    code = "import sys, uncross.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    res = _python("-c", code, cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

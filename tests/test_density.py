@@ -1,76 +1,78 @@
+import math
+import random
+import sys
+
 import pytest
 
+import uncross
 from uncross.book import AuctionBook
 from uncross.clearing import clear
-from uncross.density import (
-    _density_samples,
-    average_density,
-    day_profile,
-    density,
-    profiles_to_csv,
-)
-from uncross.errors import EmptySide, MismatchedBinning
+from uncross.density import average_density, day_profile, profiles_to_csv
+from uncross.errors import MismatchedBinning
 from uncross.events import OrderEvent
 from uncross.grid import PriceGrid
+from uncross.regime import _density_samples
 
 from conftest import make_book
 
 
+def test_package_attribute_is_the_module():
+    assert uncross.density is sys.modules["uncross.density"]
+
+
+# ------------------------------------------------- gap-rule samples on a walk
+
+
+def _samples(book, index, side, q_a, max_x=1.0):
+    """Density samples of the ``levels_past`` walk from ``index`` (10.0 at index 0)."""
+    walk = book.levels_past(index, side, max_x)
+    return _density_samples(walk, book.grid.tick_size, q_a, max_x)
+
+
 def test_adjacent_ticks_use_tick_gap():
-    book = make_book(buys=[(10.0, 50), (10.1, 50)])
-    pts = density(book, "B", 10.0, 100)
-    assert pts[0].price == pytest.approx(10.0)
-    # gap to the next occupied buy tick is one tick: 50 / (0.1 * 100) = 5.0
-    assert pts[0].rho == pytest.approx(5.0)
+    xs, rhos = _samples(make_book(buys=[(10.1, 50), (10.2, 50)]), 0, "B", 100)
+    assert xs[0] == pytest.approx(math.log(10.1 / 10.0))
+    # gap to the next occupied tick of the walk is one tick: 50 / (0.1 * 100) = 5.0
+    assert rhos[0] == pytest.approx(5.0)
 
 
 def test_gap_rule_spans_empty_ticks():
-    book = make_book(buys=[(10.0, 50), (10.3, 50)])
-    pts = density(book, "B", 10.0, 100)
-    assert pts[0].rho == pytest.approx(50 / (0.3 * 100))
+    # 10.4 lies inside max_x: the width of 10.1 is the three ticks up to it
+    xs, rhos = _samples(make_book(buys=[(10.1, 50), (10.4, 50)]), 0, "B", 100, max_x=0.05)
+    assert len(xs) == 2
+    assert rhos[0] == pytest.approx(50 / (0.3 * 100))
 
 
 def test_boundary_tick_uses_tick_size():
-    book = make_book(buys=[(10.0, 50), (10.3, 50)])
-    pts = density(book, "B", 10.0, 100)
-    # 10.3 has no occupied tick above: width defaults to one tick
-    assert pts[-1].price == pytest.approx(10.3)
-    assert pts[-1].rho == pytest.approx(50 / (0.1 * 100))
+    # 10.4 has no occupied tick above it, so its width defaults to one tick
+    _, rhos = _samples(make_book(buys=[(10.1, 50), (10.4, 50)]), 0, "B", 100)
+    assert rhos[-1] == pytest.approx(50 / (0.1 * 100))
 
 
 def test_sell_side_gap_runs_downward():
-    book = make_book(sells=[(10.0, 30), (10.2, 40)])
-    pts = density(book, "S", 10.0, 100)
-    by_price = {round(p.price, 6): p.rho for p in pts}
-    assert by_price[10.2] == pytest.approx(40 / (0.2 * 100))
-    assert by_price[10.0] == pytest.approx(30 / (0.1 * 100))  # boundary below
+    # the sell walk goes down from 10.0 and sums both sides at each tick
+    book = make_book(buys=[(9.7, 15)], sells=[(9.9, 30), (9.7, 25)])
+    xs, rhos = _samples(book, 0, "S", 100)
+    assert xs == pytest.approx([math.log(10.0 / 9.9), math.log(10.0 / 9.7)])
+    assert rhos[0] == pytest.approx(30 / (0.2 * 100))
+    assert rhos[1] == pytest.approx(40 / (0.1 * 100))  # book edge below
 
 
 def test_density_integrates_back_to_shares():
-    import random
-
     rng = random.Random(3)
-    for trial in range(20):
-        buys = [(10.0 + 0.1 * rng.randint(-9, 9), rng.randint(1, 300)) for _ in range(12)]
-        book = make_book(buys=buys)
-        q_a = rng.randint(50, 500)
-        pts = density(book, "B", 10.0, q_a)
-        ticks = sorted(book.buy_volume)
-        total = 0.0
-        for pt, k in zip(pts, ticks):
-            pos = ticks.index(k)
-            if pos + 1 < len(ticks):
-                dp = (ticks[pos + 1] - k) * 0.1
-            else:
-                dp = 0.1
-            total += pt.rho * dp * q_a
-        assert total == pytest.approx(sum(book.buy_volume.values()))
-
-
-def test_empty_side():
-    book = make_book(buys=[(10.0, 5)])
-    with pytest.raises(EmptySide):
-        density(book, "S", 10.0, 10)
+    for trial in range(40):
+        book = make_book(
+            buys=[(10.0 + 0.1 * rng.randint(-9, 9), rng.randint(1, 300)) for _ in range(8)],
+            sells=[(10.0 + 0.1 * rng.randint(-9, 9), rng.randint(1, 300)) for _ in range(8)],
+        )
+        side, index, q_a = rng.choice("BS"), rng.randint(-5, 5), rng.randint(50, 500)
+        walk = book.levels_past(index, side, 1.0)  # every tick of the book is inside
+        ticks = [k for k, _, _ in walk]
+        xs, rhos = _density_samples(walk, 0.1, q_a, 1.0)
+        assert len(xs) == len(walk)
+        widths = [abs(b - a) * 0.1 for a, b in zip(ticks, ticks[1:])] + [0.1]
+        total = sum(rho * dp * q_a for rho, dp in zip(rhos, widths))
+        assert total == pytest.approx(sum(shares for _, _, shares in walk))
 
 
 def test_total_density_constant_book():
@@ -101,8 +103,6 @@ def test_total_density_last_sample_spans_the_gap_beyond_max_x():
 
 
 def _day_book(seed, n=40):
-    import random
-
     rng = random.Random(seed)
     grid = PriceGrid(0.01, 10.0, 10.0)
     book = AuctionBook(grid)

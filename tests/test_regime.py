@@ -4,13 +4,13 @@ import random
 import numpy as np
 import pytest
 
-from uncross.clearing import clear
+from uncross.clearing import _uncross, clear
 from uncross.errors import NonPositiveDensity, TooFewPoints
 from uncross.impact import impact_curve, theoretical_slope
 from uncross.regime import _omega_max, changepoint, empirical_slope, fit_regime
 
 from conftest import make_book
-from oracles import naive_changepoint
+from oracles import dense_random_book, naive_changepoint, random_book, spec_to_book
 
 
 def brute_force_cost(xs, rhos, j):
@@ -286,3 +286,25 @@ class TestFitRegime:
         fields = row.split(",")
         assert fields[0] == "2017-05-05" and fields[1] == "S"
         assert len(fields) == 8
+
+    def test_two_samples_always_give_a_jump(self):
+        """``p_first`` needs a jump on the impact curve.  Wherever the walk has the
+        two samples the change point needs, the fit finds one (the second tick's
+        threshold is never negative); with fewer, the change point raises."""
+        fits = 0
+        for seed in range(250):
+            for make in (random_book, dense_random_book):
+                book = spec_to_book(make(seed))
+                k_a = _uncross(book)[0]
+                for side in "BS":
+                    for max_x in (0.02, 0.005, 1.0):
+                        inside = [k for k, x, _ in book.levels_past(k_a, side, max_x)
+                                  if x <= max_x]
+                        if len(inside) < 2:
+                            with pytest.raises(TooFewPoints):
+                                fit_regime(book, side, max_x=max_x, min_points=2)
+                            continue
+                        fit = fit_regime(book, side, max_x=max_x, min_points=2)
+                        assert book.grid.index_of(fit.p_first) in inside
+                        fits += 1
+        assert fits > 1000
