@@ -240,16 +240,6 @@ class AuctionBook:
         pos = np.flatnonzero(levels)
         return MappingProxyType(dict(zip((pos + self.lo_index).tolist(), levels[pos].tolist())))
 
-    def supply(self, price: float) -> int:
-        """Sell shares available at or below ``price``, market sells included."""
-        i = self.grid.index_of(price) - self.lo_index
-        return self.sell_market_total + int(self.sell_levels[: max(i + 1, 0)].sum())
-
-    def demand(self, price: float) -> int:
-        """Buy shares available at or above ``price``, market buys included."""
-        i = self.grid.index_of(price) - self.lo_index
-        return self.buy_market_total + int(self.buy_levels[max(i, 0):].sum())
-
     def volume_at(self, index: int) -> tuple[int, int]:
         i = index - self.lo_index
         if 0 <= i < len(self.buy_levels):
@@ -285,8 +275,3 @@ class AuctionBook:
     def live_resting_orders(self):
         """Live orders that contribute volume, in arrival order."""
         return [r for r in self.orders.values() if r.is_resting]
-
-    def total_resting(self, side: str) -> int:
-        levels = self.buy_levels if side == "B" else self.sell_levels
-        market = self.buy_market_total if side == "B" else self.sell_market_total
-        return int(levels.sum()) + market

@@ -40,10 +40,11 @@ def uncross_values(
     sell_market: int,
     lo_index: int,
     ref_index: int,
-) -> tuple[int, int, int]:
+) -> tuple[int, int, int, int]:
     """Run the full rule chain over per-tick volume arrays.
 
-    Returns (clearing tick index, cleared volume, signed imbalance S - D).
+    Returns (clearing tick index, cleared volume q, signed imbalance S - D,
+    margin): q minus the most any other tick executes, 0 when ticks tie at q.
     Raises NoCross when the maximal executable volume is zero.
     """
     supply = sell_market + np.cumsum(vs)
@@ -54,18 +55,20 @@ def uncross_values(
         raise NoCross("supply and demand do not cross")
     imbalance = supply - demand
     candidates = np.nonzero(executable == q)[0]
+    executable[candidates[0]] = 0  # the best other tick executes q again on a tie
+    margin = q - int(executable.max())
     abs_imb = np.abs(imbalance[candidates])
     candidates = candidates[abs_imb == abs_imb.min()]
     dist = np.abs(candidates + lo_index - ref_index)
     candidates = candidates[dist == dist.min()]
     k = int(candidates[0])  # lowest price among remaining ties
-    return k + lo_index, q, int(imbalance[k])
+    return k + lo_index, q, int(imbalance[k]), margin
 
 
 def _uncross(
     book: AuctionBook, side: str | None = None, market_delta: int = 0
 ) -> tuple[int, int, int]:
-    """``uncross_values`` over the book's level arrays.
+    """``uncross_values`` over the book's level arrays, without the margin.
 
     ``market_delta`` shares are added to the market total of ``side`` (removed
     when negative) for this scan only.  The scan covers the book's tick window,
@@ -79,7 +82,7 @@ def _uncross(
         book.sell_market_total + (market_delta if side == "S" else 0),
         book.lo_index,
         book.grid.reference_index,
-    )
+    )[:3]
 
 
 @dataclass(frozen=True)

@@ -19,21 +19,21 @@ book.  Events arriving before the warmup cutoff or while the book does not
 cross are applied but not measured; so are marketable events that leave the
 book without a cross, which count as skipped like those arriving without one.
 
-The indicative price is read once per book state.  The read after a recorded
-event is the next event's pre-event read, since no event has changed the book
-in between.
+Reads of the indicative price are certified (``_Indicative``): each event spends
+its shares from the margin by which the last scan's tick led every other tick,
+and the book is rescanned once that is spent, after a reject or without a cross.
 """
 from __future__ import annotations
 
 import bisect
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
-from .book import AuctionBook
-from .clearing import _indicative
-from .errors import UncrossError
+from .book import AuctionBook, OrderRecord
+from .clearing import uncross_values
+from .errors import NoCross, UncrossError
 from .events import OrderEvent, _located
 from .grid import PriceGrid
 
@@ -93,9 +93,7 @@ class ResponseCurve:
     r1: list[float | None]
     rm: list[float | None]
     counts: list[int]
-    se_r1: list[float | None] = field(default_factory=list)
-    se_rm: list[float | None] = field(default_factory=list)
-    se_diff: list[float | None] = field(default_factory=list)
+    se_diff: list[float | None]  # standard error of each bin's mean r1 - rm
     skipped_no_cross: int = 0
 
     def to_csv(self) -> str:
@@ -127,6 +125,63 @@ def _edges(bins: Iterable[float]) -> list[float]:
     return edges
 
 
+class _Indicative:
+    """The book's indicative (price tick, volume, imbalance), told of every event.
+
+    A scan gives the tick k, S(k), D(k) and the margin M by which
+    exec(k) = min(S(k), D(k)) leads exec(j) at any other tick j.  The x shares of one
+    order move S (a sell) or D (a buy) by one signed amount at every tick they reach
+    and by 0 elsewhere, so each exec moves by 0 to that amount and each gap
+    exec(k) - exec(j) by at most x.  That holds at the ticks the window grows to hold
+    too: they copied its empty edge ticks, and an edge k ties its neighbour (M = 0).
+    So each event spends its resting shares (a MODIFY its old plus its new ones) from
+    a budget that starts at M, and while some is left k is still the unique maximum
+    and S(k), D(k) stay exact.  The factor 1 is tight: cancelling x sells below a
+    supply-bound k lowers exec(k) by x and leaves a demand-bound exec(j) above k alone.
+    """
+
+    def __init__(self, book: AuctionBook):
+        self.book = book
+        self.k: int | None = None  # None: the next read scans; set with S(k), D(k), budget
+
+    def read(self) -> tuple[int, int, int] | None:
+        """(price tick, volume, imbalance S - D) now, or None without a cross."""
+        if self.k is None:
+            b = self.book
+            try:
+                self.k, q, imb, self.budget = uncross_values(
+                    b.buy_levels, b.sell_levels, b.buy_market_total, b.sell_market_total,
+                    b.lo_index, b.grid.reference_index)
+            except NoCross:
+                return None
+            self.supply, self.demand = q + max(imb, 0), q + max(-imb, 0)
+        return self.k, min(self.supply, self.demand), self.supply - self.demand
+
+    def apply(self, ev: OrderEvent) -> None:
+        """Apply ``ev`` to the book; a rejected event leaves the next read to scan."""
+        k, self.k, orders = self.k, None, self.book.orders
+        if k is None:
+            self.book.apply(ev)
+            return
+        if (old := orders.get(ev.order_id)) is not None:  # before a MODIFY rewrites it
+            self._shift(k, old, -old.quantity)
+        self.book.apply(ev)
+        if (new := orders.get(ev.order_id)) is not None:
+            self._shift(k, new, new.quantity)
+        if self.budget > 0:
+            self.k = k
+
+    def _shift(self, k: int, rec: OrderRecord, qty: int) -> None:
+        """Add ``qty`` of ``rec``'s shares (negative: remove) to S(k) or D(k)."""
+        if not rec.is_resting:
+            return  # a dormant STOP holds no book volume
+        self.budget -= abs(qty)
+        if rec.side == "B":
+            self.demand += qty if rec.price_index is None or rec.price_index >= k else 0
+        else:
+            self.supply += qty if rec.price_index is None or rec.price_index <= k else 0
+
+
 def collect_marketable(
     events: Iterable[OrderEvent],
     grid: PriceGrid,
@@ -139,39 +194,37 @@ def collect_marketable(
     final clearing) and the count skipped for lack of a cross.
     """
     book = AuctionBook(grid)
+    indicative = _Indicative(book)
     recorded: list[MarketableEvent] = []
     skipped = 0
     t0: int | None = None
-    ind, fresh = None, False  # ``ind`` is the book's indicative while ``fresh``
 
     for ev in events:
         if t0 is None:
             t0 = ev.timestamp
         cls = None
         if ev.timestamp >= t0 + warmup_us and (with_cancels or ev.action != "CANCEL"):
-            if not fresh:
-                ind = _indicative(book)
+            pre = indicative.read()
             try:  # both paths may snap an off-grid price of a log row
-                if ind is not None:
-                    cls = classify_marketable(ev, book, ind[0])
+                if pre is not None:
+                    cls = classify_marketable(ev, book, pre[0])
                 elif (resting := _resting(ev, book)) and resting[2] is None:
                     skipped += 1  # marketable but no indicative price to measure against
             except UncrossError as exc:
                 raise _located(ev, exc) from None
-        book.apply(ev)
-        fresh = False
+        indicative.apply(ev)
         if cls is None:
             continue
-        pre, ind, fresh = ind, _indicative(book), True
+        post = indicative.read()
         p_before = grid.price_at(pre[0])
         _backfill(recorded, p_before)
-        if ind is None:
+        if post is None:
             skipped += 1  # the event itself removed the cross: no price to move to
             continue
         sign, shares = cls
         recorded.append(MarketableEvent(ev.timestamp, sign, shares / pre[1], shares,
-                                        ev.action, p_before, grid.price_at(ind[0])))
-    final = ind if fresh else _indicative(book)
+                                        ev.action, p_before, grid.price_at(post[0])))
+    final = indicative.read()
     if final is not None:
         _backfill(recorded, grid.price_at(final[0]))
     return recorded, skipped
@@ -203,17 +256,16 @@ def response_curves(
         if me.p_next is not None and edges[0] <= me.omega and b < len(acc):
             acc[b].append((me.sign * (me.p_next - me.p_before),
                            me.sign * (me.p_after_mech - me.p_before)))
-    r1, rm, se_r1, se_rm, se_diff = (list(col) for col in zip(*map(_bin_stats, acc)))
+    r1, rm, se_diff = (list(col) for col in zip(*map(_bin_stats, acc)))
     return ResponseCurve(bin_edges=edges, r1=r1, rm=rm, counts=[len(v) for v in acc],
-                         se_r1=se_r1, se_rm=se_rm, se_diff=se_diff, skipped_no_cross=skipped)
+                         se_diff=se_diff, skipped_no_cross=skipped)
 
 
 def _bin_stats(vals: list[tuple[float, float]]) -> tuple[float | None, ...]:
-    """(r1, rm, se_r1, se_rm, se_diff) of one bin's (one-lag, mechanical) responses."""
+    """(r1, rm, se_diff) of one bin's (one-lag, mechanical) responses."""
     if not vals:
-        return (None,) * 5
-    a1, am = [v[0] for v in vals], [v[1] for v in vals]
-    return _mean(a1), _mean(am), _sem(a1), _sem(am), _sem([u - v for u, v in vals])
+        return None, None, None
+    return _mean([v[0] for v in vals]), _mean([v[1] for v in vals]), _sem([u - v for u, v in vals])
 
 
 def _mean(vals: list[float]) -> float:

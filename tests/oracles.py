@@ -38,6 +38,25 @@ def naive_demand(spec: BookSpec, k: int) -> int:
     return spec.buy_market + sum(v for i, v in spec.buy.items() if i >= k)
 
 
+def book_supply(book, price: float) -> int:
+    """Sell shares of an ``AuctionBook`` at or below ``price``, market sells included."""
+    k = book.grid.index_of(price)
+    return book.sell_market_total + sum(v for i, v in book.sell_volume.items() if i <= k)
+
+
+def book_demand(book, price: float) -> int:
+    """Buy shares of an ``AuctionBook`` at or above ``price``, market buys included."""
+    k = book.grid.index_of(price)
+    return book.buy_market_total + sum(v for i, v in book.buy_volume.items() if i >= k)
+
+
+def total_resting(book, side: str) -> int:
+    """All resting shares of one side of an ``AuctionBook``, market orders included."""
+    if side == "B":
+        return book.buy_market_total + sum(book.buy_volume.values())
+    return book.sell_market_total + sum(book.sell_volume.values())
+
+
 def _min_positive_index(spec: BookSpec) -> int:
     k = int(-spec.base // spec.tick) - 2
     while spec.price(k) <= 0:
@@ -45,10 +64,9 @@ def _min_positive_index(spec: BookSpec) -> int:
     return k
 
 
-def naive_clear(spec: BookSpec) -> tuple[int, int, int] | None:
-    """Exhaustive scan: max executable, min |imbalance|, closest to reference,
-    lowest price among positive-price ticks.  Returns (price index, volume,
-    signed imbalance) or None."""
+def _candidate_ticks(spec: BookSpec) -> range:
+    """Every occupied tick, two empty ticks beyond them and the reference's
+    neighbours, floored at the smallest positive-price tick."""
     idxs = sorted(set(spec.buy) | set(spec.sell))
     if idxs:
         lo = min(idxs[0] - 2, spec.ref_index - 1)
@@ -56,9 +74,15 @@ def naive_clear(spec: BookSpec) -> tuple[int, int, int] | None:
     else:
         lo, hi = spec.ref_index - 1, spec.ref_index + 1
     lo = max(lo, _min_positive_index(spec))
-    hi = max(hi, lo)
+    return range(lo, max(hi, lo) + 1)
+
+
+def naive_clear(spec: BookSpec) -> tuple[int, int, int] | None:
+    """Exhaustive scan: max executable, min |imbalance|, closest to reference,
+    lowest price among positive-price ticks.  Returns (price index, volume,
+    signed imbalance) or None."""
     best = None
-    for k in range(lo, hi + 1):
+    for k in _candidate_ticks(spec):
         s = naive_supply(spec, k)
         d = naive_demand(spec, k)
         executable = min(s, d)
@@ -71,21 +95,22 @@ def naive_clear(spec: BookSpec) -> tuple[int, int, int] | None:
     return k, q, imb
 
 
+def naive_margin(spec: BookSpec) -> int:
+    """Executable volume at the clearing tick minus the most at any other tick
+    (0 when another tick ties), for a crossing book."""
+    k = naive_clear(spec)[0]
+    executable = {j: min(naive_supply(spec, j), naive_demand(spec, j))
+                  for j in _candidate_ticks(spec)}
+    return executable.pop(k) - max(executable.values())
+
+
 def naive_inject_prices(spec: BookSpec, side: str, q_values: np.ndarray) -> np.ndarray:
     """Clearing price index after injecting each market volume, vectorized.
 
     Implements the same exhaustive scan as naive_clear but for a whole sweep of
     injected volumes at once (integer arithmetic throughout).
     """
-    idxs = sorted(set(spec.buy) | set(spec.sell))
-    if idxs:
-        lo = min(idxs[0] - 2, spec.ref_index - 1)
-        hi = max(idxs[-1] + 2, spec.ref_index + 1)
-    else:
-        lo, hi = spec.ref_index - 1, spec.ref_index + 1
-    lo = max(lo, _min_positive_index(spec))
-    hi = max(hi, lo)
-    ks = np.arange(lo, hi + 1)
+    ks = np.array(_candidate_ticks(spec))
     vs = np.array([spec.sell.get(int(k), 0) for k in ks], dtype=np.int64)
     vb = np.array([spec.buy.get(int(k), 0) for k in ks], dtype=np.int64)
     supply = spec.sell_market + np.cumsum(vs)

@@ -17,6 +17,7 @@ from uncross.events import OrderEvent
 from uncross.grid import PriceGrid
 
 from conftest import make_book
+from oracles import book_demand, book_supply, total_resting
 
 
 def grid10():
@@ -39,11 +40,11 @@ def test_insert_then_cancel_is_identity():
 
 def test_supply_demand_direct_sums():
     book = make_book(sells=[(10.0, 30), (10.1, 40), (10.2, 50)])
-    assert book.supply(10.1) == 70
+    assert book_supply(book, 10.1) == 70
     book2 = make_book(buys=[(10.1, 60), (10.0, 20), (9.9, 10)])
-    assert book2.demand(10.0) == 80
+    assert book_demand(book2, 10.0) == 80
     book3 = make_book(buys=[(10.1, 60), (10.0, 20), (9.9, 10)], buy_market=15)
-    assert book3.demand(10.2) == 15
+    assert book_demand(book3, 10.2) == 15
 
 
 def test_off_grid_price_rejected():
@@ -51,7 +52,7 @@ def test_off_grid_price_rejected():
     with pytest.raises(OffGridPrice):
         book.apply(OrderEvent(1, "a", "SUBMIT", "B", "LIMIT", 10.05, 10))
     with pytest.raises(OffGridPrice):
-        book.supply(10.037)
+        book_supply(book, 10.037)
 
 
 def test_unknown_and_duplicate_ids():
@@ -122,7 +123,7 @@ def test_modify_price_or_increase_resets_priority():
 def test_stop_orders_inert_until_activated():
     book = AuctionBook(grid10())
     book.apply(OrderEvent(1, "x", "SUBMIT", "S", "STOP", 10.2, 40))
-    assert book.total_resting("S") == 0
+    assert total_resting(book, "S") == 0
     # activation arrives as a modify to a live type
     book.apply(OrderEvent(2, "x", "MODIFY", "S", "LIMIT", 10.2, 40))
     assert book.volume_at(2) == (0, 40)
@@ -216,7 +217,7 @@ def test_conservation_counters():
             added[ev.side] += ev.quantity
             live[ev.order_id] = ev.quantity
     for side in "BS":
-        assert book.total_resting(side) == added[side] - removed[side]
+        assert total_resting(book, side) == added[side] - removed[side]
 
 
 @given(
@@ -240,8 +241,8 @@ def test_supply_monotone_demand_antitone(levels, mb, ms):
     if ms:
         book.apply(OrderEvent(t + 2, "ms", "SUBMIT", "S", "MARKET", None, ms))
     prices = [10.0 + 0.1 * k for k in range(-16, 17)]
-    supplies = [book.supply(p) for p in prices]
-    demands = [book.demand(p) for p in prices]
+    supplies = [book_supply(book, p) for p in prices]
+    demands = [book_demand(book, p) for p in prices]
     assert supplies == sorted(supplies)
     assert demands == sorted(demands, reverse=True)
     assert all(s >= 0 for s in supplies) and all(d >= 0 for d in demands)

@@ -3,13 +3,24 @@ from dataclasses import replace
 import pytest
 
 from uncross.book import AuctionBook
-from uncross.clearing import clear, indicative_series
+from uncross.clearing import clear, indicative_series, uncross_values
 from uncross.errors import AllocationInvariantError, NoCross
 from uncross.events import OrderEvent
 from uncross.grid import PriceGrid
 
 from conftest import make_book
-from oracles import dense_random_book, naive_clear, random_book, spec_to_book
+from oracles import (
+    book_demand,
+    book_supply,
+    dense_random_book,
+    naive_clear,
+    naive_demand,
+    naive_margin,
+    naive_supply,
+    random_book,
+    spec_to_book,
+    total_resting,
+)
 
 
 def test_worked_example(worked_book):
@@ -38,11 +49,11 @@ def test_imbalance_tiebreak_smaller_wins():
         buy_market=70,
     )
     c = clear(book)
-    assert min(book.supply(10.1), book.demand(10.1)) == min(
-        book.supply(10.2), book.demand(10.2)
+    assert min(book_supply(book, 10.1), book_demand(book, 10.1)) == min(
+        book_supply(book, 10.2), book_demand(book, 10.2)
     )
-    assert abs(book.supply(10.1) - book.demand(10.1)) == 60
-    assert abs(book.supply(10.2) - book.demand(10.2)) == 50
+    assert abs(book_supply(book, 10.1) - book_demand(book, 10.1)) == 60
+    assert abs(book_supply(book, 10.2) - book_demand(book, 10.2)) == 50
     assert c.p_a == pytest.approx(10.2)
 
 
@@ -118,6 +129,26 @@ def grow_window_far_out(book, far):
         book.apply(OrderEvent(100 + i, f"far{i}", "CANCEL", side, "LIMIT", price, 7))
 
 
+def test_margin_is_the_lead_over_the_best_other_tick():
+    """``uncross_values``'s margin is q minus the most any other tick executes,
+    and 0 whenever two ticks tie at q."""
+    ties = 0
+    for seed in range(300):
+        for make in (random_book, dense_random_book):
+            spec = make(seed)
+            book = spec_to_book(spec)
+            *_, margin = uncross_values(
+                book.buy_levels, book.sell_levels, book.buy_market_total,
+                book.sell_market_total, book.lo_index, book.grid.reference_index)
+            assert margin == naive_margin(spec) >= 0, (make.__name__, seed)
+            q = naive_clear(spec)[1]
+            n_best = sum(min(naive_supply(spec, j), naive_demand(spec, j)) == q
+                         for j in range(book.lo_index, book.lo_index + len(book.buy_levels)))
+            assert (margin == 0) == (n_best > 1), (make.__name__, seed)
+            ties += n_best > 1
+    assert 0 < ties < 600
+
+
 def test_level_store_after_window_growth_matches_oracle():
     """Orders submitted and canceled far from a random book grow its level
     window past the occupied range; clearing, with the grid reference inside
@@ -136,7 +167,7 @@ def test_level_store_after_window_growth_matches_oracle():
 
         assert book.buy_volume == spec.buy and book.sell_volume == spec.sell, seed
         values = [*book.buy_volume.values(), *book.sell_volume.values(),
-                  *book.volume_at(min(occupied)), book.total_resting("B")]
+                  *book.volume_at(min(occupied)), total_resting(book, "B")]
         assert all(type(v) is int for v in values), seed
         c = clear(book)
         assert (c.price_index, c.q_a, c.imbalance) == naive_clear(spec), seed
@@ -307,7 +338,7 @@ def test_volume_maximality_on_random_books():
         hi = max(book.nonempty_indices()) + 2
         for k in range(lo, hi + 1):
             p = book.grid.price_at(k)
-            assert min(book.supply(p), book.demand(p)) <= c.q_a
+            assert min(book_supply(book, p), book_demand(book, p)) <= c.q_a
 
 
 def test_clearing_result_json(worked_book):

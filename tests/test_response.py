@@ -1,14 +1,17 @@
+import hashlib
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from uncross.book import AuctionBook
-from uncross.clearing import clear
+from uncross.clearing import _indicative, clear
 from uncross.events import OrderEvent
 from uncross.grid import PriceGrid
 from uncross.impact import impact_curve, inject_and_reclear
 from uncross.response import (
+    _Indicative,
     classify_marketable,
     collect_marketable,
     log_bins,
@@ -16,6 +19,7 @@ from uncross.response import (
 )
 
 from conftest import make_book
+from test_book import _random_events
 
 
 def grid10():
@@ -199,7 +203,6 @@ def test_event_that_removes_the_cross_is_skipped_not_recorded():
 def test_marketable_set_covers_marketable_price_changes():
     """With cancels included, every indicative move caused by market-order
     flow happens at a recorded marketable event."""
-    from uncross.clearing import _indicative
     from uncross.flowgen import FlowConfig, generate
 
     cfg = FlowConfig(
@@ -306,3 +309,96 @@ def test_bins_match_a_linear_scan_of_the_edges():
                 expected[next(b for b in range(len(edges) - 1) if w <= edges[b + 1])] += 1
         curve = response_curves(events, grid, bins=edges, warmup_us=0)
         assert curve.counts == expected
+
+
+def _odd_events(seed, n=1500):
+    """A replayable stream with what generated days never hold: MODIFYs, STOP
+    submissions, STOPs activated (and parked again) by MODIFY, cancels of
+    STOPs, and orders 150-400 ticks out that grow the level window."""
+    rng = random.Random(seed)
+    events, live = [], {}  # live: order id -> (side, order type)
+
+    def price():
+        k = rng.randint(-6, 6)
+        if rng.random() < 0.03:
+            k = rng.choice((-1, 1)) * rng.randint(150, 400)
+        return round(10.0 + 0.01 * k, 2)
+
+    for t in range(1, n + 1):
+        action = rng.choices(["SUBMIT", "MODIFY", "CANCEL"], weights=[6, 2, 2])[0]
+        if action == "SUBMIT" or not live:
+            oid, side = f"o{t}", rng.choice("BS")
+            action, otype = "SUBMIT", rng.choices(
+                ["LIMIT", "MARKET", "VALID_FOR_AUCTION", "STOP"], weights=[6, 1, 1, 2])[0]
+        else:
+            oid = rng.choice(sorted(live))
+            side, otype = live[oid]
+        if action == "CANCEL":
+            del live[oid]
+            events.append(OrderEvent(t, oid, "CANCEL", side, otype, None, 1))
+            continue
+        if action == "MODIFY":
+            otype = rng.choices(["LIMIT", "MARKET", "STOP"], weights=[7, 2, 1])[0]
+        live[oid] = side, otype
+        events.append(OrderEvent(t, oid, action, side, otype,
+                                 None if otype == "MARKET" else price(),
+                                 rng.randint(1, 500 if rng.random() < 0.1 else 50)))
+    return events
+
+
+def grid001():
+    return PriceGrid(0.01, 10.0, 10.0)
+
+
+# sha256 of repr(collect_marketable(...)) on the streams above as a replay that
+# scans the book for every read gives them; generated days never reach these
+# paths, so only these digests hold the certified reads to it there
+_ODD_DIGESTS = {
+    (5, True): "e8c3b8c6099ec3838652886131a2008fbd8db374997082ca28d6509ff7e46231",
+    (5, False): "18e8273dd4811f1d1ffd854e327b970f0b7ab278144fd96cb95e582066a332fd",
+    (6, True): "40b42c1f04f3e5b59758093f3eb08c71a1dbe7ec6193902d8bebc49e099c240b",
+    (6, False): "a7dcd19d55d02a8201198bb8652e366d211aa5b216b17b1141cae2a96587be3f",
+}
+
+
+@pytest.mark.parametrize("seed", range(7))
+def test_odd_streams_hold_what_generated_days_lack(seed):
+    """At least 5 each of SUBMIT, MODIFY, CANCEL, STOP submissions, MODIFYs to
+    STOP, cancels of STOPs, STOP activations and far orders."""
+    kinds, live = Counter(), {}
+    for ev in _odd_events(seed):
+        was = live.pop(ev.order_id, None)
+        if ev.action != "CANCEL":
+            live[ev.order_id] = ev.order_type
+        far = ev.price is not None and abs(ev.price - 10.0) > 1.49
+        kinds.update({ev.action: 1, f"{ev.action} STOP": ev.order_type == "STOP",
+                      "activation": was == "STOP" and ev.order_type != "STOP", "far": far})
+    assert min(kinds.values()) >= 5, kinds
+
+
+@pytest.mark.parametrize("seed, with_cancels", sorted(_ODD_DIGESTS))
+def test_records_on_modify_and_stop_streams_are_pinned(seed, with_cancels):
+    out = collect_marketable(_odd_events(seed), grid001(), warmup_us=0,
+                             with_cancels=with_cancels)
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == _ODD_DIGESTS[seed, with_cancels]
+
+
+_STREAMS = [(_random_events, grid10, seed) for seed in range(5)] + [
+    (_odd_events, grid001, seed) for seed in range(5)]
+
+
+@pytest.mark.parametrize("every", [1, 7])
+@pytest.mark.parametrize("make, grid, seed", _STREAMS)
+def test_certified_reads_equal_a_full_scan(make, grid, seed, every):
+    """Read after every event, or every 7th as during a warm-up, the reader's
+    (tick, volume, imbalance) is a full scan's, or both find no cross."""
+    book = AuctionBook(grid())
+    reader = _Indicative(book)
+    certified = 0
+    for i, ev in enumerate(make(seed)):
+        reader.apply(ev)
+        if i % every == 0:
+            certified += reader.k is not None
+            assert reader.read() == _indicative(book), (seed, i)
+    if every == 1:  # most reads come from the certificate, not a scan
+        assert certified > 300
