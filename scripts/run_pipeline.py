@@ -4,9 +4,11 @@ and report batch statistics.
 
 Produces, under --out-dir:
     days/day_<i>.csv           generated event logs
-    metrics.csv                per-(day, side) metrics table
-    report.json                rank correlation / KS / zero-impact probability
+    metrics.csv                per-(day, side) metrics table (regime --full-metrics rows)
+    report.json                the batch report of `uncross stats` on metrics.csv
     density_profile.csv        batch-averaged book density
+
+Any --days of 1 or more works; the rank statistics need 3 days.
 
 Usage:
     python scripts/run_pipeline.py --days 20 --seed 7 --out-dir /tmp/uncross_demo
@@ -18,19 +20,12 @@ import json
 from pathlib import Path
 
 from uncross.book import AuctionBook
-from uncross.clearing import clear
 from uncross.density import average_density, day_profile, profiles_to_csv
 from uncross.events import write_events
 from uncross.flowgen import FlowConfig, generate
 from uncross.grid import PriceGrid
 from uncross.regime import fit_regime
-from uncross.stats import (
-    DayMetrics,
-    day_metrics_to_csv,
-    ks_two_sample,
-    spearman,
-    zero_impact_probability,
-)
+from uncross.stats import DayMetrics, batch_report, day_metrics_to_csv
 
 
 def run_day(i: int, seed: int, out: Path) -> tuple[list[DayMetrics], dict]:
@@ -53,26 +48,9 @@ def run_day(i: int, seed: int, out: Path) -> tuple[list[DayMetrics], dict]:
 
     grid = PriceGrid(meta["tick_size"], meta["anchor"], meta["reference_price"])
     book = AuctionBook(grid).replay(events)
-    clearing = clear(book)
-    rows = []
-    for side in "BS":
-        fit = fit_regime(book, side)
-        rows.append(
-            DayMetrics(
-                date=f"day_{i}",
-                side=side,
-                p_a=clearing.p_a,
-                q_a=clearing.q_a,
-                omega0=fit.omega0,
-                delta=fit.delta,
-                l_tilde=fit.l_tilde,
-                omega_max=fit.omega_max,
-                beta_emp=fit.beta_emp,
-                beta_theo=fit.beta_theo,
-            )
-        )
-    profile = day_profile(book, clearing.p_a, clearing.q_a)[None]
-    return rows, {"truth": truth, "profile": profile}
+    fits = [fit_regime(book, side) for side in "BS"]
+    profile = day_profile(book, fits[0].p_a, fits[0].q_a)[None]
+    return [fit.metrics(f"day_{i}") for fit in fits], {"truth": truth, "profile": profile}
 
 
 def main() -> None:
@@ -81,6 +59,8 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--out-dir", type=Path, default=Path("pipeline_out"))
     args = ap.parse_args()
+    if args.days < 1:
+        ap.error(f"argument --days: {args.days} is not at least 1")
 
     out = args.out_dir
     (out / "days").mkdir(parents=True, exist_ok=True)
@@ -91,9 +71,8 @@ def main() -> None:
         rows, extra = run_day(i, args.seed + i, out)
         all_rows.extend(rows)
         profiles.append(extra["profile"])
-        fit_b = rows[0]
         print(
-            f"day_{i}: p_a={fit_b.p_a:.2f} q_a={fit_b.q_a} "
+            f"day_{i}: p_a={rows[0].p_a:.2f} q_a={rows[0].q_a} "
             f"omega0_B={rows[0].omega0:.4f} omega0_S={rows[1].omega0:.4f} "
             f"delta_B={rows[0].delta * 1e4:.1f}bp (target {extra['truth']['delta_star_bp']:.1f}bp)"
         )
@@ -101,24 +80,11 @@ def main() -> None:
     (out / "metrics.csv").write_text(day_metrics_to_csv(all_rows))
     (out / "density_profile.csv").write_text(profiles_to_csv([average_density(profiles)]))
 
-    by_date: dict[str, dict[str, DayMetrics]] = {}
-    for r in all_rows:
-        by_date.setdefault(r.date, {})[r.side] = r
-    xs = [d["B"].omega0 for d in by_date.values()]
-    ys = [d["S"].omega0 for d in by_date.values()]
-    sp = spearman(xs, ys)
-    ks = ks_two_sample(xs, ys)
-    report = {
-        "days": args.days,
-        "spearman_omega0": {"rho": sp.rho, "p_value": sp.p_value, "stars": sp.stars},
-        "ks_omega0": {"statistic": ks.statistic, "p_value": ks.p_value},
-        "p_zero_impact_1pct": zero_impact_probability(all_rows, 0.01),
-        "p_omega_max_above_half": sum(
-            1 for r in all_rows if r.omega_max is not None and r.omega_max > 0.5
-        ) / len(all_rows),
-    }
-    (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    print(json.dumps(report, indent=2, sort_keys=True))
+    report = json.dumps(batch_report(all_rows, 0.01), indent=2, sort_keys=True) + "\n"
+    (out / "report.json").write_text(report)
+    print(report, end="")
+    above_half = sum(1 for r in all_rows if r.omega_max is not None and r.omega_max > 0.5)
+    print(f"omega_max > 0.5 on {above_half / len(all_rows)!r} of the (day, side) rows")
 
 
 if __name__ == "__main__":

@@ -45,15 +45,7 @@ from .grid import PriceGrid
 from .impact import impact_curve, signed_curve_csv
 from .regime import fit_regime, fits_to_csv
 from .response import DEFAULT_BINS, DEFAULT_OMEGA_RANGE, log_bins, response_curves
-from .stats import (
-    DayMetrics,
-    day_metrics_to_csv,
-    distribution_report,
-    ks_two_sample,
-    read_day_metrics,
-    spearman,
-    zero_impact_probability,
-)
+from .stats import batch_report, day_metrics_to_csv, distribution_report, read_day_metrics
 
 EXIT_PARSE = 65
 EXIT_NOCROSS = 66
@@ -293,14 +285,8 @@ def regime(out, log, date, min_points, max_x, approx_slope, full_metrics, grid):
     _write(out / name, fits_to_csv(fits))
     outputs.append(name)
     if full_metrics:
-        k_a, q_a, _ = _uncross(book)  # the metrics read only price and volume
-        rows = [DayMetrics(date=date, side=fit.side, p_a=grid.price_at(k_a), q_a=q_a,
-                           omega0=fit.omega0, delta=fit.delta, l_tilde=fit.l_tilde,
-                           omega_max=fit.omega_max, beta_emp=fit.beta_emp,
-                           beta_theo=fit.beta_theo)
-                for _, fit in fits]
         name = f"{stem}_metrics.csv"
-        _write(out / name, day_metrics_to_csv(rows))
+        _write(out / name, day_metrics_to_csv([fit.metrics(date) for _, fit in fits]))
         outputs.append(name)
     return outputs, f"wrote {', '.join(outputs)}"
 
@@ -391,32 +377,8 @@ def stats(out, metrics, threshold, rcdf_col, kde_col):
     """Batch report over a per-day metrics CSV (see regime --full-metrics)."""
     outputs = []
     rows = read_day_metrics(metrics)
-    by_date: dict[str, dict[str, DayMetrics]] = {}
-    for r in rows:
-        by_date.setdefault(r.date, {})[r.side] = r
-    paired = [(d["B"].omega0, d["S"].omega0) for d in by_date.values()
-              if "B" in d and "S" in d]
-    report: dict = {
-        "n_rows": len(rows),
-        "n_days_paired": len(paired),
-        "p_zero_impact": {
-            "threshold": threshold,
-            "fraction": zero_impact_probability(rows, threshold),
-        },
-    }
-    if len(paired) >= 3:
-        xs = [p[0] for p in paired]
-        ys = [p[1] for p in paired]
-        try:
-            sp = spearman(xs, ys)
-            report["spearman_omega0"] = {"rho": sp.rho, "p_value": sp.p_value,
-                                         "stars": sp.stars}
-        except UncrossError as exc:
-            report["spearman_omega0"] = {"error": str(exc)}
-        ks = ks_two_sample(xs, ys)
-        report["ks_omega0"] = {"statistic": ks.statistic, "p_value": ks.p_value}
     name = "stats_report.json"
-    _write(out / name, json.dumps(report, sort_keys=True, indent=2) + "\n")
+    _write(out / name, json.dumps(batch_report(rows, threshold), sort_keys=True, indent=2) + "\n")
     outputs.append(name)
 
     def column(col: str) -> list[float]:

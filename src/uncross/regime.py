@@ -28,6 +28,7 @@ from .book import AuctionBook
 from .clearing import _uncross
 from .errors import NonPositiveDensity, TooFewPoints
 from .impact import DEFAULT_MAX_X, ImpactCurve, _impact_curve, theoretical_slope
+from .stats import DayMetrics
 
 DEFAULT_MIN_POINTS = 20
 
@@ -183,6 +184,15 @@ class RegimeFit:
     n_points: int
     p_first: float  # first occupied tick past the clearing price
     omega0: float  # zero-impact scaled volume of the side's impact curve
+    p_a: float  # clearing price of the uncrossed book
+    q_a: int  # auction volume at p_a
+
+    def metrics(self, date: str) -> DayMetrics:
+        """This side's row of the per-day metrics table (``uncross stats`` input)."""
+        return DayMetrics(date=date, side=self.side, p_a=self.p_a, q_a=self.q_a,
+                          omega0=self.omega0, delta=self.delta, l_tilde=self.l_tilde,
+                          omega_max=self.omega_max, beta_emp=self.beta_emp,
+                          beta_theo=self.beta_theo)
 
     def csv_row(self, date: str) -> str:
         beta = "" if self.beta_emp is None else repr(self.beta_emp)
@@ -233,6 +243,8 @@ def fit_regime(
         n_points=cp.n_points,
         p_first=p_first,
         omega0=float(curve.omega0),
+        p_a=curve.p_a,
+        q_a=curve.q_a,
     )
 
 

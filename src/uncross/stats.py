@@ -238,6 +238,37 @@ def zero_impact_probability(rows: Sequence[DayMetrics], threshold: float) -> flo
     return hits / len(rows)
 
 
+def batch_report(rows: Sequence[DayMetrics], threshold: float) -> dict:
+    """The ``uncross stats`` report: row and paired-day counts, the zero-impact
+    probability at ``threshold`` and, from 3 days with both sides up, the rank
+    correlation (or why there is none) and KS test of buy against sell ``omega0``."""
+    by_date: dict[str, dict[str, DayMetrics]] = {}
+    for r in rows:
+        by_date.setdefault(r.date, {})[r.side] = r
+    paired = [(d["B"].omega0, d["S"].omega0) for d in by_date.values()
+              if "B" in d and "S" in d]
+    report: dict = {
+        "n_rows": len(rows),
+        "n_days_paired": len(paired),
+        "p_zero_impact": {
+            "threshold": threshold,
+            "fraction": zero_impact_probability(rows, threshold),
+        },
+    }
+    if len(paired) >= 3:
+        xs = [p[0] for p in paired]
+        ys = [p[1] for p in paired]
+        try:
+            sp = spearman(xs, ys)
+            report["spearman_omega0"] = {"rho": sp.rho, "p_value": sp.p_value,
+                                         "stars": sp.stars}
+        except DegenerateSample as exc:
+            report["spearman_omega0"] = {"error": str(exc)}
+        ks = ks_two_sample(xs, ys)
+        report["ks_omega0"] = {"statistic": ks.statistic, "p_value": ks.p_value}
+    return report
+
+
 # ----------------------------------------------------------- distribution views
 
 
@@ -253,26 +284,24 @@ def rcdf(values: Sequence[float]) -> list[tuple[float, float]]:
     return out
 
 
-def kernel_density(
-    values: Sequence[float],
-    grid_points: int = 256,
-    bandwidth: float | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gaussian kernel density on a fixed grid; Silverman bandwidth by default."""
+KDE_GRID_POINTS = 256
+
+
+def kernel_density(values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian kernel density on ``KDE_GRID_POINTS`` points with Silverman's bandwidth."""
     v = np.asarray(values, dtype=float)
     if len(v) < 2:
         raise TooFewPoints(f"need >= 2 values, got {len(v)}")
-    if bandwidth is None:
-        sd = float(v.std(ddof=1))
-        q75, q25 = np.percentile(v, [75, 25])
-        iqr = float(q75 - q25)
-        spread = min(sd, iqr / 1.34) if iqr > 0 else sd
-        if spread == 0:
-            raise DegenerateSample("constant sample has no density estimate")
-        bandwidth = 0.9 * spread * len(v) ** (-0.2)
+    sd = float(v.std(ddof=1))
+    q75, q25 = np.percentile(v, [75, 25])
+    iqr = float(q75 - q25)
+    spread = min(sd, iqr / 1.34) if iqr > 0 else sd
+    if spread == 0:
+        raise DegenerateSample("constant sample has no density estimate")
+    bandwidth = 0.9 * spread * len(v) ** (-0.2)
     lo = float(v.min()) - 5 * bandwidth
     hi = float(v.max()) + 5 * bandwidth
-    grid = np.linspace(lo, hi, grid_points)
+    grid = np.linspace(lo, hi, KDE_GRID_POINTS)
     z = (grid[:, None] - v[None, :]) / bandwidth
     dens = np.exp(-0.5 * z * z).sum(axis=1) / (len(v) * bandwidth * math.sqrt(2 * math.pi))
     return grid, dens

@@ -6,19 +6,32 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+from click.testing import CliRunner
+
 import uncross
+from uncross.cli import main
 from uncross.events import read_events
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_pipeline.py"
 
 
-def test_run_pipeline_writes_its_four_outputs(tmp_path):
+def run_script(out: Path, days: str) -> subprocess.CompletedProcess:
     src = str(Path(uncross.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    res = subprocess.run([sys.executable, str(SCRIPT), "--days", "3", "--seed", "7",
-                          "--out-dir", str(tmp_path)],
-                         env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, str(SCRIPT), "--days", days, "--seed", "7",
+                           "--out-dir", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def cli(*args) -> None:
+    res = CliRunner().invoke(main, [str(a) for a in args])
+    assert res.exit_code == 0, res.output
+
+
+def test_run_pipeline_writes_its_four_outputs(tmp_path):
+    res = run_script(tmp_path, "3")
     assert res.returncode == 0, res.stderr
 
     logs = sorted((tmp_path / "days").iterdir())
@@ -31,10 +44,39 @@ def test_run_pipeline_writes_its_four_outputs(tmp_path):
         (f"day_{i}", s) for i in range(3) for s in "BS"]
 
     report = json.loads((tmp_path / "report.json").read_text())
-    assert report["days"] == 3
-    assert 0 <= report["p_zero_impact_1pct"] <= 1
+    assert report["n_days_paired"] == 3
+    assert 0 <= report["p_zero_impact"]["fraction"] <= 1
 
     with open(tmp_path / "density_profile.csv", newline="") as fh:
         profile = list(csv.DictReader(fh))
     assert len(profile) > 100
     assert {r["n_days"] for r in profile} == {"3"}
+
+    # the script's tables are the CLI's: regime --full-metrics rows, and the stats report
+    cli_rows = []
+    for log in logs:
+        cli("regime", log, "--tick", "0.01", "--ref", "100.0", "--full-metrics",
+            "--out-dir", tmp_path / "cli")
+        lines = (tmp_path / "cli" / f"{log.stem}_metrics.csv").read_text().splitlines(True)
+        cli_rows += lines if not cli_rows else lines[1:]
+    assert (tmp_path / "metrics.csv").read_text() == "".join(cli_rows)
+    cli("stats", tmp_path / "metrics.csv", "--out-dir", tmp_path / "cli")
+    assert (tmp_path / "report.json").read_bytes() == \
+        (tmp_path / "cli" / "stats_report.json").read_bytes()
+
+
+@pytest.mark.parametrize("days", ["1", "2"])
+def test_run_pipeline_reports_fewer_than_three_days_without_rank_statistics(tmp_path, days):
+    res = run_script(tmp_path, days)
+    assert res.returncode == 0, res.stderr
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["n_rows"] == 2 * int(days) and report["n_days_paired"] == int(days)
+    assert "spearman_omega0" not in report and "ks_omega0" not in report
+
+
+@pytest.mark.parametrize("days", ["0", "-1"])
+def test_run_pipeline_refuses_a_day_count_below_one(tmp_path, days):
+    res = run_script(tmp_path, days)
+    assert res.returncode == 2, res.stderr
+    assert "--days" in res.stderr and "Traceback" not in res.stderr
+    assert not (tmp_path / "report.json").exists()

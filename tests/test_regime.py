@@ -308,3 +308,23 @@ class TestFitRegime:
                         assert book.grid.index_of(fit.p_first) in inside
                         fits += 1
         assert fits > 1000
+
+    def test_fit_carries_the_clearing_price_and_volume(self):
+        """The p_a and q_a a fit reports, which its metrics row carries, are
+        those of ``clear`` on the same book, on both sides."""
+        fits = 0
+        for seed in range(300):
+            for make in (random_book, dense_random_book):
+                book = spec_to_book(make(seed))
+                c = clear(book)
+                for side in "BS":
+                    try:
+                        fit = fit_regime(book, side, max_x=1.0, min_points=2)
+                    except TooFewPoints:
+                        continue
+                    assert (fit.p_a, fit.q_a) == (c.p_a, c.q_a)
+                    row = fit.metrics("d")
+                    assert (row.side, row.p_a, row.q_a, row.omega0) == \
+                        (side, c.p_a, c.q_a, fit.omega0)
+                    fits += 1
+        assert fits > 1000
