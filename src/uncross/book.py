@@ -44,7 +44,7 @@ from .grid import PriceGrid
 _PAD = 64
 
 
-@dataclass
+@dataclass(slots=True)
 class OrderRecord:
     """A live order in the registry.
 
@@ -126,17 +126,8 @@ class AuctionBook:
         # a validated event carries a price exactly when its order type has one
         price_index = None if ev.price is None else self.grid.index_of(ev.price)
         self._seq += 1
-        rec = OrderRecord(
-            order_id=ev.order_id,
-            side=ev.side,
-            order_type=ev.order_type,
-            price_index=price_index,
-            quantity=ev.quantity,
-            priority_ts=ev.timestamp,
-            priority_seq=self._seq,
-            latency_flag=ev.latency_flag,
-            account_type=ev.account_type,
-        )
+        rec = OrderRecord(ev.order_id, ev.side, ev.order_type, price_index, ev.quantity,
+                          ev.timestamp, self._seq, ev.latency_flag, ev.account_type)
         self.orders[ev.order_id] = rec
         self._shift_volume(rec, rec.quantity)
 
@@ -188,15 +179,18 @@ class AuctionBook:
 
     def _shift_volume(self, rec: OrderRecord, qty: int) -> None:
         """Add ``qty`` of the order's shares to the book (negative ``qty`` removes)."""
-        if not rec.is_resting:
+        order_type = rec.order_type
+        if order_type == "STOP":
             return  # dormant stop orders carry no book volume
-        if rec.is_market:
+        if order_type == "MARKET":
             if rec.side == "B":
                 self.buy_market_total += qty
             else:
                 self.sell_market_total += qty
             return
-        i = self._slot(rec.price_index)
+        i = rec.price_index - self.lo_index
+        if not 0 < i < len(self.buy_levels) - 1:  # inside, neither edge: no growth due
+            i = self._slot(rec.price_index)
         levels = self.buy_levels if rec.side == "B" else self.sell_levels
         levels[i] += qty
 

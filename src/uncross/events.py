@@ -11,9 +11,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ParseError, UncrossError
 
@@ -38,21 +37,11 @@ CSV_HEADER = [
 # (field, allowed values) of every enumerated event field, in validation order
 _ENUMS = (("action", ACTIONS), ("side", SIDES), ("order_type", ORDER_TYPES),
           ("latency_flag", LATENCY_FLAGS), ("account_type", ACCOUNT_TYPES))
+_ACTION_SET, _SIDE_SET, _TYPE_SET, _LATENCY_SET, _ACCOUNT_SET = (
+    frozenset(allowed) for _, allowed in _ENUMS)
 
 
-@dataclass(frozen=True)
-class OrderEvent:
-    """A single submit/modify/cancel message.
-
-    An event is validated once, when it is built.  For MODIFY,
-    ``price``/``quantity``/``order_type`` carry the new values; a MODIFY that
-    changes a STOP order's type to LIMIT or MARKET activates it.  A CANCEL or
-    MODIFY must name the live order's side, and a CANCEL its type and (when
-    given) its price; a CANCEL's quantity is informational.
-    ``path``/``line`` locate an event read from a log; they are None for an
-    event built by hand and take no part in comparisons.
-    """
-
+class _EventFields(NamedTuple):
     timestamp: int  # microseconds
     order_id: str
     action: str
@@ -62,17 +51,66 @@ class OrderEvent:
     quantity: int
     latency_flag: str = "NON"
     account_type: str = "CLIENT"
-    path: str | None = field(default=None, compare=False, repr=False, kw_only=True)
-    line: int | None = field(default=None, compare=False, repr=False, kw_only=True)
+    path: str | None = None
+    line: int | None = None
 
-    def __post_init__(self):
+
+class OrderEvent(_EventFields):
+    """A single submit/modify/cancel message: an immutable, tuple-backed record.
+
+    An event is validated when it is built (``_make``/``_replace`` too) and
+    cannot change.  For MODIFY, ``price``/``quantity``/``order_type`` carry
+    the new values; a MODIFY that changes a STOP order's type to LIMIT or
+    MARKET activates it.  A CANCEL or MODIFY must name the live order's side,
+    and a CANCEL its type and (when given) its price; a CANCEL's quantity is
+    informational.  ``path``/``line``, the last two fields and keyword-only,
+    locate an event read from a log; they are None for a hand-built event and
+    take no part in ``==`` or repr, which read the first nine.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, timestamp, order_id, action, side, order_type, price, quantity,
+                latency_flag="NON", account_type="CLIENT", *, path=None, line=None):
+        self = tuple.__new__(cls, (timestamp, order_id, action, side, order_type, price,
+                                   quantity, latency_flag, account_type, path, line))
         self.validate()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        self = super()._make(iterable)
+        self.validate()
+        return self
+
+    def __getnewargs_ex__(self):
+        return tuple(self[:9]), {"path": self.path, "line": self.line}
+
+    def __eq__(self, other):
+        return self[:9] == other[:9] if other.__class__ is self.__class__ else NotImplemented
+
+    def __ne__(self, other):
+        return self[:9] != other[:9] if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self[:9])
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields[:9], self))
+        return f"{self.__class__.__qualname__}({fields})"
 
     def validate(self) -> None:
-        for name, allowed in _ENUMS:
-            value = getattr(self, name)
-            if value not in allowed:
-                raise ParseError(f"unknown {name} {value!r}; expected one of {allowed}")
+        try:
+            known = (self.action in _ACTION_SET and self.side in _SIDE_SET
+                     and self.order_type in _TYPE_SET and self.latency_flag in _LATENCY_SET
+                     and self.account_type in _ACCOUNT_SET)
+        except TypeError:  # an unhashable value is in no set
+            known = False
+        if not known:  # name the first bad field
+            for name, allowed in _ENUMS:
+                value = getattr(self, name)
+                if value not in allowed:
+                    raise ParseError(f"unknown {name} {value!r}; expected one of {allowed}")
         if self.order_type == "MARKET":
             if self.price is not None:
                 raise ParseError("MARKET order must not carry a price")
@@ -81,35 +119,6 @@ class OrderEvent:
             raise ParseError(f"{self.order_type} order requires a price")
         if self.price is not None and not 0 < self.price < math.inf:  # NaN fails too
             raise ParseError(f"price must be positive and finite, got {self.price}")
-
-
-def _parse_row(row: list[str], line: int, path: str | None) -> OrderEvent:
-    if len(row) != len(CSV_HEADER):
-        raise ParseError(
-            f"expected {len(CSV_HEADER)} fields, got {len(row)}", line=line, path=path
-        )
-    ts, oid, action, side, otype, price_s, qty_s, lat, acct = row
-    try:
-        timestamp = int(ts)
-    except ValueError:
-        raise ParseError(f"bad timestamp_us {ts!r}", line=line, path=path) from None
-    price: float | None
-    if price_s == "":
-        price = None
-    else:
-        try:
-            price = float(price_s)
-        except ValueError:
-            raise ParseError(f"bad price {price_s!r}", line=line, path=path) from None
-    try:
-        qty = int(qty_s)
-    except ValueError:
-        raise ParseError(f"bad qty {qty_s!r}", line=line, path=path) from None
-    try:
-        return OrderEvent(timestamp, oid, action, side, otype, price, qty, lat, acct,
-                          path=path, line=line)
-    except ParseError as exc:
-        raise ParseError(str(exc), line=line, path=path) from None
 
 
 def _located(ev: OrderEvent, exc: UncrossError) -> UncrossError:
@@ -125,28 +134,46 @@ def read_events(path: str | Path) -> Iterator[OrderEvent]:
     Timestamps must be nondecreasing: a row earlier than the one before it is
     a bad row.
     """
-    path = Path(path)
+    name = str(path)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
-            raise ParseError("empty file", line=1, path=str(path)) from None
+            raise ParseError("empty file", line=1, path=name) from None
         if header != CSV_HEADER:
             raise ParseError(
-                f"bad header {header!r}; expected {CSV_HEADER!r}", line=1, path=str(path)
+                f"bad header {header!r}; expected {CSV_HEADER!r}", line=1, path=name
             )
         last_ts: int | None = None
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
-            ev = _parse_row(row, line_no, str(path))
-            if last_ts is not None and ev.timestamp < last_ts:
-                raise ParseError(
-                    f"timestamp_us {ev.timestamp} is earlier than the previous row's {last_ts}",
-                    line=line_no, path=str(path),
-                )
-            last_ts = ev.timestamp
+            if len(row) != len(CSV_HEADER):
+                raise ParseError(f"expected {len(CSV_HEADER)} fields, got {len(row)}",
+                                 line=line_no, path=name)
+            ts, oid, action, side, otype, price_s, qty_s, lat, acct = row
+            try:
+                timestamp = int(ts)
+            except ValueError:
+                raise ParseError(f"bad timestamp_us {ts!r}", line=line_no, path=name) from None
+            try:
+                price = float(price_s) if price_s else None
+            except ValueError:
+                raise ParseError(f"bad price {price_s!r}", line=line_no, path=name) from None
+            try:
+                qty = int(qty_s)
+            except ValueError:
+                raise ParseError(f"bad qty {qty_s!r}", line=line_no, path=name) from None
+            try:
+                ev = OrderEvent(timestamp, oid, action, side, otype, price, qty, lat, acct,
+                                path=name, line=line_no)
+            except ParseError as exc:
+                raise ParseError(str(exc), line=line_no, path=name) from None
+            if last_ts is not None and timestamp < last_ts:
+                raise ParseError(f"timestamp_us {timestamp} is earlier than the previous row's "
+                                 f"{last_ts}", line=line_no, path=name)
+            last_ts = timestamp
             yield ev
 
 

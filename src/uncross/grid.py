@@ -64,7 +64,8 @@ class PriceGrid:
         """Snap a price to its tick index, raising OffGridPrice if it is not on the grid."""
         ticks = (price - self.anchor) / self.tick_size
         k = round(ticks) if abs(ticks) < _MAX_TICKS else None  # None also for NaN
-        if k is None or abs(self.price_at(k) - price) > _SNAP_RTOL * self.tick_size:
+        # price_at(k), inlined
+        if k is None or abs(self.anchor + k * self.tick_size - price) > _SNAP_RTOL * self.tick_size:
             raise OffGridPrice(
                 f"price {price!r} is not on the grid (tick={self.tick_size}, anchor={self.anchor})"
             )

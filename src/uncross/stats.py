@@ -191,9 +191,11 @@ def read_day_metrics(path) -> list[DayMetrics]:
     """Rows of a per-day metrics CSV.
 
     A row with a number that is not finite, ``q_a < 1``, ``p_a <= 0`` or
-    ``omega0 < 0`` is a ParseError at its line.
+    ``omega0 < 0``, a side other than B or S, or an earlier row's ``(date, side)``
+    is a ParseError at its line.
     """
     rows = []
+    seen: dict[tuple[str, str], int] = {}  # (date, side) -> line
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         expected = DAY_METRICS_HEADER.split(",")
@@ -217,6 +219,11 @@ def read_day_metrics(path) -> list[DayMetrics]:
                 )
                 if row.q_a < 1 or row.p_a <= 0 or row.omega0 < 0:
                     raise ValueError("need q_a >= 1, p_a > 0 and omega0 >= 0")
+                if row.side not in ("B", "S"):
+                    raise ValueError(f"side must be B or S, got {row.side!r}")
+                first = seen.setdefault((row.date, row.side), line_no)
+                if first != line_no:
+                    raise ValueError(f"date {row.date!r} side {row.side} repeats line {first}")
             except (ValueError, TypeError, KeyError) as exc:  # TypeError: a short row
                 raise ParseError(f"bad day metrics row: {exc}", line=line_no, path=str(path))
             rows.append(row)

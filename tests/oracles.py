@@ -257,3 +257,27 @@ def naive_changepoint(xs, rhos) -> tuple[float, float, int, int, float]:
     best_j = int(np.nonzero(costs <= cmin + tol)[0][-1])  # widest window on ties
     m = best_j + 1
     return float(x[best_j]), float(r[:m].mean()), n, m, float(costs[best_j])
+
+
+def naive_validate(ev) -> None:
+    """The per-field event check: each enumerated field against its tuple of
+    allowed values, then the price rules, reading ``ev``'s attributes one by one."""
+    import math
+
+    from uncross.errors import ParseError
+    from uncross.events import (
+        ACCOUNT_TYPES, ACTIONS, LATENCY_FLAGS, ORDER_TYPES, SIDES,
+    )
+
+    for name, allowed in (("action", ACTIONS), ("side", SIDES), ("order_type", ORDER_TYPES),
+                          ("latency_flag", LATENCY_FLAGS), ("account_type", ACCOUNT_TYPES)):
+        value = getattr(ev, name)
+        if value not in allowed:
+            raise ParseError(f"unknown {name} {value!r}; expected one of {allowed}")
+    if ev.order_type == "MARKET":
+        if ev.price is not None:
+            raise ParseError("MARKET order must not carry a price")
+    elif ev.price is None and ev.action != "CANCEL":
+        raise ParseError(f"{ev.order_type} order requires a price")
+    if ev.price is not None and not 0 < ev.price < math.inf:
+        raise ParseError(f"price must be positive and finite, got {ev.price}")

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uncross.book import AuctionBook
@@ -251,23 +251,41 @@ def test_supply_monotone_demand_antitone(levels, mb, ms):
 @given(
     # (tick, anchor, reference): the last puts the reference five ticks above zero
     st.sampled_from([(0.1, 10.0, 10.0), (1.0, 1.0, 1.0), (0.5, 3.0, 200.0), (0.01, 0.0, 0.05)]),
-    st.lists(st.tuples(st.sampled_from("BS"), st.integers(-3000, 3000), st.booleans()),
+    # a tick offset from the reference, or the window's current lowest/highest tick
+    st.lists(st.tuples(st.sampled_from("BS"),
+                       st.one_of(st.integers(-3000, 3000), st.sampled_from(["lo", "hi"])),
+                       st.booleans()),
              max_size=30),
 )
+@example((0.1, 10.0, 10.0), [("B", "lo", False), ("S", "hi", False)])
 @settings(max_examples=200, deadline=None)
 def test_level_window_always_holds_the_reference_tick(grid_args, orders):
     """Clearing scans only the level window, so it must hold the reference tick
-    after any replay, including far SUBMIT/CANCEL pairs that grow it."""
+    after any replay, including far SUBMIT/CANCEL pairs that grow it.  The
+    window's end ticks stay empty (the uncrossing's sentinels, on which the
+    certified indicative reads rely), except at the smallest positive-price tick."""
     grid = PriceGrid(*grid_args)
     book = AuctionBook(grid)
 
     def holds_reference():
         return book.lo_index <= grid.reference_index < book.lo_index + len(book.buy_levels)
 
-    assert holds_reference()
+    def keeps_sentinels():
+        low_empty = book.buy_levels[0] == book.sell_levels[0] == 0
+        high_empty = book.buy_levels[-1] == book.sell_levels[-1] == 0
+        return (low_empty or book.lo_index == grid.min_price_index) and high_empty
+
+    assert holds_reference() and keeps_sentinels()
     for t, (side, offset, cancel) in enumerate(orders):
-        price = grid.price_at(max(grid.reference_index + offset, grid.min_price_index))
+        if offset == "lo":
+            k = book.lo_index
+        elif offset == "hi":
+            k = book.lo_index + len(book.buy_levels) - 1
+        else:
+            k = grid.reference_index + offset
+        price = grid.price_at(max(k, grid.min_price_index))
         book.apply(OrderEvent(t, f"o{t}", "SUBMIT", side, "LIMIT", price, 5))
+        assert holds_reference() and keeps_sentinels()
         if cancel:
             book.apply(OrderEvent(t, f"o{t}", "CANCEL", side, "LIMIT", price, 5))
-        assert holds_reference()
+            assert holds_reference() and keeps_sentinels()

@@ -160,6 +160,29 @@ def test_bad_day_metrics_row_is_parse_error(tmp_path, field, value):
     assert not (tmp_path / "out").exists() or list((tmp_path / "out").iterdir()) == []
 
 
+def test_metrics_row_repeating_a_day_and_side_is_parse_error(tmp_path):
+    """Two rows for one (date, side) would be merged in the paired statistics."""
+    metrics = _metrics_csv(tmp_path / "metrics.csv", [(0.01, 0.02), (0.03, 0.04)])
+    header, *rows = metrics.read_text().splitlines()
+    metrics.write_text("\n".join([header, *rows, rows[0]]) + "\n")
+    res = run(["stats", str(metrics), "--out-dir", str(tmp_path / "out")])
+    assert res.exit_code == EXIT_PARSE, res.output
+    assert (f"{metrics}:6: bad day metrics row: date '2017-05-01' side B repeats line 2"
+            in res.output)
+    assert not (tmp_path / "out").exists() or list((tmp_path / "out").iterdir()) == []
+
+
+def test_metrics_row_on_an_unknown_side_is_parse_error(tmp_path):
+    metrics = _metrics_csv(tmp_path / "metrics.csv", [(0.01, 0.02), (0.03, 0.04)])
+    header, *rows = metrics.read_text().splitlines()
+    rows[3] = rows[3].replace(",S,", ",X,", 1)
+    metrics.write_text("\n".join([header, *rows]) + "\n")
+    res = run(["stats", str(metrics), "--out-dir", str(tmp_path / "out")])
+    assert res.exit_code == EXIT_PARSE, res.output
+    assert f"{metrics}:5: bad day metrics row: side must be B or S, got 'X'" in res.output
+    assert not (tmp_path / "out").exists() or list((tmp_path / "out").iterdir()) == []
+
+
 def test_series_rows_without_a_fit_keep_price_and_volume(workspace, tmp_path):
     res = run(["series", str(workspace / "day.csv"), "--grid", str(workspace / "day_meta.json"),
                "--interval", "60", "--min-points", "1000000", "--out-dir", str(tmp_path)])

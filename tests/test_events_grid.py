@@ -1,16 +1,30 @@
+import copy
 import math
+import pickle
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from uncross.book import AuctionBook
 from uncross.errors import OffGridPrice, ParseError
 from uncross.events import (
+    ACCOUNT_TYPES,
+    ACTIONS,
     CSV_HEADER,
+    LATENCY_FLAGS,
+    ORDER_TYPES,
+    SIDES,
     OrderEvent,
     format_event,
     read_events,
     write_events,
 )
+from uncross.flowgen import FlowConfig, generate
 from uncross.grid import PriceGrid
+
+from oracles import naive_validate
 
 
 class TestGrid:
@@ -106,3 +120,113 @@ class TestEventCsv:
     def test_limit_without_price_rejected(self):
         with pytest.raises(ParseError):
             OrderEvent(0, "a", "SUBMIT", "B", "LIMIT", None, 5).validate()
+
+
+class TestEventRecord:
+    """An event stays valid because nothing can change it after it is built."""
+
+    def event(self, **where):
+        return OrderEvent(4, "a", "SUBMIT", "B", "LIMIT", 10.0, 5, "HFT", "OWN", **where)
+
+    def test_fields_cannot_be_assigned(self):
+        ev = self.event()
+        with pytest.raises(AttributeError):
+            ev.side = "X"
+        with pytest.raises(AttributeError):
+            ev.note = "anything"
+        assert ev.side == "B"
+
+    def test_location_takes_no_part_in_comparisons(self):
+        read = self.event(path="day.csv", line=7)
+        built = self.event()
+        assert read == built and not read != built
+        assert hash(read) == hash(built)
+        assert len({read, built}) == 1
+        assert read != self.event(path="day.csv", line=7)._replace(quantity=6)
+
+    def test_repr_names_the_nine_columns(self):
+        assert repr(self.event(path="day.csv", line=7)) == (
+            "OrderEvent(timestamp=4, order_id='a', action='SUBMIT', side='B', "
+            "order_type='LIMIT', price=10.0, quantity=5, latency_flag='HFT', "
+            "account_type='OWN')"
+        )
+
+    @pytest.mark.parametrize("clone", [
+        *(lambda ev, p=p: pickle.loads(pickle.dumps(ev, protocol=p))
+          for p in range(pickle.HIGHEST_PROTOCOL + 1)),
+        copy.copy, copy.deepcopy,
+    ])
+    def test_pickle_and_copy_keep_the_location(self, clone):
+        ev = self.event(path="day.csv", line=7)
+        back = clone(ev)
+        assert type(back) is OrderEvent and back == ev
+        assert (back.path, back.line) == ("day.csv", 7)
+
+    def test_make_and_replace_validate(self):
+        ev = self.event(path="day.csv", line=7)
+        with pytest.raises(ParseError, match="unknown side 'X'"):
+            ev._replace(side="X")
+        with pytest.raises(ParseError, match="MARKET order must not carry a price"):
+            ev._replace(order_type="MARKET")
+        with pytest.raises(ParseError, match="price must be positive"):
+            OrderEvent._make([*ev[:5], -1.0, *ev[6:]])
+        moved = ev._replace(price=10.1)
+        assert moved.price == 10.1 and (moved.path, moved.line) == ("day.csv", 7)
+        assert OrderEvent._make(ev) == ev
+
+
+def _enum_values(valid):
+    """Every valid value of one field plus values no field allows, an unhashable one included."""
+    return st.sampled_from([*valid, "", "X", "b", "limit", None, 0, ("B",), ["B"]])
+
+
+@given(
+    action=_enum_values(ACTIONS),
+    side=_enum_values(SIDES),
+    order_type=_enum_values(ORDER_TYPES),
+    latency_flag=_enum_values(LATENCY_FLAGS),
+    account_type=_enum_values(ACCOUNT_TYPES),
+    price=st.sampled_from([None, 0, 0.0, -1.0, -0.01, math.nan, math.inf, -math.inf,
+                           0.01, 10.0, 7]),
+)
+@settings(max_examples=600, deadline=None)
+def test_validation_matches_the_per_field_oracle(**fields):
+    """The frozenset check accepts exactly what the per-field loop accepts and
+    refuses the rest with the same message."""
+    try:
+        naive_validate(SimpleNamespace(**fields))
+        want = None
+    except ParseError as exc:
+        want = str(exc)
+    args = (1, "o1", fields["action"], fields["side"], fields["order_type"], fields["price"], 5,
+            fields["latency_flag"], fields["account_type"])
+    try:
+        OrderEvent(*args, path="day.csv", line=2)
+        got = None
+    except ParseError as exc:
+        got = str(exc)
+    assert got == want
+
+
+def test_replay_snaps_each_priced_row_once(tmp_path, monkeypatch):
+    """Replaying a log snaps every price to its tick once: a second snap per row
+    would show up here before it shows up in a timing."""
+    cfg = FlowConfig(seed=5, total_shares_per_side=20_000, n_levels=60,
+                     market_shares_per_side=1_000, cancellation_rate=0.5)
+    events, _, meta = generate(cfg)
+    log = tmp_path / "day.csv"
+    write_events(log, events)
+    calls = 0
+    index_of = PriceGrid.index_of
+
+    def counted(grid, price):
+        nonlocal calls
+        calls += 1
+        return index_of(grid, price)
+
+    grid = PriceGrid(meta["tick_size"], meta["anchor"], meta["reference_price"])
+    monkeypatch.setattr(PriceGrid, "index_of", counted)
+    AuctionBook(grid).replay(read_events(log))
+    priced = sum(ev.price is not None for ev in events)
+    assert any(ev.action == "CANCEL" and ev.price is not None for ev in events)
+    assert 0 < calls <= priced
