@@ -49,7 +49,7 @@ def run_day(i: int, seed: int, out: Path) -> tuple[list[DayMetrics], dict]:
     grid = PriceGrid(meta["tick_size"], meta["anchor"], meta["reference_price"])
     book = AuctionBook(grid).replay(events)
     fits = [fit_regime(book, side) for side in "BS"]
-    profile = day_profile(book, fits[0].p_a, fits[0].q_a)[None]
+    profile = day_profile(book)[None]
     return [fit.metrics(f"day_{i}") for fit in fits], {"truth": truth, "profile": profile}
 
 

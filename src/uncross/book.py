@@ -78,10 +78,10 @@ class AuctionBook:
     """Book state; ``buy_levels[i]``/``sell_levels[i]`` rest at tick ``lo_index + i``."""
 
     grid: PriceGrid
-    buy_market_total: int = 0
-    sell_market_total: int = 0
-    orders: dict[str, OrderRecord] = field(default_factory=dict)
-    _seq: int = 0
+    buy_market_total: int = field(default=0, init=False)
+    sell_market_total: int = field(default=0, init=False)
+    orders: dict[str, OrderRecord] = field(default_factory=dict, init=False)
+    _seq: int = field(default=0, init=False)
     lo_index: int = field(init=False, repr=False, compare=False)
     buy_levels: np.ndarray = field(init=False, repr=False, compare=False)
     sell_levels: np.ndarray = field(init=False, repr=False, compare=False)

@@ -34,21 +34,24 @@ from .grid import PriceGrid
 
 
 def uncross_values(
-    vb: np.ndarray,
-    vs: np.ndarray,
-    buy_market: int,
-    sell_market: int,
-    lo_index: int,
-    ref_index: int,
+    book: AuctionBook, side: str | None = None, market_delta: int = 0
 ) -> tuple[int, int, int, int]:
-    """Run the full rule chain over per-tick volume arrays.
+    """Run the full rule chain over the book's level arrays.
+
+    ``market_delta`` shares are added to the market total of ``side`` (removed
+    when negative) for this scan only.  The scan covers the book's tick window,
+    which holds the reference tick and never reaches below the smallest
+    positive-price tick: an auction cannot clear at a non-positive price.
 
     Returns (clearing tick index, cleared volume q, signed imbalance S - D,
     margin): q minus the most any other tick executes, 0 when ticks tie at q.
     Raises NoCross when the maximal executable volume is zero.
     """
-    supply = sell_market + np.cumsum(vs)
-    demand = buy_market + np.cumsum(vb[::-1])[::-1]
+    lo_index = book.lo_index
+    supply = (book.sell_market_total + (market_delta if side == "S" else 0)
+              + np.cumsum(book.sell_levels))
+    demand = (book.buy_market_total + (market_delta if side == "B" else 0)
+              + np.cumsum(book.buy_levels[::-1])[::-1])
     executable = np.minimum(supply, demand)
     q = int(executable.max())
     if q <= 0:
@@ -59,30 +62,10 @@ def uncross_values(
     margin = q - int(executable.max())
     abs_imb = np.abs(imbalance[candidates])
     candidates = candidates[abs_imb == abs_imb.min()]
-    dist = np.abs(candidates + lo_index - ref_index)
+    dist = np.abs(candidates + lo_index - book.grid.reference_index)
     candidates = candidates[dist == dist.min()]
     k = int(candidates[0])  # lowest price among remaining ties
     return k + lo_index, q, int(imbalance[k]), margin
-
-
-def _uncross(
-    book: AuctionBook, side: str | None = None, market_delta: int = 0
-) -> tuple[int, int, int]:
-    """``uncross_values`` over the book's level arrays, without the margin.
-
-    ``market_delta`` shares are added to the market total of ``side`` (removed
-    when negative) for this scan only.  The scan covers the book's tick window,
-    which holds the reference tick and never reaches below the smallest
-    positive-price tick: an auction cannot clear at a non-positive price.
-    """
-    return uncross_values(
-        book.buy_levels,
-        book.sell_levels,
-        book.buy_market_total + (market_delta if side == "B" else 0),
-        book.sell_market_total + (market_delta if side == "S" else 0),
-        book.lo_index,
-        book.grid.reference_index,
-    )[:3]
 
 
 @dataclass(frozen=True)
@@ -198,7 +181,7 @@ def _fill_side(eligible: int, market: int, at: int, q_a: int) -> tuple[int, int,
 
 def clear(book: AuctionBook) -> ClearingResult:
     """Uncross the book, allocate fills, and return the full clearing record."""
-    k_a, q_a, imb = _uncross(book)
+    k_a, q_a, imb, _ = uncross_values(book)
     vb_at, vs_at = book.volume_at(k_a)
     # q_a = min(S, D) and imb = S - D at the clearing tick
     supply_at, demand_at = q_a + max(imb, 0), q_a + max(-imb, 0)
@@ -232,7 +215,7 @@ class IndicativePoint:
 def _indicative(book: AuctionBook) -> tuple[int, int, int] | None:
     """Current (price index, volume, imbalance) of the book, or None without a cross."""
     try:
-        return _uncross(book)
+        return uncross_values(book)[:3]
     except NoCross:
         return None
 

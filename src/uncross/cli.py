@@ -36,7 +36,7 @@ import click
 
 from . import __version__
 from .book import AuctionBook
-from .clearing import _snapshots, _uncross, clear, series_to_csv
+from .clearing import _snapshots, clear, series_to_csv
 from .density import average_density, day_profile, profiles_to_csv
 from .errors import NoCross, OffGridPrice, ParseError, TooFewPoints, UncrossError
 from .events import format_price, read_events, write_events
@@ -250,8 +250,7 @@ def density(out, logs, dx, group, grid):
     daily = []
     for log in logs:
         book = AuctionBook(grid).replay(read_events(log))
-        k_a, q_a, _ = _uncross(book)  # the profile reads only price and volume
-        daily.append(day_profile(book, grid.price_at(k_a), q_a, dx=dx * 1e-4, group_by=group))
+        daily.append(day_profile(book, dx=dx * 1e-4, group_by=group))
     keys = sorted(daily[0].keys(), key=lambda k: (k is None, k))
     averaged = [average_density([d[k] for d in daily]) for k in keys]
     name = "density_profile.csv"
@@ -274,6 +273,10 @@ def regime(out, log, date, min_points, max_x, approx_slope, full_metrics, grid):
     """Constant-density window, liquidity, and impact slopes per side."""
     stem = Path(log).stem
     date = date or stem
+    if any(c in date for c in ',"\r\n'):
+        raise click.BadParameter(
+            f"{date!r} holds a comma, quote or line break, which would break the CSV rows; "
+            "without --date the label is the log's file name stem.", param_hint="'--date'")
     outputs = []
     book = AuctionBook(grid).replay(read_events(log))
     fits = [
@@ -314,7 +317,7 @@ def response(out, log, warmup, with_cancels, bins, omega_lo, omega_hi, grid):
     curve = response_curves(
         read_events(log), grid,
         bins=edges,
-        warmup_us=int(warmup * 1e6),
+        warmup_us=round(warmup * 1e6),
         with_cancels=with_cancels,
     )
     name = f"{Path(log).stem}_response.csv"
@@ -335,7 +338,7 @@ def series(out, log, interval, min_points, max_x, grid):
     book = AuctionBook(grid)
     points = []
     liq_rows: list[str] = []
-    for pt in _snapshots(read_events(log), book, int(interval * 1e6)):
+    for pt in _snapshots(read_events(log), book, round(interval * 1e6)):
         points.append(pt)
         t, q_ind = pt.t, pt.q_ind
         if not pt.crossed:

@@ -1,8 +1,8 @@
 """Binned book density profiles and their cross-day average.
 
 Each day's resting limit volume is binned by log-price distance from the
-clearing price in fixed bins of width ``dx`` and scaled by the day's auction
-volume, so profiles of different days average bin by bin.
+book's own clearing price in fixed bins of width ``dx`` and scaled by its
+auction volume, so profiles of different days average bin by bin.
 """
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .book import AuctionBook
+from .clearing import uncross_values
 from .errors import MismatchedBinning
 from .events import ACCOUNT_TYPES, LATENCY_FLAGS
 
@@ -44,25 +45,22 @@ class DensityProfile:
 
 
 def day_profile(
-    book: AuctionBook,
-    auction_price: float,
-    q_a: int,
-    dx: float = DEFAULT_DX,
-    group_by: str | None = None,
+    book: AuctionBook, dx: float = DEFAULT_DX, group_by: str | None = None
 ) -> dict[str | None, DensityProfile]:
     """Bin one day's book into density profiles, optionally split by a flag.
 
-    ``group_by`` is ``"latency"`` or ``"account"``; None gives a single profile
-    keyed by None.  Grouped profiles sum to the ungrouped one bin by bin.
+    The profile uncrosses the book itself (NoCross without a cross) and bins
+    around its clearing price, scaled by its auction volume.  ``group_by`` is
+    ``"latency"`` or ``"account"``; None gives a single profile keyed by None.
+    Grouped profiles sum to the ungrouped one bin by bin.
     """
-    if q_a <= 0:
-        raise ValueError(f"q_a must be positive, got {q_a}")
     if dx <= 0:
         raise ValueError(f"dx must be positive, got {dx}")
     if group_by not in _GROUPS:
         raise ValueError(f"group_by must be None, 'latency' or 'account', got {group_by!r}")
     grid = book.grid
-    grid.index_of(auction_price)
+    k_a, q_a, _, _ = uncross_values(book)
+    auction_price = grid.price_at(k_a)
 
     flag, keys = _GROUPS[group_by]
     shares_b: dict[str | None, dict[int, int]] = {k: {} for k in keys}

@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass, field, asdict
 
 from .book import AuctionBook
-from .clearing import _uncross
+from .clearing import uncross_values
 from .errors import InfeasibleConfig
 from .events import ACCOUNT_TYPES, LATENCY_FLAGS, OrderEvent
 from .grid import PriceGrid
@@ -287,7 +287,7 @@ def generate(cfg: FlowConfig) -> tuple[list[OrderEvent], dict, dict]:
     events.sort(key=lambda ev: ev.timestamp)  # stable: ties keep their drawing order
 
     # the replay checks the log; the realized clearing needs only price and volume
-    k_a, q_a, _ = _uncross(AuctionBook(grid).replay(events))
+    k_a, q_a, _, _ = uncross_values(AuctionBook(grid).replay(events))
     theta_x = cfg.tick_size / cfg.fundamental_price
     # ground truth describes the joint buy+sell density the fits should see:
     # above the price that is the sell ladder, below it the buy ladder

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .book import AuctionBook
-from .clearing import ClearingResult, _uncross
+from .clearing import ClearingResult, uncross_values
 from .errors import (
     BeyondTruncation,
     DegenerateAuction,
@@ -192,7 +192,7 @@ def inject_and_reclear(book: AuctionBook, side: str, q: int) -> float:
     """
     if q < 0 or q != int(q):
         raise ValueError("injected volume must be a non-negative integer")
-    return _reclear(book, side, q)
+    return book.grid.price_at(uncross_values(book, side, q)[0])
 
 
 def cancel_market_and_reclear(book: AuctionBook, side: str, q: int) -> float:
@@ -202,13 +202,7 @@ def cancel_market_and_reclear(book: AuctionBook, side: str, q: int) -> float:
     total = book.buy_market_total if side == "B" else book.sell_market_total
     if q > total:
         raise ValueError(f"cannot cancel {q} market shares; only {total} resting")
-    return _reclear(book, side, -q)
-
-
-def _reclear(book: AuctionBook, side: str, market_delta: int) -> float:
-    """Clearing price with ``market_delta`` market shares added to a side (negative removes)."""
-    k, _, _ = _uncross(book, side=side, market_delta=market_delta)
-    return book.grid.price_at(k)
+    return book.grid.price_at(uncross_values(book, side, -q)[0])
 
 
 # ------------------------------------------------------------------ scalars

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .book import AuctionBook
-from .clearing import _uncross
+from .clearing import uncross_values
 from .errors import NonPositiveDensity, TooFewPoints
 from .impact import DEFAULT_MAX_X, ImpactCurve, _impact_curve, theoretical_slope
 from .stats import DayMetrics
@@ -219,7 +219,7 @@ def fit_regime(
     density samples, the impact curve and the window volume; the window's
     ticks (``0 < x <= delta <= max_x``) are a prefix of it.
     """
-    k_a, q_a, imbalance = _uncross(book)
+    k_a, q_a, imbalance, _ = uncross_values(book)
     walk = book.levels_past(k_a, side, max_x)
     xs, rhos = _density_samples(walk, book.grid.tick_size, q_a, max_x)
     cp = changepoint(xs, rhos, min_points=min_points)

@@ -147,11 +147,8 @@ class _Indicative:
     def read(self) -> tuple[int, int, int] | None:
         """(price tick, volume, imbalance S - D) now, or None without a cross."""
         if self.k is None:
-            b = self.book
             try:
-                self.k, q, imb, self.budget = uncross_values(
-                    b.buy_levels, b.sell_levels, b.buy_market_total, b.sell_market_total,
-                    b.lo_index, b.grid.reference_index)
+                self.k, q, imb, self.budget = uncross_values(self.book)
             except NoCross:
                 return None
             self.supply, self.demand = q + max(imb, 0), q + max(-imb, 0)

@@ -1,10 +1,13 @@
+import ast
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import uncross
 from uncross.book import AuctionBook
 from uncross.errors import (
     ContradictsLiveOrder,
@@ -289,3 +292,37 @@ def test_level_window_always_holds_the_reference_tick(grid_args, orders):
         if cancel:
             book.apply(OrderEvent(t, f"o{t}", "CANCEL", side, "LIMIT", price, 5))
             assert holds_reference() and keeps_sentinels()
+
+
+@pytest.mark.parametrize("name", ["buy_market_total", "sell_market_total", "orders", "_seq"])
+def test_a_book_is_built_from_its_grid_alone(name):
+    """A book's state comes from events only: an orderless book cannot be
+    handed market volume or orders at construction."""
+    with pytest.raises(TypeError):
+        AuctionBook(grid10(), **{name: 1})
+
+
+LEVEL_FORMAT = frozenset({"buy_levels", "sell_levels", "lo_index"})
+
+
+def _level_reads(node, scope):
+    """``scope`` of every attribute read (or ``getattr`` name) of the level format under ``node``."""
+    if isinstance(node, ast.Attribute) and node.attr in LEVEL_FORMAT:
+        yield scope, node.lineno
+    if isinstance(node, ast.Constant) and node.value in LEVEL_FORMAT:
+        yield scope, node.lineno
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        scope = f"{scope}.{node.name}"
+    for child in ast.iter_child_nodes(node):
+        yield from _level_reads(child, scope)
+
+
+def test_only_the_book_and_the_scan_read_the_level_arrays():
+    """Outside ``book.py`` the dense level arrays are read only by the one
+    uncrossing scan, ``clearing.uncross_values``, so a change of the level
+    format touches the book and that scan alone."""
+    reads = []
+    for path in sorted(Path(uncross.__file__).parent.glob("*.py")):
+        if path.name != "book.py":
+            reads += _level_reads(ast.parse(path.read_text()), path.stem)
+    assert {scope for scope, _ in reads} == {"clearing.uncross_values"}, reads

@@ -137,9 +137,7 @@ def test_margin_is_the_lead_over_the_best_other_tick():
         for make in (random_book, dense_random_book):
             spec = make(seed)
             book = spec_to_book(spec)
-            *_, margin = uncross_values(
-                book.buy_levels, book.sell_levels, book.buy_market_total,
-                book.sell_market_total, book.lo_index, book.grid.reference_index)
+            *_, margin = uncross_values(book)
             assert margin == naive_margin(spec) >= 0, (make.__name__, seed)
             q = naive_clear(spec)[1]
             n_best = sum(min(naive_supply(spec, j), naive_demand(spec, j)) == q

@@ -671,3 +671,58 @@ def test_importing_the_cli_leaves_scipy_unloaded(tmp_path):
     res = _python("-c", code, cwd=tmp_path)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+def test_series_interval_in_seconds_steps_whole_microseconds(tmp_path):
+    """4.1 s is 4,099,999.9999999995 µs in floating point: the step rounds to
+    4,100,000 µs instead of truncating to 4,099,999."""
+    log = tmp_path / "day.csv"
+    log.write_text(HEADER + CROSSED + "10000000,c,SUBMIT,B,LIMIT,10.0,5,HFT,OWN\n")
+    res = run(["series", str(log), "--tick", "0.1", "--ref", "10.0", "--interval", "4.1",
+               "--out-dir", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    rows = (tmp_path / "day_indicative.csv").read_text().splitlines()[1:]
+    assert [int(r.split(",")[0]) for r in rows] == [0, 4_100_000, 8_200_000, 10_000_000]
+
+
+def test_response_warmup_in_seconds_ends_on_its_whole_microsecond(tmp_path):
+    """With ``--warmup 4.1`` the cut is t0 + 4,100,000 µs: a market buy one
+    microsecond before it is applied but not measured, one exactly at it is."""
+    log = tmp_path / "day.csv"
+    log.write_text(HEADER + "0,a,SUBMIT,B,LIMIT,10.0,100,HFT,OWN\n"
+                   "1,b,SUBMIT,S,LIMIT,10.0,100,HFT,OWN\n"
+                   "4099999,c,SUBMIT,B,MARKET,,10,HFT,OWN\n"
+                   "4100000,d,SUBMIT,B,MARKET,,20,HFT,OWN\n")
+    res = run(["response", str(log), "--tick", "0.1", "--ref", "10.0", "--warmup", "4.1",
+               "--out-dir", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    rows = [r.split(",") for r in (tmp_path / "day_response.csv").read_text().splitlines()[1:]]
+    counted = [(float(lo), float(hi)) for lo, hi, _, _, count in rows if int(count)]
+    assert sum(int(r[-1]) for r in rows) == 1
+    assert counted[0][0] < 20 / 100 <= counted[0][1]  # d: 20 shares against q 100
+
+
+LABEL_REFUSED = ("Invalid value for '--date'",
+                 "without --date the label is the log's file name stem")
+
+
+@pytest.mark.parametrize("label", ["x,y", 'x"y', "x\ry", "x\ny"])
+def test_regime_refuses_a_date_label_that_breaks_csv_rows(workspace, tmp_path, label):
+    out = tmp_path / "out"
+    res = run(["regime", str(workspace / "day.csv"), "--grid", str(workspace / "day_meta.json"),
+               "--date", label, "--full-metrics", "--out-dir", str(out)])
+    assert res.exit_code == 2, res.output
+    assert all(part in res.output for part in LABEL_REFUSED), res.output
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_regime_refuses_a_log_name_that_breaks_csv_rows(workspace, tmp_path):
+    """Without ``--date`` the label is the log's stem, which is refused the same way."""
+    log = tmp_path / "x,y.csv"
+    log.write_bytes((workspace / "day.csv").read_bytes())
+    out = tmp_path / "out"
+    res = run(["regime", str(log), "--grid", str(workspace / "day_meta.json"),
+               "--full-metrics", "--out-dir", str(out)])
+    assert res.exit_code == 2, res.output
+    assert all(part in res.output for part in LABEL_REFUSED), res.output
+    assert not out.exists() or list(out.iterdir()) == []

@@ -8,12 +8,13 @@ import uncross
 from uncross.book import AuctionBook
 from uncross.clearing import clear
 from uncross.density import average_density, day_profile, profiles_to_csv
-from uncross.errors import MismatchedBinning
-from uncross.events import OrderEvent
+from uncross.errors import MismatchedBinning, NoCross
+from uncross.events import LATENCY_FLAGS, OrderEvent
 from uncross.grid import PriceGrid
 from uncross.regime import _density_samples
 
 from conftest import make_book
+from oracles import dense_random_book, naive_clear, random_book, spec_to_book, spec_to_events
 
 
 def test_package_attribute_is_the_module():
@@ -127,7 +128,7 @@ def _day_book(seed, n=40):
 def test_profile_integrates_to_scaled_shares():
     book = _day_book(1)
     c = clear(book)
-    prof = day_profile(book, c.p_a, c.q_a, dx=1e-4)[None]
+    prof = day_profile(book, dx=1e-4)[None]
     total_b = sum(prof.rho_buy.values()) * prof.dx * c.q_a
     assert total_b == pytest.approx(sum(book.buy_volume.values()))
     total_s = sum(prof.rho_sell.values()) * prof.dx * c.q_a
@@ -137,15 +138,15 @@ def test_profile_integrates_to_scaled_shares():
 def test_average_of_single_day_is_identity():
     book = _day_book(2)
     c = clear(book)
-    prof = day_profile(book, c.p_a, c.q_a)[None]
+    prof = day_profile(book)[None]
     avg = average_density([prof])
     assert avg.rho_buy == prof.rho_buy
     assert avg.rho_sell == prof.rho_sell
 
 
 def test_average_is_arithmetic_mean():
-    a = day_profile(_day_book(3), 10.0, 100)[None]
-    b = day_profile(_day_book(4), 10.0, 100)[None]
+    a = day_profile(_day_book(3))[None]
+    b = day_profile(_day_book(4))[None]
     avg = average_density([a, b])
     for k in avg.bin_range():
         expect = 0.5 * (a.rho_buy.get(k, 0.0) + b.rho_buy.get(k, 0.0))
@@ -175,12 +176,12 @@ def test_grouped_profiles_sum_to_ungrouped():
     books = [_day_book(s) for s in range(5, 8)]
     clearings = [clear(b) for b in books]
     ungrouped = average_density(
-        [day_profile(b, c.p_a, c.q_a)[None] for b, c in zip(books, clearings)]
+        [day_profile(b)[None] for b, c in zip(books, clearings)]
     )
     grouped = {}
     for key in ("HFT", "MIX", "NON"):
         grouped[key] = average_density(
-            [day_profile(b, c.p_a, c.q_a, group_by="latency")[key]
+            [day_profile(b, group_by="latency")[key]
              for b, c in zip(books, clearings)]
         )
     for k in ungrouped.bin_range():
@@ -193,10 +194,63 @@ def test_grouped_profiles_sum_to_ungrouped():
 def test_profile_csv_shape():
     book = _day_book(9)
     c = clear(book)
-    prof = day_profile(book, c.p_a, c.q_a)[None]
+    prof = day_profile(book)[None]
     text = profiles_to_csv([prof])
     lines = text.strip().split("\n")
     assert lines[0] == "x_bp,rho_buy,rho_sell,n_days"
-    grouped = day_profile(book, c.p_a, c.q_a, group_by="latency")
+    grouped = day_profile(book, group_by="latency")
     text2 = profiles_to_csv(list(grouped.values()))
     assert text2.startswith("x_bp,rho_buy,rho_sell,n_days,group")
+
+
+# ------------------------------------------------------------ self-clearing
+
+
+def _binned_around(book, k, q, dx):
+    """Profiles keyed by None and by latency flag, binned from the live resting
+    orders around tick ``k`` and scaled by volume ``q``."""
+    p = book.grid.price_at(k)
+    shares = {key: ({}, {}) for key in (None, *LATENCY_FLAGS)}
+    for rec in book.live_resting_orders():
+        if rec.is_market:
+            continue
+        b = round(math.log(book.grid.price_at(rec.price_index) / p) / dx)
+        for key in (None, rec.latency_flag):
+            dest = shares[key][0 if rec.side == "B" else 1]
+            dest[b] = dest.get(b, 0) + rec.quantity
+    return {key: ({b: v / (q * dx) for b, v in buy.items()},
+                  {b: v / (q * dx) for b, v in sell.items()})
+            for key, (buy, sell) in shares.items()}
+
+
+@pytest.mark.parametrize("make", [random_book, dense_random_book])
+def test_day_profile_bins_around_the_books_own_clearing(make):
+    """``day_profile(book)`` equals the binning of the live orders around the
+    exhaustive scan's clearing price, scaled by its volume, ungrouped and by latency."""
+    for seed in range(150):
+        spec = make(seed)
+        rng = random.Random(seed)
+        events = [ev._replace(latency_flag=rng.choice(LATENCY_FLAGS))
+                  for ev in spec_to_events(spec)]
+        book = AuctionBook(spec_to_book(spec).grid).replay(events)
+        k, q, _ = naive_clear(spec)
+        for dx in (1e-4, 7e-4):
+            want = _binned_around(book, k, q, dx)
+            profiles = {None: day_profile(book, dx=dx)[None],
+                        **day_profile(book, dx=dx, group_by="latency")}
+            assert profiles.keys() == want.keys()
+            for key, prof in profiles.items():
+                assert (prof.dx, prof.n_days, prof.group) == (dx, 1, key)
+                assert (prof.rho_buy, prof.rho_sell) == want[key], (make.__name__, seed, dx)
+                assert list(prof.rho_buy) == sorted(prof.rho_buy)
+                assert list(prof.rho_sell) == sorted(prof.rho_sell)
+
+
+def test_day_profile_of_a_book_without_a_cross_raises():
+    grid = PriceGrid(0.1, 10.0, 10.0)
+    apart = [OrderEvent(0, "a", "SUBMIT", "B", "LIMIT", 9.9, 5),
+             OrderEvent(1, "b", "SUBMIT", "S", "LIMIT", 10.1, 5)]
+    for book in (AuctionBook(grid), AuctionBook(grid).replay(apart)):
+        for group_by in (None, "latency"):
+            with pytest.raises(NoCross):
+                day_profile(book, group_by=group_by)

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from uncross.clearing import _uncross, clear
+from uncross.clearing import clear, uncross_values
 from uncross.errors import NonPositiveDensity, TooFewPoints
 from uncross.impact import impact_curve, theoretical_slope
 from uncross.regime import _omega_max, changepoint, empirical_slope, fit_regime
@@ -295,7 +295,7 @@ class TestFitRegime:
         for seed in range(250):
             for make in (random_book, dense_random_book):
                 book = spec_to_book(make(seed))
-                k_a = _uncross(book)[0]
+                k_a = uncross_values(book)[0]
                 for side in "BS":
                     for max_x in (0.02, 0.005, 1.0):
                         inside = [k for k, x, _ in book.levels_past(k_a, side, max_x)
