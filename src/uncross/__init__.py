@@ -19,7 +19,6 @@ from .regime import RegimeFit, changepoint, empirical_slope, fit_regime
 from .response import (
     MarketableEvent,
     ResponseCurve,
-    classify_marketable,
     collect_marketable,
     response_curves,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "cancel_market_and_reclear",
     "cash_volume",
     "changepoint",
-    "classify_marketable",
     "collect_marketable",
     "clear",
     "day_profile",

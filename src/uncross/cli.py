@@ -45,7 +45,7 @@ from .grid import PriceGrid
 from .impact import impact_curve, signed_curve_csv
 from .regime import fit_regime, fits_to_csv
 from .response import DEFAULT_BINS, DEFAULT_OMEGA_RANGE, log_bins, response_curves
-from .stats import batch_report, day_metrics_to_csv, distribution_report, read_day_metrics
+from .stats import batch_report, csv_label, day_metrics_to_csv, distribution_report, read_day_metrics
 
 EXIT_PARSE = 65
 EXIT_NOCROSS = 66
@@ -272,11 +272,11 @@ def density(out, logs, dx, group, grid):
 def regime(out, log, date, min_points, max_x, approx_slope, full_metrics, grid):
     """Constant-density window, liquidity, and impact slopes per side."""
     stem = Path(log).stem
-    date = date or stem
-    if any(c in date for c in ',"\r\n'):
-        raise click.BadParameter(
-            f"{date!r} holds a comma, quote or line break, which would break the CSV rows; "
-            "without --date the label is the log's file name stem.", param_hint="'--date'")
+    try:
+        date = csv_label(date or stem)
+    except ValueError as exc:
+        raise click.BadParameter(f"{exc}; without --date the label is the log's file name stem.",
+                                 param_hint="'--date'") from None
     outputs = []
     book = AuctionBook(grid).replay(read_events(log))
     fits = [

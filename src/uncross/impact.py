@@ -137,8 +137,7 @@ def _impact_curve(
         raise DegenerateAuction("auction volume is zero")
     if max_x <= 0:
         raise ValueError("max_x must be positive")
-    if side not in ("B", "S"):
-        raise ValueError(f"side must be 'B' or 'S', got {side!r}")
+    _check_side(side)
     vb_at, vs_at = book.volume_at(k_a)
     # market orders fill first, so own-side market volume beyond q_a is rationed
     if side == "B":
@@ -184,12 +183,18 @@ def signed_curve_csv(curve_buy: ImpactCurve, curve_sell: ImpactCurve) -> str:
 # ------------------------------------------------------------- re-clearing
 
 
+def _check_side(side: str) -> None:
+    if side not in ("B", "S"):
+        raise ValueError(f"side must be 'B' or 'S', got {side!r}")
+
+
 def inject_and_reclear(book: AuctionBook, side: str, q: int) -> float:
     """Add q market shares on a side and return the new clearing price.
 
     Runs the complete uncrossing rule chain (volume, imbalance, reference,
     lower price); the book itself is left untouched.
     """
+    _check_side(side)
     if q < 0 or q != int(q):
         raise ValueError("injected volume must be a non-negative integer")
     return book.grid.price_at(uncross_values(book, side, q)[0])
@@ -197,6 +202,7 @@ def inject_and_reclear(book: AuctionBook, side: str, q: int) -> float:
 
 def cancel_market_and_reclear(book: AuctionBook, side: str, q: int) -> float:
     """Remove q market shares from a side and return the new clearing price."""
+    _check_side(side)
     if q < 0 or q != int(q):
         raise ValueError("canceled volume must be a non-negative integer")
     total = book.buy_market_total if side == "B" else book.sell_market_total

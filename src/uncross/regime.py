@@ -28,7 +28,7 @@ from .book import AuctionBook
 from .clearing import uncross_values
 from .errors import NonPositiveDensity, TooFewPoints
 from .impact import DEFAULT_MAX_X, ImpactCurve, _impact_curve, theoretical_slope
-from .stats import DayMetrics
+from .stats import DayMetrics, csv_label
 
 DEFAULT_MIN_POINTS = 20
 
@@ -197,7 +197,7 @@ class RegimeFit:
     def csv_row(self, date: str) -> str:
         beta = "" if self.beta_emp is None else repr(self.beta_emp)
         return (
-            f"{date},{self.side},{self.delta * 1e4!r},{self.l_tilde!r},"
+            f"{csv_label(date)},{self.side},{self.delta * 1e4!r},{self.l_tilde!r},"
             f"{self.omega_max!r},{beta},{self.beta_theo!r},{self.n_points}"
         )
 

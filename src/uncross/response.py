@@ -1,11 +1,13 @@
 """Response of the indicative price to marketable order flow.
 
-A submission is marketable when it would execute if the auction uncrossed now:
-market orders always, limit buys priced at or through the indicative price,
-limit sells at or below it.  A cancellation is marketable when the dying order
-is itself marketable at that instant.  Signs follow the direction the event
-pushes the price: +1 for buy submissions and sell cancellations, -1 for sell
-submissions and buy cancellations.
+An event is marketable when it adds or removes shares that would execute at
+the indicative tick k if the auction uncrossed now: market orders, limit buys
+at or above k, limit sells at or below it.  Its signed size is its change to
+D(k) - S(k): +q for a buy submission or a sell cancellation, -q for a sell
+submission or a buy cancellation.  The certified reader ``_Indicative`` alone
+decides this, as it keeps S(k) and D(k) between scans of the book: it rescans
+once the events since the last scan have spent the margin by which k led.
+Modifications are not measured.
 
 Two one-lag responses are measured per event, conditioned on the scaled size
 ``omega = shares / indicative volume``:
@@ -16,12 +18,8 @@ Two one-lag responses are measured per event, conditioned on the scaled size
 
 Event time advances only at marketable events; everything else just moves the
 book.  Events arriving before the warmup cutoff or while the book does not
-cross are applied but not measured; so are marketable events that leave the
-book without a cross, which count as skipped like those arriving without one.
-
-Reads of the indicative price are certified (``_Indicative``): each event spends
-its shares from the margin by which the last scan's tick led every other tick,
-and the book is rescanned once that is spent, after a reject or without a cross.
+cross are applied but not measured.  Market orders added or removed without a
+cross count as skipped, as do marketable events that leave the book without one.
 """
 from __future__ import annotations
 
@@ -33,8 +31,8 @@ from typing import Iterable, Sequence
 
 from .book import AuctionBook, OrderRecord
 from .clearing import uncross_values
-from .errors import NoCross, UncrossError
-from .events import OrderEvent, _located
+from .errors import NoCross
+from .events import OrderEvent
 from .grid import PriceGrid
 
 DEFAULT_WARMUP_US = 30_000_000  # first 30 seconds carry validity-driven noise
@@ -52,37 +50,6 @@ class MarketableEvent:
     p_before: float
     p_after_mech: float
     p_next: float | None = None  # filled once the next marketable event arrives
-
-
-def classify_marketable(
-    ev: OrderEvent, book: AuctionBook, indicative_index: int | None
-) -> tuple[int, int] | None:
-    """Return (sign, shares) when the event is marketable, else None.
-
-    ``indicative_index`` is the indicative price tick just before the event;
-    None (no cross yet) makes nothing marketable.
-    """
-    resting = None if indicative_index is None else _resting(ev, book)
-    if resting is None:
-        return None
-    side, shares, tick = resting
-    if tick is not None and side * (tick - indicative_index) < 0:
-        return None  # rests behind the indicative price
-    # removing marketable volume pushes the price the opposite way
-    return (side if ev.action == "SUBMIT" else -side), shares
-
-
-def _resting(ev: OrderEvent, book: AuctionBook) -> tuple[int, int, int | None] | None:
-    """The resting order ``ev`` adds or removes, as (+1 buy / -1 sell, shares, tick
-    or None for a market order); None for a STOP submission, a modification or a
-    cancellation of a dead or dormant order."""
-    if ev.action == "SUBMIT" and ev.order_type != "STOP":
-        tick = None if ev.price is None else book.grid.index_of(ev.price)
-        return (1 if ev.side == "B" else -1), ev.quantity, tick
-    rec = book.orders.get(ev.order_id) if ev.action == "CANCEL" else None
-    if rec is None or not rec.is_resting:
-        return None
-    return (1 if rec.side == "B" else -1), rec.quantity, rec.price_index
 
 
 @dataclass
@@ -138,6 +105,7 @@ class _Indicative:
     a budget that starts at M, and while some is left k is still the unique maximum
     and S(k), D(k) stay exact.  The factor 1 is tight: cancelling x sells below a
     supply-bound k lowers exec(k) by x and leaves a demand-bound exec(j) above k alone.
+    ``apply`` returns each event's change to D(k) - S(k): its marketable shares.
     """
 
     def __init__(self, book: AuctionBook):
@@ -154,12 +122,15 @@ class _Indicative:
             self.supply, self.demand = q + max(imb, 0), q + max(-imb, 0)
         return self.k, min(self.supply, self.demand), self.supply - self.demand
 
-    def apply(self, ev: OrderEvent) -> None:
-        """Apply ``ev`` to the book; a rejected event leaves the next read to scan."""
+    def apply(self, ev: OrderEvent) -> int:
+        """Apply ``ev`` to the book and return the change it made to D(k) - S(k) at
+        the tick k of the last read, 0 without one; a rejected event leaves the next
+        read to scan."""
         k, self.k, orders = self.k, None, self.book.orders
         if k is None:
             self.book.apply(ev)
-            return
+            return 0
+        balance = self.demand - self.supply
         if (old := orders.get(ev.order_id)) is not None:  # before a MODIFY rewrites it
             self._shift(k, old, -old.quantity)
         self.book.apply(ev)
@@ -167,6 +138,7 @@ class _Indicative:
             self._shift(k, new, new.quantity)
         if self.budget > 0:
             self.k = k
+        return self.demand - self.supply - balance
 
     def _shift(self, k: int, rec: OrderRecord, qty: int) -> None:
         """Add ``qty`` of ``rec``'s shares (negative: remove) to S(k) or D(k)."""
@@ -199,18 +171,15 @@ def collect_marketable(
     for ev in events:
         if t0 is None:
             t0 = ev.timestamp
-        cls = None
-        if ev.timestamp >= t0 + warmup_us and (with_cancels or ev.action != "CANCEL"):
-            pre = indicative.read()
-            try:  # both paths may snap an off-grid price of a log row
-                if pre is not None:
-                    cls = classify_marketable(ev, book, pre[0])
-                elif (resting := _resting(ev, book)) and resting[2] is None:
-                    skipped += 1  # marketable but no indicative price to measure against
-            except UncrossError as exc:
-                raise _located(ev, exc) from None
-        indicative.apply(ev)
-        if cls is None:
+        measured = (ev.timestamp >= t0 + warmup_us and ev.action != "MODIFY"
+                    and (with_cancels or ev.action != "CANCEL"))
+        pre = indicative.read() if measured else None
+        market = book.buy_market_total - book.sell_market_total
+        moved = indicative.apply(ev)
+        if pre is None:  # no price to measure against: count market flow as skipped
+            skipped += measured and market != book.buy_market_total - book.sell_market_total
+            continue
+        if not moved:
             continue
         post = indicative.read()
         p_before = grid.price_at(pre[0])
@@ -218,11 +187,10 @@ def collect_marketable(
         if post is None:
             skipped += 1  # the event itself removed the cross: no price to move to
             continue
-        sign, shares = cls
-        recorded.append(MarketableEvent(ev.timestamp, sign, shares / pre[1], shares,
-                                        ev.action, p_before, grid.price_at(post[0])))
-    final = indicative.read()
-    if final is not None:
+        recorded.append(MarketableEvent(ev.timestamp, 1 if moved > 0 else -1,
+                                        abs(moved) / pre[1], abs(moved), ev.action,
+                                        p_before, grid.price_at(post[0])))
+    if (final := indicative.read()) is not None:
         _backfill(recorded, grid.price_at(final[0]))
     return recorded, skipped
 

@@ -164,6 +164,14 @@ DAY_METRICS_HEADER = (
 )
 
 
+def csv_label(label: str) -> str:
+    """``label``, refused when a comma, quote, CR or LF in it would break a CSV row."""
+    if any(c in label for c in ',"\r\n'):
+        raise ValueError(f"{label!r} holds a comma, quote or line break, "
+                         "which would break the CSV rows")
+    return label
+
+
 def day_metrics_to_csv(rows: Sequence[DayMetrics]) -> str:
     def opt(v) -> str:
         return "" if v is None else repr(v)
@@ -173,7 +181,7 @@ def day_metrics_to_csv(rows: Sequence[DayMetrics]) -> str:
     for r in rows:
         delta_bp = None if r.delta is None else r.delta * 1e4
         buf.write(
-            f"{r.date},{r.side},{r.p_a!r},{r.q_a},{r.omega0!r},{opt(delta_bp)},"
+            f"{csv_label(r.date)},{r.side},{r.p_a!r},{r.q_a},{r.omega0!r},{opt(delta_bp)},"
             f"{opt(r.l_tilde)},{opt(r.omega_max)},{opt(r.beta_emp)},"
             f"{opt(r.beta_theo)},{opt(r.l_cash)}\n"
         )

@@ -281,3 +281,29 @@ def naive_validate(ev) -> None:
         raise ParseError(f"{ev.order_type} order requires a price")
     if ev.price is not None and not 0 < ev.price < math.inf:
         raise ParseError(f"price must be positive and finite, got {ev.price}")
+
+
+def naive_marketable(ev, book, indicative_index):
+    """``(sign, shares)`` when ``ev`` adds or removes volume that executes at
+    ``indicative_index``, read from the event and the book before it, else None.
+
+    A SUBMIT other than a STOP adds its own order; a CANCEL removes the live
+    order it names unless that is a dormant STOP.  A MODIFY, a CANCEL of no
+    live order, any event without an indicative tick (None) and an order
+    resting behind the tick give None.  Adding pushes the price the order's
+    way, +1 for a buy and -1 for a sell; removing flips the sign.
+    """
+    if indicative_index is None:
+        return None
+    if ev.action == "SUBMIT" and ev.order_type != "STOP":
+        side, shares = ev.side, ev.quantity
+        tick = None if ev.price is None else book.grid.index_of(ev.price)
+    elif (ev.action == "CANCEL" and (rec := book.orders.get(ev.order_id)) is not None
+          and rec.order_type != "STOP"):
+        side, shares, tick = rec.side, rec.quantity, rec.price_index
+    else:
+        return None
+    sign = 1 if side == "B" else -1
+    if tick is not None and sign * (tick - indicative_index) < 0:
+        return None
+    return (sign if ev.action == "SUBMIT" else -sign), shares

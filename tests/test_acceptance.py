@@ -29,6 +29,7 @@ from oracles import (
     dense_random_book,
     naive_clear,
     naive_inject_prices,
+    naive_marketable,
     random_book,
     spec_to_book,
 )
@@ -286,7 +287,6 @@ def test_criterion_7_response_consistency():
     # injection on the pre-event book: exactly, event by event, for market
     # submissions and (by the cancellation duality) market cancellations
     from uncross.clearing import _indicative
-    from uncross.response import classify_marketable
 
     recorded, _ = collect_marketable(events, grid, warmup_us=30_000_000)
     book = AuctionBook(grid)
@@ -298,7 +298,7 @@ def test_criterion_7_response_consistency():
     for ev in events:
         pre = _indicative(book) if ev.timestamp >= t0 + 30_000_000 else None
         if pre is not None:
-            cls = classify_marketable(ev, book, pre[0])
+            cls = naive_marketable(ev, book, pre[0])
             if cls is not None:
                 me = recorded[qi]
                 qi += 1

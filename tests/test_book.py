@@ -305,24 +305,28 @@ def test_a_book_is_built_from_its_grid_alone(name):
 LEVEL_FORMAT = frozenset({"buy_levels", "sell_levels", "lo_index"})
 
 
-def _level_reads(node, scope):
-    """``scope`` of every attribute read (or ``getattr`` name) of the level format under ``node``."""
-    if isinstance(node, ast.Attribute) and node.attr in LEVEL_FORMAT:
+def _reads(node, scope, names):
+    """``scope`` of every attribute read (or ``getattr`` name) of ``names`` under ``node``."""
+    if isinstance(node, ast.Attribute) and node.attr in names:
         yield scope, node.lineno
-    if isinstance(node, ast.Constant) and node.value in LEVEL_FORMAT:
+    if isinstance(node, ast.Constant) and node.value in names:
         yield scope, node.lineno
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         scope = f"{scope}.{node.name}"
     for child in ast.iter_child_nodes(node):
-        yield from _level_reads(child, scope)
+        yield from _reads(child, scope, names)
 
 
 def test_only_the_book_and_the_scan_read_the_level_arrays():
     """Outside ``book.py`` the dense level arrays are read only by the one
     uncrossing scan, ``clearing.uncross_values``, so a change of the level
-    format touches the book and that scan alone."""
-    reads = []
-    for path in sorted(Path(uncross.__file__).parent.glob("*.py")):
-        if path.name != "book.py":
-            reads += _level_reads(ast.parse(path.read_text()), path.stem)
-    assert {scope for scope, _ in reads} == {"clearing.uncross_values"}, reads
+    format touches the book and that scan alone.  Prices are snapped to ticks
+    only by the book, and by the grid for its own reference price, so no other
+    path snaps a row's price a second time."""
+    for names, scopes in ((LEVEL_FORMAT, {"clearing.uncross_values"}),
+                          ({"index_of"}, {"grid.PriceGrid.__post_init__"})):
+        reads = []
+        for path in sorted(Path(uncross.__file__).parent.glob("*.py")):
+            if path.name != "book.py":
+                reads += _reads(ast.parse(path.read_text()), path.stem, names)
+        assert {scope for scope, _ in reads} == scopes, reads

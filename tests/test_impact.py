@@ -140,6 +140,15 @@ class TestInjectAndReclear:
         with pytest.raises(ValueError):
             cancel_market_and_reclear(worked_book, "B", 1)
 
+    @pytest.mark.parametrize("reclear", [inject_and_reclear, cancel_market_and_reclear])
+    @pytest.mark.parametrize("side", ["b", "X", None])
+    def test_a_side_other_than_b_or_s_is_refused(self, reclear, side):
+        # a bad side used to re-clear the untouched book: 10.0 where "B" gives 10.5
+        book = make_book(buys=[(10.0, 50)], sells=[(10.0, 50), (10.5, 50)])
+        assert inject_and_reclear(book, "B", 100) == pytest.approx(10.5)
+        with pytest.raises(ValueError, match="side must be 'B' or 'S'"):
+            reclear(book, side, 0)
+
 
 class TestOracleEquivalence:
     """The breakpoint walk against brute-force re-clearing, share by share."""

@@ -7,7 +7,7 @@ import pytest
 from uncross.clearing import clear, uncross_values
 from uncross.errors import NonPositiveDensity, TooFewPoints
 from uncross.impact import impact_curve, theoretical_slope
-from uncross.regime import _omega_max, changepoint, empirical_slope, fit_regime
+from uncross.regime import _omega_max, changepoint, empirical_slope, fit_regime, fits_to_csv
 
 from conftest import make_book
 from oracles import dense_random_book, naive_changepoint, random_book, spec_to_book
@@ -286,6 +286,15 @@ class TestFitRegime:
         fields = row.split(",")
         assert fields[0] == "2017-05-05" and fields[1] == "S"
         assert len(fields) == 8
+
+    @pytest.mark.parametrize("label", ["x,y", 'x"y', "x\ry", "x\ny"])
+    def test_csv_row_refuses_a_label_that_breaks_the_row(self, label):
+        book = constant_density_book(n_levels=40, v=60, peak=600, tick=0.01)
+        fit = fit_regime(book, "S", max_x=0.03, min_points=10)
+        with pytest.raises(ValueError, match="holds a comma, quote or line break"):
+            fit.csv_row(label)
+        with pytest.raises(ValueError, match="holds a comma, quote or line break"):
+            fits_to_csv([(label, fit)])
 
     def test_two_samples_always_give_a_jump(self):
         """``p_first`` needs a jump on the impact curve.  Wherever the walk has the

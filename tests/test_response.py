@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -11,14 +12,15 @@ from uncross.events import OrderEvent
 from uncross.grid import PriceGrid
 from uncross.impact import impact_curve, inject_and_reclear
 from uncross.response import (
+    MarketableEvent,
     _Indicative,
-    classify_marketable,
     collect_marketable,
     log_bins,
     response_curves,
 )
 
 from conftest import make_book
+from oracles import naive_marketable
 from test_book import _random_events
 
 
@@ -33,40 +35,40 @@ class TestClassify:
 
     def test_crossing_buy_limit_is_marketable(self):
         ev = OrderEvent(1, "x", "SUBMIT", "B", "LIMIT", 10.1, 7)
-        assert classify_marketable(ev, self.book, self.k_ind) == (1, 7)
+        assert naive_marketable(ev, self.book, self.k_ind) == (1, 7)
 
     def test_at_price_limit_is_marketable(self):
         ev = OrderEvent(1, "x", "SUBMIT", "B", "LIMIT", 10.0, 7)
-        assert classify_marketable(ev, self.book, self.k_ind) == (1, 7)
+        assert naive_marketable(ev, self.book, self.k_ind) == (1, 7)
 
     def test_passive_sell_limit_is_not(self):
         ev = OrderEvent(1, "x", "SUBMIT", "S", "LIMIT", 10.1, 7)
-        assert classify_marketable(ev, self.book, self.k_ind) is None
+        assert naive_marketable(ev, self.book, self.k_ind) is None
 
     def test_market_orders_always(self):
         ev = OrderEvent(1, "x", "SUBMIT", "S", "MARKET", None, 9)
-        assert classify_marketable(ev, self.book, self.k_ind) == (-1, 9)
+        assert naive_marketable(ev, self.book, self.k_ind) == (-1, 9)
 
     def test_cancel_of_marketable_sell_flips_sign(self):
         # S0 rests at 10.0 = indicative: marketable; canceling it acts like a buy
-        assert classify_marketable(
+        assert naive_marketable(
             OrderEvent(9, "S0", "CANCEL", "S", "LIMIT", 10.0, 50), self.book, self.k_ind
         ) == (1, 50)
 
     def test_cancel_of_passive_order_ignored(self):
-        assert classify_marketable(
+        assert naive_marketable(
             OrderEvent(9, "S1", "CANCEL", "S", "LIMIT", 10.1, 30), self.book, self.k_ind
         ) is None
 
     def test_no_indicative_price(self):
         ev = OrderEvent(1, "x", "SUBMIT", "B", "LIMIT", 10.1, 7)
-        assert classify_marketable(ev, self.book, None) is None
+        assert naive_marketable(ev, self.book, None) is None
 
     def test_stop_and_modify_ignored(self):
-        assert classify_marketable(
+        assert naive_marketable(
             OrderEvent(1, "x", "SUBMIT", "B", "STOP", 10.1, 7), self.book, self.k_ind
         ) is None
-        assert classify_marketable(
+        assert naive_marketable(
             OrderEvent(1, "S1", "MODIFY", "S", "LIMIT", 10.0, 30), self.book, self.k_ind
         ) is None
 
@@ -402,3 +404,52 @@ def test_certified_reads_equal_a_full_scan(make, grid, seed, every):
             assert reader.read() == _indicative(book), (seed, i)
     if every == 1:  # most reads come from the certificate, not a scan
         assert certified > 300
+
+
+def _scanned_collect(events, grid, warmup_us, with_cancels):
+    """``collect_marketable`` as a replay that scans the book before and after
+    every event and classifies it with ``naive_marketable``; without a cross it
+    counts a market order added or removed as skipped."""
+    book = AuctionBook(grid)
+    recorded, skipped = [], 0
+
+    def backfill(tick):
+        if recorded and recorded[-1].p_next is None:
+            recorded[-1] = replace(recorded[-1], p_next=grid.price_at(tick))
+
+    for ev in events:
+        pre, cls = _indicative(book), None
+        if (ev.timestamp >= events[0].timestamp + warmup_us
+                and (with_cancels or ev.action != "CANCEL")):
+            if pre is not None:
+                cls = naive_marketable(ev, book, pre[0])
+            elif ev.action != "MODIFY" and ev.order_type == "MARKET":
+                skipped += 1
+        book.apply(ev)
+        if cls is None:
+            continue
+        backfill(pre[0])
+        post = _indicative(book)
+        if post is None:
+            skipped += 1
+            continue
+        sign, shares = cls
+        recorded.append(MarketableEvent(ev.timestamp, sign, shares / pre[1], shares, ev.action,
+                                        grid.price_at(pre[0]), grid.price_at(post[0])))
+    if (final := _indicative(book)) is not None:
+        backfill(final[0])
+    return recorded, skipped
+
+
+@pytest.mark.parametrize("warmup_us", [0, 400])
+@pytest.mark.parametrize("with_cancels", [True, False])
+@pytest.mark.parametrize("make, grid, seed", _STREAMS)
+def test_records_equal_a_scanned_replay_with_the_oracle(make, grid, seed, with_cancels,
+                                                        warmup_us):
+    """The reader's change to D(k) - S(k) marks exactly the events the oracle
+    classifies from the event and the book, with the same sign and shares, and
+    the records and the skip tally match a replay that scans for every read."""
+    events = make(seed)
+    got = collect_marketable(events, grid(), warmup_us=warmup_us, with_cancels=with_cancels)
+    assert got == _scanned_collect(events, grid(), warmup_us, with_cancels)
+    assert len(got[0]) > 20

@@ -192,3 +192,10 @@ def test_day_metrics_csv_round_trip(tmp_path):
     assert back[0].omega0 == pytest.approx(0.2745)
     assert back[0].l_cash == pytest.approx(48.0 * 2_246_617 * 2.2)
     assert back[1].delta is None and back[1].l_cash is None
+
+
+@pytest.mark.parametrize("label", ["x,y", 'x"y', "x\ry", "x\ny"])
+def test_day_metrics_csv_refuses_a_label_that_breaks_the_row(label):
+    # written verbatim, "x,y" gave a 12-field row under the 11-column header
+    with pytest.raises(ValueError, match="holds a comma, quote or line break"):
+        day_metrics_to_csv([DayMetrics(label, "B", 48.0, 2_246_617, 0.2745)])
