@@ -21,7 +21,6 @@ completely.
 """
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -30,6 +29,7 @@ import numpy as np
 
 from .book import AuctionBook, OrderRecord
 from .errors import AllocationInvariantError, NoCross
+from .events import csv_table, format_price
 from .grid import PriceGrid
 
 
@@ -266,13 +266,6 @@ def indicative_series(
 
 
 def series_to_csv(points: Sequence[IndicativePoint], grid: PriceGrid) -> str:
-    from .events import format_price
-
-    buf = io.StringIO()
-    buf.write("t_us,p_ind,q_ind\n")
-    for pt in points:
-        if pt.crossed:
-            buf.write(f"{pt.t},{format_price(grid.price_at(pt.price_index))},{pt.q_ind}\n")
-        else:
-            buf.write(f"{pt.t},,\n")
-    return buf.getvalue()
+    return csv_table("t_us,p_ind,q_ind", (
+        (pt.t, format_price(grid.price_at(pt.price_index)), pt.q_ind) if pt.crossed
+        else (pt.t, None, None) for pt in points))

@@ -39,7 +39,7 @@ from .book import AuctionBook
 from .clearing import _snapshots, clear, series_to_csv
 from .density import average_density, day_profile, profiles_to_csv
 from .errors import NoCross, OffGridPrice, ParseError, TooFewPoints, UncrossError
-from .events import format_price, read_events, write_events
+from .events import csv_table, format_price, read_events, write_events
 from .flowgen import FlowConfig, generate
 from .grid import PriceGrid
 from .impact import impact_curve, signed_curve_csv
@@ -110,9 +110,17 @@ def _parsing(path: str, what: str):
 def _grid_from(tick: float | None, ref: float | None, anchor: float | None,
                grid_file: str | None) -> PriceGrid:
     if grid_file is not None:
+        given = [name for name, v in (("--tick", tick), ("--ref", ref), ("--anchor", anchor))
+                 if v is not None]
+        if given:
+            raise click.UsageError(f"give either --grid or {'/'.join(given)}, not both")
         with _parsing(grid_file, "grid file"):
             meta = json.loads(Path(grid_file).read_text())
-            return PriceGrid(meta["tick_size"], meta["anchor"], meta["reference_price"])
+            keys = ("tick_size", "anchor", "reference_price")
+            for key in keys:
+                if type(meta[key]) not in (int, float):  # a JSON number, not true or "1"
+                    raise TypeError(f"{key} must be a number, got {json.dumps(meta[key])}")
+            return PriceGrid(*(meta[key] for key in keys))
     if tick is None or ref is None:
         raise click.UsageError("provide --grid FILE or both --tick and --ref")
     try:
@@ -203,12 +211,9 @@ def replay(out, log, grid):
     stem = Path(log).stem
     book, clearing = _cleared(log, grid)
     _write(out / f"{stem}_clearing.json", clearing.to_json() + "\n")
-    lines = ["price,buy_shares,sell_shares"]
-    for k in book.nonempty_indices():
-        vb, vs = book.volume_at(k)
-        lines.append(f"{format_price(grid.price_at(k))},{vb},{vs}")
-    lines.append(f"MARKET,{book.buy_market_total},{book.sell_market_total}")
-    _write(out / f"{stem}_book.csv", "\n".join(lines) + "\n")
+    rows = [(format_price(grid.price_at(k)), *book.volume_at(k)) for k in book.nonempty_indices()]
+    rows.append(("MARKET", book.buy_market_total, book.sell_market_total))
+    _write(out / f"{stem}_book.csv", csv_table("price,buy_shares,sell_shares", rows))
     return [f"{stem}_clearing.json", f"{stem}_book.csv"], f"p_a={clearing.p_a} q_a={clearing.q_a}"
 
 
@@ -337,32 +342,27 @@ def series(out, log, interval, min_points, max_x, grid):
     stem = Path(log).stem
     book = AuctionBook(grid)
     points = []
-    liq_rows: list[str] = []
+    liq_rows = []
     for pt in _snapshots(read_events(log), book, round(interval * 1e6)):
         points.append(pt)
         t, q_ind = pt.t, pt.q_ind
         if not pt.crossed:
-            for s in ("B", "S"):
-                liq_rows.append(f"{t},{s},,,,,,")
+            liq_rows += [(t, s, None, None, None, None, None, None) for s in ("B", "S")]
             continue
         p_ind = format_price(grid.price_at(pt.price_index))
         for s in ("B", "S"):
             try:
                 fit = fit_regime(book, s, max_x=max_x * 1e-4, min_points=min_points)
-                l_abs = fit.l_tilde * q_ind
-                q_max = fit.omega_max * q_ind
-                liq_rows.append(
-                    f"{t},{s},{p_ind},{q_ind},"
-                    f"{fit.l_tilde!r},{l_abs!r},{fit.omega_max!r},{q_max!r}"
-                )
+                liq_rows.append((t, s, p_ind, q_ind, fit.l_tilde, fit.l_tilde * q_ind,
+                                 fit.omega_max, fit.omega_max * q_ind))
             except UncrossError:
-                liq_rows.append(f"{t},{s},{p_ind},{q_ind},,,,")
+                liq_rows.append((t, s, p_ind, q_ind, None, None, None, None))
 
     name_ind = f"{stem}_indicative.csv"
     _write(out / name_ind, series_to_csv(points, grid))
     name_liq = f"{stem}_liquidity.csv"
-    header = "t_us,side,p_ind,q_ind,l_tilde,l_abs,omega_max,q_max\n"
-    _write(out / name_liq, header + "\n".join(liq_rows) + "\n")
+    _write(out / name_liq, csv_table("t_us,side,p_ind,q_ind,l_tilde,l_abs,omega_max,q_max",
+                                     liq_rows))
     return [name_ind, name_liq], f"wrote {name_ind}, {name_liq} ({len(points)} snapshots)"
 
 
@@ -399,9 +399,16 @@ def stats(out, metrics, threshold, rcdf_col, kde_col):
     return outputs, f"wrote {', '.join(outputs)}"
 
 
+def _bare_name(ctx, param, name: str) -> str:
+    if not name or Path(name).name != name:
+        raise click.BadParameter(f"{name!r} is not a bare file name.")
+    return name
+
+
 @_command
 @click.argument("config", type=click.Path(exists=True))
-@click.option("--name", default="flow", show_default=True, help="Output file stem.")
+@click.option("--name", default="flow", show_default=True, callback=_bare_name,
+              help="Output file stem, a bare file name.")
 def gen(out, config, name):
     """Generate a synthetic auction log from a JSON config."""
     with _parsing(config, "config file"):

@@ -6,7 +6,6 @@ auction volume, so profiles of different days average bin by bin.
 """
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -14,7 +13,7 @@ from typing import Sequence
 from .book import AuctionBook
 from .clearing import uncross_values
 from .errors import MismatchedBinning
-from .events import ACCOUNT_TYPES, LATENCY_FLAGS
+from .events import ACCOUNT_TYPES, LATENCY_FLAGS, csv_table
 
 DEFAULT_DX = 1e-4  # 1 basis point bins
 # per ``group_by``: the order record's flag field, and the profile keys
@@ -120,13 +119,7 @@ def average_density(profiles: Sequence[DensityProfile]) -> DensityProfile:
 def profiles_to_csv(profiles: Sequence[DensityProfile]) -> str:
     """CSV rows ``x_bp,rho_buy,rho_sell,n_days[,group]`` over each profile's bins."""
     grouped = any(p.group is not None for p in profiles)
-    buf = io.StringIO()
-    buf.write("x_bp,rho_buy,rho_sell,n_days,group\n" if grouped else "x_bp,rho_buy,rho_sell,n_days\n")
-    for p in profiles:
-        for b in p.bin_range():
-            x_bp = b * p.dx * 1e4
-            row = f"{x_bp!r},{p.rho_buy.get(b, 0.0)!r},{p.rho_sell.get(b, 0.0)!r},{p.n_days}"
-            if grouped:
-                row += f",{p.group or ''}"
-            buf.write(row + "\n")
-    return buf.getvalue()
+    width = 5 if grouped else 4  # the group column only when a profile has a group
+    return csv_table("x_bp,rho_buy,rho_sell,n_days" + (",group" if grouped else ""), (
+        (b * p.dx * 1e4, p.rho_buy.get(b, 0.0), p.rho_sell.get(b, 0.0), p.n_days, p.group)[:width]
+        for p in profiles for b in p.bin_range()))

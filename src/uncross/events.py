@@ -5,6 +5,9 @@ One event per row, header required::
     timestamp_us,order_id,action,side,order_type,price,qty,latency_flag,account_type
 
 ``price`` is empty for MARKET orders.  Files are UTF-8 with LF line endings.
+
+Every other table the package writes goes through ``csv_table`` and its one
+cell rule, ``_cell``.
 """
 from __future__ import annotations
 
@@ -204,3 +207,22 @@ def write_events(path: str | Path, events: Iterable[OrderEvent]) -> None:
 def format_price(p: float) -> str:
     # 12 significant digits: lossless for realistic price grids, no repr noise
     return f"{p:.12g}"
+
+
+def _cell(value) -> str:
+    """A table cell: empty for None, a float in shortest round-trip form, anything
+    else as ``str``.  ``np.float64`` is a float; ``float()`` drops its NumPy repr."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
+def csv_table(header: str, rows: Iterable[Iterable]) -> str:
+    """``header`` and one comma-joined line of cells per row, each line ending in LF.
+
+    Cells are not quoted: a text cell must hold no comma, quote or line break
+    (``stats.csv_label`` checks a label).
+    """
+    return "".join([header, "\n", *[",".join(map(_cell, row)) + "\n" for row in rows]])

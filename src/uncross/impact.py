@@ -39,7 +39,7 @@ from .errors import (
     NoPositiveRoot,
     ZeroLiquidity,
 )
-from .events import format_price
+from .events import csv_table, format_price
 from .grid import PriceGrid
 
 DEFAULT_MAX_X = 0.02  # truncate the tick walk at a 2% log-price distance
@@ -103,11 +103,10 @@ class ImpactCurve:
         return [Fraction(b - a, self.q_a) for a, b in zip([0] + nums, nums)]
 
     def to_csv(self) -> str:
-        return "side,i,omega_num,omega_den,price,impact_log\n" + "".join(
-            f"{self.side},{i},{bp.omega_num},{self.q_a},"
-            f"{format_price(self.grid.price_at(bp.target_index))},{bp.impact!r}\n"
-            for i, bp in enumerate(self.breakpoints)
-        )
+        return csv_table("side,i,omega_num,omega_den,price,impact_log", (
+            (self.side, i, bp.omega_num, self.q_a,
+             format_price(self.grid.price_at(bp.target_index)), bp.impact)
+            for i, bp in enumerate(self.breakpoints)))
 
 
 def impact_curve(
@@ -177,7 +176,7 @@ def signed_curve_csv(curve_buy: ImpactCurve, curve_sell: ImpactCurve) -> str:
             for bp in reversed(curve_sell.breakpoints)]
     rows.append((0.0, 0.0))
     rows += [(bp.omega_num / curve_buy.q_a, bp.impact) for bp in curve_buy.breakpoints]
-    return "eps_omega,eps_impact\n" + "".join(f"{w!r},{i!r}\n" for w, i in rows)
+    return csv_table("eps_omega,eps_impact", rows)
 
 
 # ------------------------------------------------------------- re-clearing

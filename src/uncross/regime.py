@@ -27,6 +27,7 @@ import numpy as np
 from .book import AuctionBook
 from .clearing import uncross_values
 from .errors import NonPositiveDensity, TooFewPoints
+from .events import csv_table
 from .impact import DEFAULT_MAX_X, ImpactCurve, _impact_curve, theoretical_slope
 from .stats import DayMetrics, csv_label
 
@@ -194,12 +195,14 @@ class RegimeFit:
                           omega_max=self.omega_max, beta_emp=self.beta_emp,
                           beta_theo=self.beta_theo)
 
+    def csv_cells(self, date: str) -> tuple:
+        """This side's row of the regime table (``REGIME_CSV_HEADER``)."""
+        return (csv_label(date), self.side, self.delta * 1e4, self.l_tilde, self.omega_max,
+                self.beta_emp, self.beta_theo, self.n_points)
+
     def csv_row(self, date: str) -> str:
-        beta = "" if self.beta_emp is None else repr(self.beta_emp)
-        return (
-            f"{csv_label(date)},{self.side},{self.delta * 1e4!r},{self.l_tilde!r},"
-            f"{self.omega_max!r},{beta},{self.beta_theo!r},{self.n_points}"
-        )
+        """``csv_cells`` as ``fits_to_csv`` writes them, without the line end."""
+        return csv_table(REGIME_CSV_HEADER, [self.csv_cells(date)]).splitlines()[1]
 
 
 REGIME_CSV_HEADER = "date,side,delta_bp,l_tilde,omega_max,beta_emp,beta_theo,n_points"
@@ -249,4 +252,4 @@ def fit_regime(
 
 
 def fits_to_csv(rows: Sequence[tuple[str, RegimeFit]]) -> str:
-    return REGIME_CSV_HEADER + "\n" + "".join(fit.csv_row(date) + "\n" for date, fit in rows)
+    return csv_table(REGIME_CSV_HEADER, (fit.csv_cells(date) for date, fit in rows))

@@ -24,7 +24,6 @@ cross count as skipped, as do marketable events that leave the book without one.
 from __future__ import annotations
 
 import bisect
-import io
 import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
@@ -32,7 +31,7 @@ from typing import Iterable, Sequence
 from .book import AuctionBook, OrderRecord
 from .clearing import uncross_values
 from .errors import NoCross
-from .events import OrderEvent
+from .events import OrderEvent, csv_table
 from .grid import PriceGrid
 
 DEFAULT_WARMUP_US = 30_000_000  # first 30 seconds carry validity-driven noise
@@ -64,14 +63,8 @@ class ResponseCurve:
     skipped_no_cross: int = 0
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("bin_lo,bin_hi,r1,rm,count\n")
-        for i, c in enumerate(self.counts):
-            lo, hi = self.bin_edges[i], self.bin_edges[i + 1]
-            r1 = "" if self.r1[i] is None else repr(self.r1[i])
-            rm = "" if self.rm[i] is None else repr(self.rm[i])
-            buf.write(f"{lo!r},{hi!r},{r1},{rm},{c}\n")
-        return buf.getvalue()
+        return csv_table("bin_lo,bin_hi,r1,rm,count", zip(
+            self.bin_edges, self.bin_edges[1:], self.r1, self.rm, self.counts))
 
 
 def log_bins(lo: float, hi: float, n: int) -> list[float]:

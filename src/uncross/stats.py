@@ -8,7 +8,6 @@ Kolmogorov p-values at effective size n*m/(n+m)).
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -23,6 +22,7 @@ from .errors import (
     ParseError,
     TooFewPoints,
 )
+from .events import csv_table
 
 
 def _midranks(values: Sequence[float]) -> np.ndarray:
@@ -173,19 +173,10 @@ def csv_label(label: str) -> str:
 
 
 def day_metrics_to_csv(rows: Sequence[DayMetrics]) -> str:
-    def opt(v) -> str:
-        return "" if v is None else repr(v)
-
-    buf = io.StringIO()
-    buf.write(DAY_METRICS_HEADER + "\n")
-    for r in rows:
-        delta_bp = None if r.delta is None else r.delta * 1e4
-        buf.write(
-            f"{csv_label(r.date)},{r.side},{r.p_a!r},{r.q_a},{r.omega0!r},{opt(delta_bp)},"
-            f"{opt(r.l_tilde)},{opt(r.omega_max)},{opt(r.beta_emp)},"
-            f"{opt(r.beta_theo)},{opt(r.l_cash)}\n"
-        )
-    return buf.getvalue()
+    return csv_table(DAY_METRICS_HEADER, (
+        (csv_label(r.date), r.side, r.p_a, r.q_a, r.omega0,
+         None if r.delta is None else r.delta * 1e4, r.l_tilde, r.omega_max, r.beta_emp,
+         r.beta_theo, r.l_cash) for r in rows))
 
 
 def _finite(text: str) -> float:
@@ -325,16 +316,7 @@ def kernel_density(values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
 def distribution_report(values: Sequence[float], kind: str) -> str:
     """CSV table for a sample: smoothed histogram or exact reverse CDF."""
     if kind == "rcdf":
-        buf = io.StringIO()
-        buf.write("value,fraction_ge\n")
-        for v, f in rcdf(values):
-            buf.write(f"{v!r},{f!r}\n")
-        return buf.getvalue()
+        return csv_table("value,fraction_ge", rcdf(values))
     if kind == "histogram-smoothed":
-        grid, dens = kernel_density(values)
-        buf = io.StringIO()
-        buf.write("value,density\n")
-        for g, d in zip(grid, dens):
-            buf.write(f"{g!r},{d!r}\n")
-        return buf.getvalue()
+        return csv_table("value,density", zip(*kernel_density(values)))
     raise ValueError(f"unknown report kind {kind!r}; use 'rcdf' or 'histogram-smoothed'")

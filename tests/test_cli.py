@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -119,7 +120,8 @@ def test_stats_over_paired_days(tmp_path):
     pairs = [(0.01, 0.02), (0.05, 0.03), (0.02, 0.07), (0.04, 0.04)]
     metrics = _metrics_csv(tmp_path / "metrics.csv", pairs)
     out = tmp_path / "out"
-    res = run(["stats", str(metrics), "--kde", "l_cash", "--out-dir", str(out)])
+    res = run(["stats", str(metrics), "--kde", "l_cash", "--rcdf", "omega0",
+               "--out-dir", str(out)])
     assert res.exit_code == 0, res.output
     report = json.loads((out / "stats_report.json").read_text())
     xs, ys = zip(*pairs)
@@ -129,6 +131,11 @@ def test_stats_over_paired_days(tmp_path):
     assert report["ks_omega0"] == {"statistic": ks.statistic, "p_value": ks.p_value}
     kde = (out / "stats_kde_l_cash.csv").read_text().splitlines()
     assert kde[0] == "value,density" and len(kde) == 1 + 256
+    rcdf = (out / "stats_rcdf_omega0.csv").read_text().splitlines()
+    assert rcdf[0] == "value,fraction_ge" and len(rcdf) == 1 + len(set(xs + ys))
+    for line in kde[1:] + rcdf[1:]:
+        cells = [float(c) for c in line.split(",")]  # plain numbers, not np.float64(...)
+        assert len(cells) == 2 and all(math.isfinite(c) for c in cells), line
 
 
 def test_stats_reports_a_spearman_it_cannot_compute(tmp_path):
@@ -220,6 +227,16 @@ def test_series_liquidity_rows_equal_a_fit_of_a_fresh_replay(workspace, tmp_path
                         f"{fit.omega_max!r},{fit.omega_max * q!r}")
     assert sum(1 for _, p_ind, _ in points if p_ind) >= 3
     assert (tmp_path / "day_liquidity.csv").read_text().splitlines()[1:] == want
+
+
+def test_series_of_a_log_without_events_writes_only_headers(tmp_path):
+    log = tmp_path / "day.csv"
+    log.write_text(HEADER)
+    res = run(["series", str(log), "--tick", "0.1", "--ref", "10.0", "--out-dir", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    assert (tmp_path / "day_indicative.csv").read_text() == "t_us,p_ind,q_ind\n"
+    assert ((tmp_path / "day_liquidity.csv").read_text()
+            == "t_us,side,p_ind,q_ind,l_tilde,l_abs,omega_max,q_max\n")
 
 
 def test_response_and_series(workspace):
@@ -363,8 +380,10 @@ def test_book_reject_in_log_is_line_numbered_parse_error(tmp_path, command, pref
      "bad grid file: price 1e+300 is not on the grid"),
     ('{"tick_size": Infinity, "anchor": 10.0, "reference_price": 10.0}',
      "bad grid file: tick_size must be positive and finite, got inf"),
+    ('{"tick_size": 0.1, "anchor": 10.0, "reference_price": true}',
+     "bad grid file: reference_price must be a number, got true"),
 ], ids=["missing-key", "not-json", "off-grid-ref", "ticks-overflow", "anchor-too-far",
-        "nan-anchor", "ref-beyond-float-ticks", "infinite-tick"])
+        "nan-anchor", "ref-beyond-float-ticks", "infinite-tick", "boolean-ref"])
 def test_bad_grid_file_is_parse_error(tmp_path, text, message):
     log = tmp_path / "day.csv"
     log.write_text(",".join(CSV_HEADER) + "\n" + CROSSED)
@@ -483,6 +502,32 @@ def test_bad_grid_options_are_usage_errors(tmp_path, grid_args):
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("grid_args, named", [
+    (["--tick", "0.05", "--ref", "3"], "--tick/--ref"),
+    (["--anchor", "10.0"], "--anchor"),
+], ids=["tick-and-ref", "anchor"])
+def test_grid_file_with_grid_options_is_usage_error(tmp_path, grid_args, named):
+    log = tmp_path / "day.csv"
+    log.write_text(HEADER + CROSSED)
+    grid = tmp_path / "grid.json"
+    grid.write_text('{"tick_size": 0.1, "anchor": 10.0, "reference_price": 10.0}')
+    res = run(["replay", str(log), "--grid", str(grid), *grid_args,
+               "--out-dir", str(tmp_path / "out")])
+    assert res.exit_code == 2, res.output
+    assert f"give either --grid or {named}, not both" in res.output
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["sub/x", "", "x/"])
+def test_gen_name_that_is_not_a_bare_file_name_is_usage_error(tmp_path, name):
+    (tmp_path / "cfg.json").write_text("{}")
+    out = tmp_path / "out"
+    res = run(["gen", str(tmp_path / "cfg.json"), "--name", name, "--out-dir", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "Invalid value for '--name'" in res.output
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, option, value", [

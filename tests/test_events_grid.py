@@ -3,6 +3,7 @@ import math
 import pickle
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from uncross.events import (
     ORDER_TYPES,
     SIDES,
     OrderEvent,
+    csv_table,
     format_event,
     read_events,
     write_events,
@@ -237,3 +239,9 @@ def test_replay_snaps_each_priced_row_once(tmp_path, monkeypatch, replay):
     priced = sum(ev.price is not None for ev in events)
     assert any(ev.action == "CANCEL" and ev.price is not None for ev in events)
     assert 0 < calls <= priced
+
+
+def test_csv_table_writes_every_cell_by_one_rule():
+    rows = [(np.float64(0.1), None, 3, "B"), (1e-05, -0.0, np.int64(7), 2.0)]
+    assert csv_table("a,b,c,d", rows) == "a,b,c,d\n0.1,,3,B\n1e-05,-0.0,7,2.0\n"
+    assert csv_table("a,b", []) == "a,b\n"

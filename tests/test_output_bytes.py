@@ -78,15 +78,20 @@ def days(tmp_path_factory):
         "density_profile.csv":
             "5a95b6300afaa37edb7f5e863df5d1ed639d6fb94f72ec3cce3c6ac4e1c87b4d",
     }),
+    ("density", ["day7.csv", "day8.csv", "day9.csv", *GRID], {
+        "density_profile.csv":
+            "becadcd4b48aa9461e2f4d45dbc8e7b36b9caa29f630d9fbf7205cbc2546d15e",
+    }),
     ("stats", ["metrics.csv", "--rcdf", "omega0", "--kde", "l_cash"], {
         "stats_report.json":
             "aeab3f819812e39c2887bcbfc14ee1d24c4e209621b594dbe526a18216ad7e5c",
         "stats_rcdf_omega0.csv":
             "6fb859eb57b86cb3db99da404c03e3e281ba0df4cb00e77c2989cc63c32bb57a",
         "stats_kde_l_cash.csv":
-            "7aa904026cdc316699d3a2fc1cdb23713295cf42f68813005006fb4ffc87e64c",
+            "d502f4202d9c8fc30db279a14e99c744b331f75b9ca200607bb2341101413c4d",
     }),
-], ids=["replay", "impact", "regime", "response", "series", "density", "stats"])
+], ids=["replay", "impact", "regime", "response", "series", "density", "density-ungrouped",
+        "stats"])
 def test_output_bytes_are_pinned(days, tmp_path, command, args, digests):
     args = [days / a if a.endswith(".csv") else a for a in args]
     invoke([command, *args, "--out-dir", tmp_path])
