@@ -15,10 +15,10 @@ then calls the recorded command with the recorded parameters, reproducing the
 outputs byte for byte.
 
 Exit codes: 0 success; 65 malformed input, named by file and line (a bad row,
-a log event the book rejects) or by file (a bad grid file, a ``gen`` config
-that is not a JSON object of known, well-typed, finite fields, a ``rerun``
-file that is not a manifest or whose params the command does not take); 66 no
-cross; 67 too few points; 70 other package errors, and a rerun whose inputs
+a log event the book rejects) or by file (a log or metrics file that is not
+UTF-8, a bad grid file, a ``gen`` config that is not a JSON object of known,
+well-typed, finite fields, a ``rerun`` file that is not a manifest or whose
+params the command does not take); 66 no cross; 67 too few points; 70 other package errors, and a rerun whose inputs
 are missing or changed.  Click itself uses 2 for usage errors.
 """
 from __future__ import annotations

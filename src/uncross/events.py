@@ -132,52 +132,66 @@ def _located(ev: OrderEvent, exc: UncrossError) -> UncrossError:
 
 
 def read_events(path: str | Path) -> Iterator[OrderEvent]:
-    """Stream events from a CSV log, raising line-numbered ParseError on bad rows.
+    """Stream events from a CSV log, raising ParseError on bad rows.
 
-    Timestamps must be nondecreasing: a row earlier than the one before it is
-    a bad row.
+    A row's line is its physical line in the file, the last one of a row with
+    a quoted line break.  Timestamps must be nondecreasing: a row earlier than
+    the one before it is a bad row.  A file that is not UTF-8 is a ParseError
+    naming it.
     """
     name = str(path)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file", line=1, path=name) from None
-        if header != CSV_HEADER:
-            raise ParseError(
-                f"bad header {header!r}; expected {CSV_HEADER!r}", line=1, path=name
-            )
-        last_ts: int | None = None
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(CSV_HEADER):
-                raise ParseError(f"expected {len(CSV_HEADER)} fields, got {len(row)}",
-                                 line=line_no, path=name)
-            ts, oid, action, side, otype, price_s, qty_s, lat, acct = row
             try:
-                timestamp = int(ts)
-            except ValueError:
-                raise ParseError(f"bad timestamp_us {ts!r}", line=line_no, path=name) from None
-            try:
-                price = float(price_s) if price_s else None
-            except ValueError:
-                raise ParseError(f"bad price {price_s!r}", line=line_no, path=name) from None
-            try:
-                qty = int(qty_s)
-            except ValueError:
-                raise ParseError(f"bad qty {qty_s!r}", line=line_no, path=name) from None
-            try:
-                ev = OrderEvent(timestamp, oid, action, side, otype, price, qty, lat, acct,
-                                path=name, line=line_no)
-            except ParseError as exc:
-                raise ParseError(str(exc), line=line_no, path=name) from None
-            if last_ts is not None and timestamp < last_ts:
-                raise ParseError(f"timestamp_us {timestamp} is earlier than the previous row's "
-                                 f"{last_ts}", line=line_no, path=name)
-            last_ts = timestamp
-            yield ev
+                header = next(reader)
+            except StopIteration:
+                raise ParseError("empty file", line=1, path=name) from None
+            if header != CSV_HEADER:
+                raise ParseError(
+                    f"bad header {header!r}; expected {CSV_HEADER!r}", line=1, path=name
+                )
+            last_ts: int | None = None
+            for row in reader:
+                if not row:
+                    continue
+                line_no = reader.line_num
+                if len(row) != len(CSV_HEADER):
+                    raise ParseError(f"expected {len(CSV_HEADER)} fields, got {len(row)}",
+                                     line=line_no, path=name)
+                ts, oid, action, side, otype, price_s, qty_s, lat, acct = row
+                try:
+                    timestamp = int(ts)
+                except ValueError:
+                    raise ParseError(f"bad timestamp_us {ts!r}", line=line_no,
+                                     path=name) from None
+                try:
+                    price = float(price_s) if price_s else None
+                except ValueError:
+                    raise ParseError(f"bad price {price_s!r}", line=line_no,
+                                     path=name) from None
+                try:
+                    qty = int(qty_s)
+                except ValueError:
+                    raise ParseError(f"bad qty {qty_s!r}", line=line_no, path=name) from None
+                try:
+                    ev = OrderEvent(timestamp, oid, action, side, otype, price, qty, lat, acct,
+                                    path=name, line=line_no)
+                except ParseError as exc:
+                    raise ParseError(str(exc), line=line_no, path=name) from None
+                if last_ts is not None and timestamp < last_ts:
+                    raise ParseError(f"timestamp_us {timestamp} is earlier than the previous "
+                                     f"row's {last_ts}", line=line_no, path=name)
+                last_ts = timestamp
+                yield ev
+        except UnicodeDecodeError as exc:
+            raise not_utf8(exc, name) from None
+
+
+def not_utf8(exc: UnicodeDecodeError, path: str) -> ParseError:
+    """The ParseError for a file whose bytes are not UTF-8."""
+    return ParseError(f"not UTF-8 text: {exc.reason} 0x{exc.object[exc.start]:02x}",
+                      path=path)
 
 
 def format_event(ev: OrderEvent) -> list[str]:

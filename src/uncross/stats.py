@@ -3,7 +3,9 @@
 The rank correlation and two-sample KS test are implemented directly (they are
 small enough that an explicit implementation doubles as documentation of the
 conventions: mid-ranks for ties, t-approximation for significance, asymptotic
-Kolmogorov p-values at effective size n*m/(n+m)).
+Kolmogorov p-values at effective size n*m/(n+m)).  The t tail is the regularized
+incomplete beta function I_x(nu/2, 1/2) at x = nu/(nu+t^2), evaluated by its
+continued fraction, so the package needs no SciPy.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from .errors import (
     ParseError,
     TooFewPoints,
 )
-from .events import csv_table
+from .events import csv_table, not_utf8
 
 
 def _midranks(values: Sequence[float]) -> np.ndarray:
@@ -73,11 +75,53 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> SpearmanResult:
     if abs(rho) == 1.0:
         p = 0.0
     else:
-        from scipy.special import stdtr  # here, not at the top: every CLI process would load scipy
-
-        t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-        p = 2.0 * float(stdtr(n - 2, -abs(t)))
+        p = t_tail(rho * math.sqrt((n - 2) / (1.0 - rho * rho)), n - 2)
     return SpearmanResult(rho, p)
+
+
+_FRACTION_MAX_TERMS = 1000  # nu up to 1e6 needs at most 52
+_TINY = 1e-300  # stands in for a zero denominator in the Lentz recurrence
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """The continued fraction of I_x(a, b), by the modified Lentz method.
+
+    It converges fast for x < (a+1)/(a+b+2), in O(sqrt(max(a, b))) terms.
+    """
+    c = 1.0
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > _TINY else _TINY)
+    h = d
+    for m in range(1, _FRACTION_MAX_TERMS + 1):
+        for num in (m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+                    -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > _TINY else _TINY)
+            c = 1.0 + num / c
+            c = c if abs(c) > _TINY else _TINY
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-15:
+            return h
+    raise ArithmeticError(f"incomplete beta fraction did not converge in "
+                          f"{_FRACTION_MAX_TERMS} terms (a={a}, b={b}, x={x})")
+
+
+def t_tail(t: float, nu: float) -> float:
+    """Two-sided Student-t tail P(|T| >= |t|) with ``nu`` degrees of freedom.
+
+    This is I_x(nu/2, 1/2) at x = nu/(nu+t^2); past x > (a+1)/(a+b+2) it is
+    taken as 1 - I_{1-x}(1/2, nu/2), where the fraction converges.
+    """
+    r = t * t / nu  # x = 1/(1+r) and 1-x = r/(1+r), each without cancellation
+    if r == 0.0:
+        return 1.0
+    a, b = 0.5 * nu, 0.5
+    front = math.exp(-a * math.log1p(r) + b * (math.log(r) - math.log1p(r))
+                     + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b))
+    x = 1.0 / (1.0 + r)
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_fraction(a, b, x) / a
+    return 1.0 - front * _beta_fraction(b, a, r / (1.0 + r)) / b
 
 
 @dataclass(frozen=True)
@@ -189,43 +233,57 @@ def _finite(text: str) -> float:
 def read_day_metrics(path) -> list[DayMetrics]:
     """Rows of a per-day metrics CSV.
 
-    A row with a number that is not finite, ``q_a < 1``, ``p_a <= 0`` or
-    ``omega0 < 0``, a side other than B or S, or an earlier row's ``(date, side)``
-    is a ParseError at its line.
+    A row with other than the header's number of fields, a number that is not
+    finite, ``q_a < 1``, ``p_a <= 0`` or ``omega0 < 0``, a side other than B or
+    S, or an earlier row's ``(date, side)`` is a ParseError at its physical
+    line.  A file that is not UTF-8 is a ParseError naming it.
     """
     rows = []
     seen: dict[tuple[str, str], int] = {}  # (date, side) -> line
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        expected = DAY_METRICS_HEADER.split(",")
-        if reader.fieldnames is None or [f for f in expected if f not in reader.fieldnames]:
-            raise ParseError(
-                f"day metrics header must contain {expected}", line=1, path=str(path)
-            )
-        for line_no, rec in enumerate(reader, start=2):
-            try:
-                row = DayMetrics(
-                    date=rec["date"],
-                    side=rec["side"],
-                    p_a=_finite(rec["p_a"]),
-                    q_a=int(rec["q_a"]),
-                    omega0=_finite(rec["omega0"]),
-                    delta=_finite(rec["delta_bp"]) / 1e4 if rec["delta_bp"] else None,
-                    l_tilde=_finite(rec["l_tilde"]) if rec["l_tilde"] else None,
-                    omega_max=_finite(rec["omega_max"]) if rec["omega_max"] else None,
-                    beta_emp=_finite(rec["beta_emp"]) if rec["beta_emp"] else None,
-                    beta_theo=_finite(rec["beta_theo"]) if rec["beta_theo"] else None,
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            expected = DAY_METRICS_HEADER.split(",")
+            if header is None or [f for f in expected if f not in header]:
+                raise ParseError(
+                    f"day metrics header must contain {expected}", line=1, path=str(path)
                 )
-                if row.q_a < 1 or row.p_a <= 0 or row.omega0 < 0:
-                    raise ValueError("need q_a >= 1, p_a > 0 and omega0 >= 0")
-                if row.side not in ("B", "S"):
-                    raise ValueError(f"side must be B or S, got {row.side!r}")
-                first = seen.setdefault((row.date, row.side), line_no)
-                if first != line_no:
-                    raise ValueError(f"date {row.date!r} side {row.side} repeats line {first}")
-            except (ValueError, TypeError, KeyError) as exc:  # TypeError: a short row
-                raise ParseError(f"bad day metrics row: {exc}", line=line_no, path=str(path))
-            rows.append(row)
+            for cells in reader:
+                if not cells:
+                    continue
+                line_no = reader.line_num
+                try:
+                    if len(cells) != len(header):
+                        raise ValueError(f"expected {len(header)} fields like the header, "
+                                         f"got {len(cells)}")
+                    rec = dict(zip(header, cells))
+                    row = DayMetrics(
+                        date=rec["date"],
+                        side=rec["side"],
+                        p_a=_finite(rec["p_a"]),
+                        q_a=int(rec["q_a"]),
+                        omega0=_finite(rec["omega0"]),
+                        delta=_finite(rec["delta_bp"]) / 1e4 if rec["delta_bp"] else None,
+                        l_tilde=_finite(rec["l_tilde"]) if rec["l_tilde"] else None,
+                        omega_max=_finite(rec["omega_max"]) if rec["omega_max"] else None,
+                        beta_emp=_finite(rec["beta_emp"]) if rec["beta_emp"] else None,
+                        beta_theo=_finite(rec["beta_theo"]) if rec["beta_theo"] else None,
+                    )
+                    if row.q_a < 1 or row.p_a <= 0 or row.omega0 < 0:
+                        raise ValueError("need q_a >= 1, p_a > 0 and omega0 >= 0")
+                    if row.side not in ("B", "S"):
+                        raise ValueError(f"side must be B or S, got {row.side!r}")
+                    first = seen.setdefault((row.date, row.side), line_no)
+                    if first != line_no:
+                        raise ValueError(f"date {row.date!r} side {row.side} repeats line "
+                                         f"{first}")
+                except ValueError as exc:
+                    raise ParseError(f"bad day metrics row: {exc}", line=line_no,
+                                     path=str(path)) from None
+                rows.append(row)
+        except UnicodeDecodeError as exc:
+            raise not_utf8(exc, str(path)) from None
     return rows
 
 

@@ -150,14 +150,19 @@ def test_stats_reports_a_spearman_it_cannot_compute(tmp_path):
 @pytest.mark.parametrize("field, value", [
     ("omega0", "nan"), ("omega0", "inf"), ("omega0", "-0.1"), ("l_tilde", "inf"),
     ("delta_bp", "nan"), ("beta_emp", "-inf"), ("p_a", "nan"), ("p_a", "0.0"), ("p_a", "-1.0"),
-    ("q_a", "0"), ("q_a", "-5"), (None, "short-row"),
+    ("q_a", "0"), ("q_a", "-5"), (None, "short-row"), (None, "no-optional-cells"),
+    (None, "extra-cell"),
 ])
 def test_bad_day_metrics_row_is_parse_error(tmp_path, field, value):
     metrics = _metrics_csv(tmp_path / "metrics.csv", [(0.01, 0.02)])
     header, first, second = metrics.read_text().splitlines()
     cells = second.split(",")
-    if field is None:
+    if value == "short-row":
         cells = cells[:3]
+    elif value == "no-optional-cells":  # date..omega0 only: read with the rest empty
+        cells = cells[:5]
+    elif value == "extra-cell":  # filed under no column and read as the 11 before it
+        cells.append("junk")
     else:
         cells[header.split(",").index(field)] = value
     metrics.write_text("\n".join([header, first, ",".join(cells)]) + "\n")
@@ -188,6 +193,15 @@ def test_metrics_row_on_an_unknown_side_is_parse_error(tmp_path):
     assert res.exit_code == EXIT_PARSE, res.output
     assert f"{metrics}:5: bad day metrics row: side must be B or S, got 'X'" in res.output
     assert not (tmp_path / "out").exists() or list((tmp_path / "out").iterdir()) == []
+
+
+def test_metrics_row_after_a_blank_line_is_blamed_on_its_own_line(tmp_path):
+    metrics = _metrics_csv(tmp_path / "metrics.csv", [(0.01, 0.02)])
+    header, first, second = metrics.read_text().splitlines()
+    metrics.write_text("\n".join([header, first, "", second.replace(",S,", ",X,", 1)]) + "\n")
+    res = run(["stats", str(metrics), "--out-dir", str(tmp_path / "out")])
+    assert res.exit_code == EXIT_PARSE, res.output
+    assert f"{metrics}:4: bad day metrics row: side must be B or S, got 'X'" in res.output
 
 
 def test_series_rows_without_a_fit_keep_price_and_volume(workspace, tmp_path):
@@ -322,6 +336,31 @@ def test_exit_code_out_of_order_timestamps(tmp_path):
 
 
 CROSSED = "0,a,SUBMIT,B,LIMIT,10.0,5,HFT,OWN\n1,b,SUBMIT,S,LIMIT,10.0,5,HFT,OWN\n"
+
+
+def test_log_row_after_a_quoted_line_break_is_blamed_on_its_own_line(tmp_path):
+    log = tmp_path / "bad.csv"
+    log.write_text(HEADER + CROSSED.replace(",b,", ',"b\nc",')
+                   + "2,d,SUBMIT,Q,LIMIT,10.0,5,HFT,OWN\n")
+    res = run(["replay", str(log), "--tick", "0.1", "--ref", "10.0",
+               "--out-dir", str(tmp_path / "out")])
+    assert res.exit_code == EXIT_PARSE, res.output
+    assert "bad.csv:5: unknown side 'Q'" in res.output
+
+
+@pytest.mark.parametrize("command", ["replay", "response", "stats"])
+def test_file_that_is_not_utf8_is_parse_error_naming_it(tmp_path, command):
+    if command == "stats":
+        path = _metrics_csv(tmp_path / "metrics.csv", [(0.01, 0.02)])
+        path.write_bytes(path.read_bytes().replace(b"2017-05-01", b"2017-05-\xff1", 1))
+        grid = []
+    else:
+        path = tmp_path / "day.csv"
+        path.write_bytes((HEADER + CROSSED).replace(",b,", ",b\xff,").encode("latin-1"))
+        grid = ["--tick", "0.1", "--ref", "10.0"]
+    res = run([command, str(path), *grid, "--out-dir", str(tmp_path / "out")])
+    assert res.exit_code == EXIT_PARSE, res.output
+    assert f"{path}: not UTF-8 text: invalid start byte 0xff" in res.output
 # two rows that leave the book without a cross
 APART = "0,a,SUBMIT,B,LIMIT,9.9,5,HFT,OWN\n1,b,SUBMIT,S,LIMIT,10.1,5,HFT,OWN\n"
 
@@ -711,11 +750,21 @@ def test_python_m_runs_the_cli(tmp_path):
 
 
 def test_importing_the_cli_leaves_scipy_unloaded(tmp_path):
-    """Only ``spearman`` uses scipy, so a command that takes no statistic never loads it."""
-    code = "import sys, uncross.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    res = _python("-c", code, cwd=tmp_path)
+    """The package needs no scipy: neither importing the CLI nor ``stats`` with a
+    Spearman p-value below 1 loads it."""
+    loaded = "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    res = _python("-c", f"import sys, uncross.cli; {loaded}", cwd=tmp_path)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+    _metrics_csv(tmp_path / "metrics.csv", [(0.01, 0.02), (0.05, 0.03), (0.02, 0.07)])
+    args = ["stats", "metrics.csv", "--rcdf", "omega0", "--kde", "l_cash", "--out-dir", "out"]
+    res = _python("-c", f"import sys, uncross.cli\ntry:\n    uncross.cli.main({args!r})\n"
+                  f"finally:\n    {loaded}", cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "[]"
+    report = json.loads((tmp_path / "out" / "stats_report.json").read_text())
+    assert abs(report["spearman_omega0"]["rho"]) < 1
+    assert 0 < report["spearman_omega0"]["p_value"] < 1
 
 
 def test_series_interval_in_seconds_steps_whole_microseconds(tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from uncross.stats import (
     rcdf,
     read_day_metrics,
     spearman,
+    t_tail,
     zero_impact_probability,
 )
 
@@ -73,6 +75,36 @@ class TestSpearman:
         ys = list(reversed(xs))
         base = spearman(xs, ys).rho
         assert spearman(fx, ys).rho == pytest.approx(base, abs=1e-9)
+
+
+T_GRID = np.logspace(-3, 2, 101)
+
+
+class TestTTail:
+    @pytest.mark.parametrize("nu", [1, 2, 3, 5, 10, 30, 100, 1000, 10000])
+    def test_matches_scipy(self, nu):
+        for t in T_GRID:
+            ref = 2.0 * float(scipy.special.stdtr(nu, -t))
+            assert t_tail(t, nu) == pytest.approx(ref, rel=1e-9, abs=1e-300)
+            assert t_tail(-t, nu) == t_tail(t, nu)
+
+    def test_closed_forms(self):
+        for t in T_GRID:
+            # 1 - (2/pi) atan|t| and 1 - |t|/sqrt(2+t^2), written without cancellation
+            assert t_tail(t, 1) == pytest.approx(2.0 / math.pi * math.atan(1.0 / t), rel=1e-12)
+            s = math.sqrt(2.0 + t * t)
+            assert t_tail(t, 2) == pytest.approx(2.0 / (s * (s + t)), rel=1e-12)
+
+    def test_is_a_probability(self):
+        for nu in (1, 2, 7, 50, 1e6):
+            for t in (0.0, 1e-300, 1e-8, *T_GRID, 1e8, 1e150):
+                assert 0.0 <= t_tail(t, nu) <= 1.0
+        assert t_tail(0.0, 3) == 1.0
+
+    def test_fraction_that_does_not_converge_raises(self, monkeypatch):
+        monkeypatch.setattr("uncross.stats._FRACTION_MAX_TERMS", 2)
+        with pytest.raises(ArithmeticError, match="did not converge in 2 terms"):
+            t_tail(1.5, 1000)
 
 
 class TestKs:
