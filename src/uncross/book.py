@@ -18,6 +18,15 @@ orders; demand counts buy volume at or above plus buy market orders.  Market
 orders have no price, so they participate in the sums at every price, which
 mirrors their unconditional priority in the uncrossing.
 
+A log replays event by event, ``replay(read_events(path))``, for callers that
+act between events, or straight from its rows, ``replay_log(path)``, to the
+same book.  The row replay hands a SUBMIT or CANCEL row that passes every
+check of ``read_events`` and of the book to the book's rules without building
+an event.  Every other row, a MODIFY or a row some check refuses, falls back
+to its ``OrderEvent`` and ``apply``, so each reject and its line come from the
+event path.  Within one ``replay_log`` call a dict local to it snaps each
+distinct price cell to its tick once; it holds only on-grid positive prices.
+
 Replaying is strictly sequential (single writer per auction); completed books
 are treated as immutable snapshots and may be shared freely across threads.
 """
@@ -25,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
@@ -36,7 +46,17 @@ from .errors import (
     UncrossError,
     UnknownOrderId,
 )
-from .events import OrderEvent, _located, format_price
+from .events import (
+    _ACCOUNT_SET,
+    _LATENCY_SET,
+    _SIDE_SET,
+    _TYPE_SET,
+    OrderEvent,
+    _located,
+    _log_rows,
+    _row_event,
+    format_price,
+)
 from .grid import PriceGrid
 
 # Ticks of slack on each side of the reference tick in a new book's level
@@ -103,12 +123,14 @@ class AuctionBook:
         A reject of an event read from a log is raised as a ParseError at its line.
         """
         try:
+            tick = None if ev.price is None else self.grid.index_of(ev.price)
             if ev.action == "SUBMIT":
-                self._submit(ev)
+                self._submit(ev.order_id, ev.side, ev.order_type, tick, ev.quantity,
+                             ev.timestamp, ev.latency_flag, ev.account_type)
             elif ev.action == "CANCEL":
-                self._cancel(ev)
+                self._cancel(ev.order_id, ev.side, ev.order_type, ev.price, tick)
             else:
-                self._modify(ev)
+                self._modify(ev, tick)
         except UncrossError as exc:
             raise _located(ev, exc) from None
         return self
@@ -118,58 +140,106 @@ class AuctionBook:
             self.apply(ev)
         return self
 
-    def _submit(self, ev: OrderEvent) -> None:
-        if ev.order_id in self.orders:
-            raise DuplicateOrderId(f"order id {ev.order_id!r} is already live")
-        if ev.quantity < 1:
-            raise NonPositiveQuantity(f"quantity must be >= 1, got {ev.quantity}")
-        # a validated event carries a price exactly when its order type has one
-        price_index = None if ev.price is None else self.grid.index_of(ev.price)
-        self._seq += 1
-        rec = OrderRecord(ev.order_id, ev.side, ev.order_type, price_index, ev.quantity,
-                          ev.timestamp, self._seq, ev.latency_flag, ev.account_type)
-        self.orders[ev.order_id] = rec
-        self._shift_volume(rec, rec.quantity)
+    def replay_log(self, path: str | Path) -> "AuctionBook":
+        """Replay a CSV event log into the book and return the book.
 
-    def _live(self, ev: OrderEvent) -> OrderRecord:
+        The result, and every ParseError with its line, equal those of
+        ``self.replay(read_events(path))``.  A SUBMIT or CANCEL row that passes
+        every check goes to the book's rules without an ``OrderEvent``; every
+        other row, a MODIFY or a row some check refuses, is read into its event
+        and applied, so its reject comes from ``read_events`` and ``apply``.
+        """
+        name = str(path)
+        ticks: dict[str, int] = {}  # price cell -> its tick, for on-grid prices only
+        index_of, submit, cancel = self.grid.index_of, self._submit, self._cancel
+        last_ts = None
+        with _log_rows(path) as reader:
+            for row in reader:
+                if not row:
+                    continue
+                try:
+                    ts_s, oid, action, side, otype, price_s, qty_s, lat, acct = row
+                    ts, qty = int(ts_s), int(qty_s)
+                    price = float(price_s) if price_s else None
+                except ValueError:  # a wrong cell count or a bad number
+                    fits = False
+                else:  # the checks of OrderEvent.validate and of the timestamp order
+                    fits = ((action == "SUBMIT" or action == "CANCEL") and side in _SIDE_SET
+                            and otype in _TYPE_SET and lat in _LATENCY_SET
+                            and acct in _ACCOUNT_SET and (last_ts is None or last_ts <= ts)
+                            and ((otype == "MARKET" or action == "CANCEL") if price is None
+                                 else otype != "MARKET" and 0 < price < math.inf))
+                if fits:
+                    try:
+                        if price is None:
+                            tick = None
+                        elif (tick := ticks.get(price_s)) is None:
+                            tick = ticks[price_s] = index_of(price)
+                        if action == "SUBMIT":
+                            submit(oid, side, otype, tick, qty, ts, lat, acct)
+                        else:
+                            cancel(oid, side, otype, price, tick)
+                    except UncrossError:  # raised before the book changed
+                        fits = False
+                if not fits:
+                    ev = _row_event(row, reader.line_num, name, last_ts)
+                    self.apply(ev)
+                    ts = ev.timestamp
+                last_ts = ts
+        return self
+
+    def _submit(self, order_id: str, side: str, order_type: str, tick: int | None,
+                quantity: int, timestamp: int, latency_flag: str, account_type: str) -> None:
+        if order_id in self.orders:
+            raise DuplicateOrderId(f"order id {order_id!r} is already live")
+        if quantity < 1:
+            raise NonPositiveQuantity(f"quantity must be >= 1, got {quantity}")
+        self._seq += 1
+        rec = OrderRecord(order_id, side, order_type, tick, quantity, timestamp, self._seq,
+                          latency_flag, account_type)
+        self.orders[order_id] = rec
+        self._shift_volume(rec, quantity)
+
+    def _live(self, order_id: str, action: str, side: str, order_type: str,
+              price: float | None, tick: int | None) -> OrderRecord:
         """The live order a CANCEL or MODIFY names, refusing fields that contradict it.
 
         An order never changes side, and a CANCEL repeats its type and, when it
-        gives one, its price; a CANCEL's quantity is informational.
+        gives one, its price, snapped to ``tick``; a CANCEL's quantity is informational.
         """
-        rec = self.orders.get(ev.order_id)
+        rec = self.orders.get(order_id)
         if rec is None:
-            raise UnknownOrderId(f"{ev.action} of unknown or dead order {ev.order_id!r}")
-        cancel = ev.action == "CANCEL"
-        if ev.side != rec.side:
-            wrong = f"on side {ev.side}; it is live on side {rec.side}"
-        elif cancel and ev.order_type != rec.order_type:
-            wrong = f"as {ev.order_type}; it is live as {rec.order_type}"
-        elif cancel and ev.price is not None and self.grid.index_of(ev.price) != rec.price_index:
-            wrong = (f"at price {format_price(ev.price)}; it is live at "
+            raise UnknownOrderId(f"{action} of unknown or dead order {order_id!r}")
+        cancel = action == "CANCEL"
+        if side != rec.side:
+            wrong = f"on side {side}; it is live on side {rec.side}"
+        elif cancel and order_type != rec.order_type:
+            wrong = f"as {order_type}; it is live as {rec.order_type}"
+        elif cancel and tick is not None and tick != rec.price_index:
+            wrong = (f"at price {format_price(price)}; it is live at "
                      f"{format_price(self.grid.price_at(rec.price_index))}")
         else:
             return rec
-        raise ContradictsLiveOrder(f"{ev.action} of order {ev.order_id!r} {wrong}")
+        raise ContradictsLiveOrder(f"{action} of order {order_id!r} {wrong}")
 
-    def _cancel(self, ev: OrderEvent) -> None:
-        rec = self._live(ev)
+    def _cancel(self, order_id: str, side: str, order_type: str, price: float | None,
+                tick: int | None) -> None:
+        rec = self._live(order_id, "CANCEL", side, order_type, price, tick)
         self._shift_volume(rec, -rec.quantity)
-        del self.orders[ev.order_id]
+        del self.orders[order_id]
 
-    def _modify(self, ev: OrderEvent) -> None:
-        rec = self._live(ev)
+    def _modify(self, ev: OrderEvent, tick: int | None) -> None:
+        rec = self._live(ev.order_id, "MODIFY", ev.side, ev.order_type, ev.price, tick)
         if ev.quantity < 1:
             raise NonPositiveQuantity(f"quantity must be >= 1, got {ev.quantity}")
         new_type = ev.order_type
-        new_index = None if ev.price is None else self.grid.index_of(ev.price)
 
-        price_changed = new_index != rec.price_index or new_type != rec.order_type
+        price_changed = tick != rec.price_index or new_type != rec.order_type
         qty_up = ev.quantity > rec.quantity
 
         self._shift_volume(rec, -rec.quantity)
         rec.order_type = new_type
-        rec.price_index = new_index
+        rec.price_index = tick
         rec.quantity = ev.quantity
         if price_changed or qty_up:
             self._seq += 1

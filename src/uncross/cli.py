@@ -131,7 +131,7 @@ def _grid_from(tick: float | None, ref: float | None, anchor: float | None,
 
 def _cleared(log: str, grid: PriceGrid):
     """The book replayed from a log, and its clearing."""
-    book = AuctionBook(grid).replay(read_events(log))
+    book = AuctionBook(grid).replay_log(log)
     return book, clear(book)
 
 
@@ -254,7 +254,7 @@ def density(out, logs, dx, group, grid):
     """Average scaled book density across one or more day logs."""
     daily = []
     for log in logs:
-        book = AuctionBook(grid).replay(read_events(log))
+        book = AuctionBook(grid).replay_log(log)
         daily.append(day_profile(book, dx=dx * 1e-4, group_by=group))
     keys = sorted(daily[0].keys(), key=lambda k: (k is None, k))
     averaged = [average_density([d[k] for d in daily]) for k in keys]
@@ -283,7 +283,7 @@ def regime(out, log, date, min_points, max_x, approx_slope, full_metrics, grid):
         raise click.BadParameter(f"{exc}; without --date the label is the log's file name stem.",
                                  param_hint="'--date'") from None
     outputs = []
-    book = AuctionBook(grid).replay(read_events(log))
+    book = AuctionBook(grid).replay_log(log)
     fits = [
         (date, fit_regime(book, s, max_x=max_x * 1e-4, min_points=min_points,
                           slope_from_auction_price=approx_slope))

@@ -11,6 +11,7 @@ cell rule, ``_cell``.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
@@ -140,6 +141,20 @@ def read_events(path: str | Path) -> Iterator[OrderEvent]:
     naming it.
     """
     name = str(path)
+    with _log_rows(path) as reader:
+        last_ts: int | None = None
+        for row in reader:
+            if row:
+                ev = _row_event(row, reader.line_num, name, last_ts)
+                last_ts = ev.timestamp
+                yield ev
+
+
+@contextlib.contextmanager
+def _log_rows(path: str | Path) -> Iterator[Iterator[list[str]]]:
+    """A ``csv.reader`` over a log's rows, blank ones included, past its checked
+    header; a non-UTF-8 byte read inside the block is a ParseError naming the file."""
+    name = str(path)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -151,41 +166,39 @@ def read_events(path: str | Path) -> Iterator[OrderEvent]:
                 raise ParseError(
                     f"bad header {header!r}; expected {CSV_HEADER!r}", line=1, path=name
                 )
-            last_ts: int | None = None
-            for row in reader:
-                if not row:
-                    continue
-                line_no = reader.line_num
-                if len(row) != len(CSV_HEADER):
-                    raise ParseError(f"expected {len(CSV_HEADER)} fields, got {len(row)}",
-                                     line=line_no, path=name)
-                ts, oid, action, side, otype, price_s, qty_s, lat, acct = row
-                try:
-                    timestamp = int(ts)
-                except ValueError:
-                    raise ParseError(f"bad timestamp_us {ts!r}", line=line_no,
-                                     path=name) from None
-                try:
-                    price = float(price_s) if price_s else None
-                except ValueError:
-                    raise ParseError(f"bad price {price_s!r}", line=line_no,
-                                     path=name) from None
-                try:
-                    qty = int(qty_s)
-                except ValueError:
-                    raise ParseError(f"bad qty {qty_s!r}", line=line_no, path=name) from None
-                try:
-                    ev = OrderEvent(timestamp, oid, action, side, otype, price, qty, lat, acct,
-                                    path=name, line=line_no)
-                except ParseError as exc:
-                    raise ParseError(str(exc), line=line_no, path=name) from None
-                if last_ts is not None and timestamp < last_ts:
-                    raise ParseError(f"timestamp_us {timestamp} is earlier than the previous "
-                                     f"row's {last_ts}", line=line_no, path=name)
-                last_ts = timestamp
-                yield ev
+            yield reader
         except UnicodeDecodeError as exc:
             raise not_utf8(exc, name) from None
+
+
+def _row_event(row: list[str], line_no: int, name: str, last_ts: int | None) -> OrderEvent:
+    """The validated event of one non-blank log row at ``line_no``, whose timestamp
+    must not be earlier than ``last_ts``, the previous row's; ParseError otherwise."""
+    if len(row) != len(CSV_HEADER):
+        raise ParseError(f"expected {len(CSV_HEADER)} fields, got {len(row)}",
+                         line=line_no, path=name)
+    ts, oid, action, side, otype, price_s, qty_s, lat, acct = row
+    try:
+        timestamp = int(ts)
+    except ValueError:
+        raise ParseError(f"bad timestamp_us {ts!r}", line=line_no, path=name) from None
+    try:
+        price = float(price_s) if price_s else None
+    except ValueError:
+        raise ParseError(f"bad price {price_s!r}", line=line_no, path=name) from None
+    try:
+        qty = int(qty_s)
+    except ValueError:
+        raise ParseError(f"bad qty {qty_s!r}", line=line_no, path=name) from None
+    try:
+        ev = OrderEvent(timestamp, oid, action, side, otype, price, qty, lat, acct,
+                        path=name, line=line_no)
+    except ParseError as exc:
+        raise ParseError(str(exc), line=line_no, path=name) from None
+    if last_ts is not None and timestamp < last_ts:
+        raise ParseError(f"timestamp_us {timestamp} is earlier than the previous "
+                         f"row's {last_ts}", line=line_no, path=name)
+    return ev
 
 
 def not_utf8(exc: UnicodeDecodeError, path: str) -> ParseError:

@@ -93,15 +93,6 @@ class ImpactCurve:
         n = self._last_jump(q)
         return self.breakpoints[n - 1].impact if n else 0.0
 
-    def impact_at(self, omega: float | Fraction) -> float:
-        """Impact at a scaled volume; exact Fractions avoid boundary rounding."""
-        return self.impact_at_shares(Fraction(omega) * self.q_a)
-
-    def delta_omegas(self) -> list[Fraction]:
-        """Incremental scaled volumes between successive jumps, omega0 first."""
-        nums = [self.omega0_num] + [bp.omega_num for bp in self.breakpoints[1:]]
-        return [Fraction(b - a, self.q_a) for a, b in zip([0] + nums, nums)]
-
     def to_csv(self) -> str:
         return csv_table("side,i,omega_num,omega_den,price,impact_log", (
             (self.side, i, bp.omega_num, self.q_a,

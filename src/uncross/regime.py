@@ -200,10 +200,6 @@ class RegimeFit:
         return (csv_label(date), self.side, self.delta * 1e4, self.l_tilde, self.omega_max,
                 self.beta_emp, self.beta_theo, self.n_points)
 
-    def csv_row(self, date: str) -> str:
-        """``csv_cells`` as ``fits_to_csv`` writes them, without the line end."""
-        return csv_table(REGIME_CSV_HEADER, [self.csv_cells(date)]).splitlines()[1]
-
 
 REGIME_CSV_HEADER = "date,side,delta_bp,l_tilde,omega_max,beta_emp,beta_theo,n_points"
 

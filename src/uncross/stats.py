@@ -115,6 +115,8 @@ def t_tail(t: float, nu: float) -> float:
     r = t * t / nu  # x = 1/(1+r) and 1-x = r/(1+r), each without cancellation
     if r == 0.0:
         return 1.0
+    if r == math.inf:  # t*t overflowed: the tail is below every float
+        return 0.0
     a, b = 0.5 * nu, 0.5
     front = math.exp(-a * math.log1p(r) + b * (math.log(r) - math.log1p(r))
                      + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b))

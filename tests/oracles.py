@@ -4,12 +4,14 @@ Everything here recomputes results from first principles: supply/demand by
 literal summation over order lists, the clearing by scanning every candidate
 price, injection sweeps by re-clearing at every volume, and the regime change
 point by refitting both segments at every cut.  None of it shares code with
-the package beyond the price grid.
+the package beyond the price grid.  The last section holds views of results
+that only tests read.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -307,3 +309,24 @@ def naive_marketable(ev, book, indicative_index):
     if tick is not None and sign * (tick - indicative_index) < 0:
         return None
     return (sign if ev.action == "SUBMIT" else -sign), shares
+
+
+# ------------------------------------------------------- views only tests read
+
+
+def impact_at(curve, omega) -> float:
+    """An ``ImpactCurve``'s impact at a scaled volume; exact Fractions avoid boundary rounding."""
+    return curve.impact_at_shares(Fraction(omega) * curve.q_a)
+
+
+def delta_omegas(curve) -> list[Fraction]:
+    """An ``ImpactCurve``'s incremental scaled volumes between successive jumps, omega0 first."""
+    nums = [curve.omega0_num] + [bp.omega_num for bp in curve.breakpoints[1:]]
+    return [Fraction(b - a, curve.q_a) for a, b in zip([0] + nums, nums)]
+
+
+def regime_csv_row(fit, date: str) -> str:
+    """A ``RegimeFit``'s row as ``fits_to_csv`` writes it, without the line end."""
+    from uncross.regime import fits_to_csv
+
+    return fits_to_csv([(date, fit)]).splitlines()[1]

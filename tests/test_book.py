@@ -1,4 +1,6 @@
 import ast
+import csv
+import io
 import math
 import random
 from pathlib import Path
@@ -14,9 +16,10 @@ from uncross.errors import (
     DuplicateOrderId,
     NonPositiveQuantity,
     OffGridPrice,
+    ParseError,
     UnknownOrderId,
 )
-from uncross.events import OrderEvent
+from uncross.events import ACCOUNT_TYPES, CSV_HEADER, LATENCY_FLAGS, OrderEvent, read_events
 from uncross.grid import PriceGrid
 
 from conftest import make_book
@@ -330,3 +333,155 @@ def test_only_the_book_and_the_scan_read_the_level_arrays():
             if path.name != "book.py":
                 reads += _reads(ast.parse(path.read_text()), path.stem, names)
         assert {scope for scope, _ in reads} == scopes, reads
+
+
+# ---------------------------------------------------------------- log replay
+
+# Ways to write a price of the test grid: ``10.1``, ``10.10`` and ``1.010000e+01`` are one.
+_PRICE_TEXTS = (lambda p: f"{p:.1f}", lambda p: f"{p:.2f}", lambda p: repr(p),
+                lambda p: f"{p:e}")
+_TYPES = ("LIMIT", "LIMIT", "MARKET", "VALID_FOR_AUCTION", "VALID_FOR_CLOSING", "STOP")
+# every way a row can be refused, each placed once in a log of valid rows
+_REJECTS = (
+    "enum", "timestamp-cell", "price-cell", "qty-cell", "off-grid", "nan", "inf",
+    "zero-price", "negative-price", "beyond-float-ticks", "market-with-price",
+    "limit-without-price", "earlier-timestamp", "submit-duplicate", "submit-qty-0",
+    "unknown-cancel", "unknown-modify", "cancel-other-side", "cancel-other-type",
+    "cancel-other-price", "cancel-off-grid", "modify-other-side", "modify-qty-0",
+    "too-few-cells", "too-many-cells", "not-utf8",
+)
+
+
+def _random_log(rng: random.Random, reject: str | None) -> bytes:
+    """A log of valid SUBMIT, CANCEL and MODIFY rows on ``grid10()``, with blank
+    lines and quoted line breaks, and ``reject``'s bad row somewhere in it."""
+    grid = grid10()
+    live: dict[str, tuple[str, str, int | None]] = {}  # id -> side, type, tick
+    dead: list[str] = []
+    lines, t, bad_at = [], 0, rng.randrange(1, 40) if reject else None
+
+    def price_text(k):
+        return rng.choice(_PRICE_TEXTS)(grid.price_at(k))
+
+    def tick():  # mostly near the reference, now and then far enough to grow the window
+        return rng.randint(-12, 12) if rng.random() < 0.9 else rng.randint(-99, 400)
+
+    def cells(ts, oid, action, side, otype, k, qty):
+        return [str(ts), oid, action, side, otype, "" if k is None else price_text(k), str(qty),
+                rng.choice(LATENCY_FLAGS), rng.choice(ACCOUNT_TYPES)]
+
+    def valid(ts):
+        n = len(lines)
+        if not live or rng.random() < 0.55:
+            oid = f"o{n}" if rng.random() < 0.9 else f'o{n}\nx'  # a quoted line break
+            side, otype = rng.choice("BS"), rng.choice(_TYPES)
+            k = None if otype == "MARKET" else tick()
+            live[oid] = side, otype, k
+            return cells(ts, oid, "SUBMIT", side, otype, k, rng.randint(1, 500))
+        oid = rng.choice(sorted(live))
+        side, otype, k = live[oid]
+        if rng.random() < 0.6:
+            del live[oid]
+            dead.append(oid)
+            k = None if rng.random() < 0.3 else k  # a CANCEL may leave its price out
+            return cells(ts, oid, "CANCEL", side, otype, k, rng.randint(-5, 500))
+        otype = rng.choice(_TYPES)
+        k = None if otype == "MARKET" else tick()
+        live[oid] = side, otype, k
+        return cells(ts, oid, "MODIFY", side, otype, k, rng.randint(1, 500))
+
+    def bad(ts):
+        """``reject``'s row at ``ts``, or None while no live order can carry it."""
+        if reject in ("enum", "timestamp-cell", "price-cell", "qty-cell", "earlier-timestamp",
+                      "too-few-cells", "too-many-cells", "not-utf8"):
+            row = valid(ts)
+        if reject == "enum":
+            row[rng.choice([2, 3, 4, 7, 8])] = rng.choice(["X", "b", "limit", ""])
+        elif reject in ("timestamp-cell", "price-cell", "qty-cell"):
+            row[{"timestamp-cell": 0, "price-cell": 5, "qty-cell": 6}[reject]] = rng.choice(
+                ["x", "1.5.0", "--1"] if reject == "price-cell" else ["x", "1.5", ""])
+        elif reject == "earlier-timestamp":
+            row[0] = str(ts - 4 - rng.randrange(3))  # rows are at most 3 apart
+        elif reject == "too-few-cells":
+            row = row[:rng.randrange(1, 9)]
+        elif reject == "too-many-cells":
+            row = row + ["extra"]
+        elif reject in ("off-grid", "nan", "inf", "zero-price", "negative-price",
+                        "beyond-float-ticks"):
+            row = cells(ts, f"n{ts}", "SUBMIT", "S", "LIMIT", 0, 5)
+            row[5] = {"off-grid": "10.05", "nan": "nan", "inf": rng.choice(["inf", "-inf"]),
+                      "zero-price": rng.choice(["0", "-0.0"]), "negative-price": "-10.0",
+                      "beyond-float-ticks": "1e300"}[reject]
+        elif reject == "market-with-price":
+            row = cells(ts, f"n{ts}", "SUBMIT", "B", "MARKET", None, 5)
+            row[5] = price_text(0)
+        elif reject == "limit-without-price":
+            row = cells(ts, f"n{ts}", rng.choice(["SUBMIT", "MODIFY"]), "B", "LIMIT", None, 5)
+        elif reject == "submit-qty-0":
+            row = cells(ts, f"n{ts}", "SUBMIT", "B", "LIMIT", 0, rng.choice([0, -3]))
+        elif reject in ("unknown-cancel", "unknown-modify"):
+            oid = rng.choice(dead) if dead and rng.random() < 0.5 else "never"
+            row = cells(ts, oid, reject.split("-")[1].upper(), "B", "LIMIT", 0, 5)
+        elif reject != "not-utf8":  # a row naming a live order
+            priced = reject in ("cancel-other-price", "cancel-off-grid")
+            ids = sorted(o for o, (_, _, k) in live.items() if k is not None or not priced)
+            if not ids:
+                return None
+            oid = rng.choice(ids)
+            side, otype, k = live[oid]
+            action, what = reject.split("-", 1)
+            if what == "other-side":
+                side = "S" if side == "B" else "B"
+            elif what == "other-type":
+                otype = "MARKET" if otype != "MARKET" else "LIMIT"
+                k = None if otype == "MARKET" else 0
+            elif what == "other-price":
+                k += rng.choice([-2, -1, 1, 2])
+            row = cells(ts, oid, action.upper(), side, otype, k, 0 if what == "qty-0" else 5)
+            if what == "off-grid":
+                row[5] = "10.05"
+        return row
+
+    for i in range(80):
+        t += rng.choice([0, 0, 1, 3])
+        if rng.random() < 0.05:
+            lines.append("\n")  # a blank line
+        row = bad(t) if bad_at is not None and i >= bad_at else None
+        if row is None:
+            row = valid(t)
+        else:
+            bad_at = None
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow(row)
+        lines.append(buf.getvalue())
+    assert bad_at is None
+    data = (",".join(CSV_HEADER) + "\n" + "".join(lines)).encode("utf-8")
+    if reject == "not-utf8":
+        at = data.index(b"\n", rng.randrange(len(data) // 2, len(data) - 1))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+def _replayed(replay):
+    """What a replay leaves: its levels, market totals and registry, or its error."""
+    try:
+        book = replay()
+    except ParseError as exc:
+        return str(exc), exc.line
+    ticks = book.nonempty_indices()
+    return (ticks, [book.volume_at(k) for k in ticks], book.buy_market_total,
+            book.sell_market_total, list(book.orders.items()), book._seq)
+
+
+@pytest.mark.parametrize("reject", [None, *_REJECTS])
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_log_replay_equals_the_event_replay(tmp_path_factory, reject, seed):
+    """``replay_log`` leaves the book that replaying ``read_events`` leaves, priorities
+    included, or raises the same ParseError at the same line."""
+    log = tmp_path_factory.mktemp("log") / "day.csv"
+    log.write_bytes(_random_log(random.Random(seed), reject))
+    want = _replayed(lambda: AuctionBook(grid10()).replay(read_events(log)))
+    assert _replayed(lambda: AuctionBook(grid10()).replay_log(log)) == want
+    if reject is not None:
+        assert isinstance(want[0], str), want  # the bad row is refused

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -820,3 +821,16 @@ def test_regime_refuses_a_log_name_that_breaks_csv_rows(workspace, tmp_path):
     assert res.exit_code == 2, res.output
     assert all(part in res.output for part in LABEL_REFUSED), res.output
     assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_only_response_and_series_read_a_log_event_by_event():
+    """``response`` and ``series`` act between events, so they alone read a log
+    through ``read_events``; every other command replays it with ``replay_log``."""
+    tree = ast.parse(Path(uncross.cli.__file__).read_text())
+    callers = {
+        fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and "read_events" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    }
+    assert callers == {"response", "series"}

@@ -212,14 +212,15 @@ def test_validation_matches_the_per_field_oracle(**fields):
 
 
 @pytest.mark.parametrize("replay", [
-    pytest.param(lambda events, grid: AuctionBook(grid).replay(events), id="replay"),
-    pytest.param(lambda events, grid: collect_marketable(events, grid, warmup_us=0),
+    pytest.param(lambda log, grid: AuctionBook(grid).replay(read_events(log)), id="replay"),
+    pytest.param(lambda log, grid: AuctionBook(grid).replay_log(log), id="replay_log"),
+    pytest.param(lambda log, grid: collect_marketable(read_events(log), grid, warmup_us=0),
                  id="response"),
 ])
 def test_replay_snaps_each_priced_row_once(tmp_path, monkeypatch, replay):
-    """Replaying a log, alone or to measure responses from its first event, snaps
-    every price to its tick once: a second snap per row would show up here
-    before it shows up in a timing."""
+    """Replaying a log, event by event or straight from its rows, or to measure
+    responses from its first event, snaps every price to its tick once: a second
+    snap per row would show up here before it shows up in a timing."""
     cfg = FlowConfig(seed=5, total_shares_per_side=20_000, n_levels=60,
                      market_shares_per_side=1_000, cancellation_rate=0.5)
     events, _, meta = generate(cfg)
@@ -235,7 +236,7 @@ def test_replay_snaps_each_priced_row_once(tmp_path, monkeypatch, replay):
 
     grid = PriceGrid(meta["tick_size"], meta["anchor"], meta["reference_price"])
     monkeypatch.setattr(PriceGrid, "index_of", counted)
-    replay(read_events(log), grid)
+    replay(log, grid)
     priced = sum(ev.price is not None for ev in events)
     assert any(ev.action == "CANCEL" and ev.price is not None for ev in events)
     assert 0 < calls <= priced

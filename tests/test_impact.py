@@ -23,7 +23,14 @@ from uncross.impact import (
 from uncross.regime import fit_regime
 
 from conftest import make_book
-from oracles import dense_random_book, naive_inject_prices, random_book, spec_to_book
+from oracles import (
+    dense_random_book,
+    delta_omegas,
+    impact_at,
+    naive_inject_prices,
+    random_book,
+    spec_to_book,
+)
 
 
 class TestImpactCurve:
@@ -53,7 +60,7 @@ class TestImpactCurve:
         cb = impact_curve(book, c, "B", max_x=0.05)
         targets = [bp.target_index for bp in cb.breakpoints]
         assert targets == [1, 2, 3, 4]  # consecutive ticks above the price
-        deltas = cb.delta_omegas()
+        deltas = delta_omegas(cb)
         assert deltas[1:] == [Fraction(10, c.q_a)] * 3
 
     def test_impact_at_worked_example(self, worked_book):
@@ -61,9 +68,9 @@ class TestImpactCurve:
         cb = impact_curve(worked_book, c, "B")
         assert cb.impact_at_shares(69) == 0.0
         assert cb.impact_at_shares(70) == pytest.approx(math.log(10.2 / 10.1), abs=1e-15)
-        assert cb.impact_at(Fraction(69, 60)) == 0.0
-        assert cb.impact_at(Fraction(70, 60)) == pytest.approx(math.log(10.2 / 10.1), abs=1e-15)
-        assert cb.impact_at(0) == 0.0
+        assert impact_at(cb, Fraction(69, 60)) == 0.0
+        assert impact_at(cb, Fraction(70, 60)) == pytest.approx(math.log(10.2 / 10.1), abs=1e-15)
+        assert impact_at(cb, 0) == 0.0
 
     def test_impact_at_breakpoint_is_target_log(self, worked_book):
         c = clear(worked_book)
@@ -81,7 +88,7 @@ class TestImpactCurve:
         with pytest.raises(BeyondTruncation):
             cb.impact_at_shares(cb.cap_num)
         with pytest.raises(BeyondTruncation):
-            cb.impact_at(Fraction(cb.cap_num, c.q_a))
+            impact_at(cb, Fraction(cb.cap_num, c.q_a))
 
     def test_degenerate_auction_rejected(self, worked_book):
         from uncross.clearing import ClearingResult
@@ -185,7 +192,7 @@ class TestOracleEquivalence:
                         bp.omega_num
                     )
                     w = Fraction(bp.omega_num, curve.q_a)
-                    assert curve.impact_at(w) == bp.impact
+                    assert impact_at(curve, w) == bp.impact
 
     def test_simultaneous_zero_impact_unless_single_share(self):
         for seed in range(60):

@@ -10,7 +10,13 @@ from uncross.impact import impact_curve, theoretical_slope
 from uncross.regime import _omega_max, changepoint, empirical_slope, fit_regime, fits_to_csv
 
 from conftest import make_book
-from oracles import dense_random_book, naive_changepoint, random_book, spec_to_book
+from oracles import (
+    dense_random_book,
+    naive_changepoint,
+    random_book,
+    regime_csv_row,
+    spec_to_book,
+)
 
 
 def brute_force_cost(xs, rhos, j):
@@ -282,7 +288,7 @@ class TestFitRegime:
     def test_csv_row_format(self):
         book = constant_density_book(n_levels=40, v=60, peak=600, tick=0.01)
         fit = fit_regime(book, "S", max_x=0.03, min_points=10)
-        row = fit.csv_row("2017-05-05")
+        row = regime_csv_row(fit, "2017-05-05")
         fields = row.split(",")
         assert fields[0] == "2017-05-05" and fields[1] == "S"
         assert len(fields) == 8
@@ -292,7 +298,7 @@ class TestFitRegime:
         book = constant_density_book(n_levels=40, v=60, peak=600, tick=0.01)
         fit = fit_regime(book, "S", max_x=0.03, min_points=10)
         with pytest.raises(ValueError, match="holds a comma, quote or line break"):
-            fit.csv_row(label)
+            regime_csv_row(fit, label)
         with pytest.raises(ValueError, match="holds a comma, quote or line break"):
             fits_to_csv([(label, fit)])
 

@@ -97,9 +97,10 @@ class TestTTail:
 
     def test_is_a_probability(self):
         for nu in (1, 2, 7, 50, 1e6):
-            for t in (0.0, 1e-300, 1e-8, *T_GRID, 1e8, 1e150):
+            for t in (0.0, 1e-300, 1e-8, *T_GRID, 1e8, 1e150, 1e160, math.inf):
                 assert 0.0 <= t_tail(t, nu) <= 1.0
         assert t_tail(0.0, 3) == 1.0
+        assert t_tail(1e160, 2) == 0.0 == t_tail(math.inf, 3)  # 2*stdtr(nu, -|t|) in SciPy
 
     def test_fraction_that_does_not_converge_raises(self, monkeypatch):
         monkeypatch.setattr("uncross.stats._FRACTION_MAX_TERMS", 2)
