@@ -20,12 +20,11 @@ mirrors their unconditional priority in the uncrossing.
 
 A log replays event by event, ``replay(read_events(path))``, for callers that
 act between events, or straight from its rows, ``replay_log(path)``, to the
-same book.  The row replay hands a SUBMIT or CANCEL row that passes every
-check of ``read_events`` and of the book to the book's rules without building
-an event.  Every other row, a MODIFY or a row some check refuses, falls back
-to its ``OrderEvent`` and ``apply``, so each reject and its line come from the
-event path.  Within one ``replay_log`` call a dict local to it snaps each
-distinct price cell to its tick once; it holds only on-grid positive prices.
+same book.  Both read the rows through one loop, ``events._log_fields``,
+which checks each row and yields its fields; ``replay`` takes those fields
+or events alike, through one SUBMIT/CANCEL/MODIFY dispatch.  Each book
+snaps a price to its tick once, through a ``{price: tick}`` memo of the
+on-grid positive prices it has seen.
 
 Replaying is strictly sequential (single writer per auction); completed books
 are treated as immutable snapshots and may be shared freely across threads.
@@ -46,17 +45,7 @@ from .errors import (
     UncrossError,
     UnknownOrderId,
 )
-from .events import (
-    _ACCOUNT_SET,
-    _LATENCY_SET,
-    _SIDE_SET,
-    _TYPE_SET,
-    OrderEvent,
-    _located,
-    _log_rows,
-    _row_event,
-    format_price,
-)
+from .events import OrderEvent, _located, _log_fields, format_price
 from .grid import PriceGrid
 
 # Ticks of slack on each side of the reference tick in a new book's level
@@ -102,6 +91,8 @@ class AuctionBook:
     sell_market_total: int = field(default=0, init=False)
     orders: dict[str, OrderRecord] = field(default_factory=dict, init=False)
     _seq: int = field(default=0, init=False)
+    _ticks: dict[float, int] = field(default_factory=dict, init=False, repr=False,
+                                     compare=False)  # price -> tick, on-grid prices only
     lo_index: int = field(init=False, repr=False, compare=False)
     buy_levels: np.ndarray = field(init=False, repr=False, compare=False)
     sell_levels: np.ndarray = field(init=False, repr=False, compare=False)
@@ -122,71 +113,39 @@ class AuctionBook:
 
         A reject of an event read from a log is raised as a ParseError at its line.
         """
-        try:
-            tick = None if ev.price is None else self.grid.index_of(ev.price)
-            if ev.action == "SUBMIT":
-                self._submit(ev.order_id, ev.side, ev.order_type, tick, ev.quantity,
-                             ev.timestamp, ev.latency_flag, ev.account_type)
-            elif ev.action == "CANCEL":
-                self._cancel(ev.order_id, ev.side, ev.order_type, ev.price, tick)
-            else:
-                self._modify(ev, tick)
-        except UncrossError as exc:
-            raise _located(ev, exc) from None
-        return self
+        return self.replay((ev,))
 
     def replay(self, events) -> "AuctionBook":
+        """Apply events, or the field tuples ``events._log_fields`` yields, in order
+        and return the book; a reject of a row read from a log is a ParseError at
+        its line."""
+        ticks, index_of = self._ticks, self.grid.index_of
+        submit, cancel, modify = self._submit, self._cancel, self._modify
         for ev in events:
-            self.apply(ev)
+            ts, oid, action, side, otype, price, qty, lat, acct, _, _ = ev
+            try:
+                if price is None:
+                    tick = None
+                elif (tick := ticks.get(price)) is None:
+                    tick = ticks[price] = index_of(price)
+                if action == "SUBMIT":
+                    submit(oid, side, otype, tick, qty, ts, lat, acct)
+                elif action == "CANCEL":
+                    cancel(oid, side, otype, price, tick)
+                else:
+                    modify(oid, side, otype, price, tick, qty, ts)
+            except UncrossError as exc:
+                raise _located(ev, exc) from None
         return self
 
     def replay_log(self, path: str | Path) -> "AuctionBook":
         """Replay a CSV event log into the book and return the book.
 
         The result, and every ParseError with its line, equal those of
-        ``self.replay(read_events(path))``.  A SUBMIT or CANCEL row that passes
-        every check goes to the book's rules without an ``OrderEvent``; every
-        other row, a MODIFY or a row some check refuses, is read into its event
-        and applied, so its reject comes from ``read_events`` and ``apply``.
+        ``self.replay(read_events(path))``: both read the rows through
+        ``events._log_fields``; this one builds no ``OrderEvent``.
         """
-        name = str(path)
-        ticks: dict[str, int] = {}  # price cell -> its tick, for on-grid prices only
-        index_of, submit, cancel = self.grid.index_of, self._submit, self._cancel
-        last_ts = None
-        with _log_rows(path) as reader:
-            for row in reader:
-                if not row:
-                    continue
-                try:
-                    ts_s, oid, action, side, otype, price_s, qty_s, lat, acct = row
-                    ts, qty = int(ts_s), int(qty_s)
-                    price = float(price_s) if price_s else None
-                except ValueError:  # a wrong cell count or a bad number
-                    fits = False
-                else:  # the checks of OrderEvent.validate and of the timestamp order
-                    fits = ((action == "SUBMIT" or action == "CANCEL") and side in _SIDE_SET
-                            and otype in _TYPE_SET and lat in _LATENCY_SET
-                            and acct in _ACCOUNT_SET and (last_ts is None or last_ts <= ts)
-                            and ((otype == "MARKET" or action == "CANCEL") if price is None
-                                 else otype != "MARKET" and 0 < price < math.inf))
-                if fits:
-                    try:
-                        if price is None:
-                            tick = None
-                        elif (tick := ticks.get(price_s)) is None:
-                            tick = ticks[price_s] = index_of(price)
-                        if action == "SUBMIT":
-                            submit(oid, side, otype, tick, qty, ts, lat, acct)
-                        else:
-                            cancel(oid, side, otype, price, tick)
-                    except UncrossError:  # raised before the book changed
-                        fits = False
-                if not fits:
-                    ev = _row_event(row, reader.line_num, name, last_ts)
-                    self.apply(ev)
-                    ts = ev.timestamp
-                last_ts = ts
-        return self
+        return self.replay(_log_fields(path))
 
     def _submit(self, order_id: str, side: str, order_type: str, tick: int | None,
                 quantity: int, timestamp: int, latency_flag: str, account_type: str) -> None:
@@ -228,22 +187,22 @@ class AuctionBook:
         self._shift_volume(rec, -rec.quantity)
         del self.orders[order_id]
 
-    def _modify(self, ev: OrderEvent, tick: int | None) -> None:
-        rec = self._live(ev.order_id, "MODIFY", ev.side, ev.order_type, ev.price, tick)
-        if ev.quantity < 1:
-            raise NonPositiveQuantity(f"quantity must be >= 1, got {ev.quantity}")
-        new_type = ev.order_type
+    def _modify(self, order_id: str, side: str, order_type: str, price: float | None,
+                tick: int | None, quantity: int, timestamp: int) -> None:
+        rec = self._live(order_id, "MODIFY", side, order_type, price, tick)
+        if quantity < 1:
+            raise NonPositiveQuantity(f"quantity must be >= 1, got {quantity}")
 
-        price_changed = tick != rec.price_index or new_type != rec.order_type
-        qty_up = ev.quantity > rec.quantity
+        price_changed = tick != rec.price_index or order_type != rec.order_type
+        qty_up = quantity > rec.quantity
 
         self._shift_volume(rec, -rec.quantity)
-        rec.order_type = new_type
+        rec.order_type = order_type
         rec.price_index = tick
-        rec.quantity = ev.quantity
+        rec.quantity = quantity
         if price_changed or qty_up:
             self._seq += 1
-            rec.priority_ts = ev.timestamp
+            rec.priority_ts = timestamp
             rec.priority_seq = self._seq
         self._shift_volume(rec, rec.quantity)
 

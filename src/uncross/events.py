@@ -125,11 +125,12 @@ class OrderEvent(_EventFields):
             raise ParseError(f"price must be positive and finite, got {self.price}")
 
 
-def _located(ev: OrderEvent, exc: UncrossError) -> UncrossError:
-    """``exc`` as a ParseError at ``ev``'s log line; unchanged for a hand-built event."""
-    if ev.line is None:
+def _located(ev: tuple, exc: UncrossError) -> UncrossError:
+    """``exc`` as a ParseError at the log line of ``ev``, an event or its eleven
+    fields; unchanged for a hand-built event."""
+    if ev[10] is None:
         return exc
-    return ParseError(str(exc), line=ev.line, path=ev.path)
+    return ParseError(str(exc), line=ev[10], path=ev[9])
 
 
 def read_events(path: str | Path) -> Iterator[OrderEvent]:
@@ -138,16 +139,47 @@ def read_events(path: str | Path) -> Iterator[OrderEvent]:
     A row's line is its physical line in the file, the last one of a row with
     a quoted line break.  Timestamps must be nondecreasing: a row earlier than
     the one before it is a bad row.  A file that is not UTF-8 is a ParseError
-    naming it.
+    naming it.  ``_log_fields`` has checked every row, so no event is
+    validated a second time.
+    """
+    for fields in _log_fields(path):
+        yield tuple.__new__(OrderEvent, fields)
+
+
+def _log_fields(path: str | Path) -> Iterator[tuple]:
+    """The eleven ``OrderEvent`` fields of each row of a log, path and line last:
+    the one loop over a log's rows, behind ``read_events`` and ``replay_log``.
+
+    A row that passes the quick check below, which holds every check of
+    ``_row_event`` (its cells, ``OrderEvent.validate`` and the timestamp order),
+    is yielded as parsed.  Any other row goes to ``_row_event``, which names its
+    fault, and whose event is yielded should it accept the row.
     """
     name = str(path)
+    last_ts = None
     with _log_rows(path) as reader:
-        last_ts: int | None = None
         for row in reader:
-            if row:
-                ev = _row_event(row, reader.line_num, name, last_ts)
-                last_ts = ev.timestamp
-                yield ev
+            if not row:
+                continue
+            try:
+                ts_s, oid, action, side, otype, price_s, qty_s, lat, acct = row
+                ts, qty = int(ts_s), int(qty_s)
+                price = float(price_s) if price_s else None
+            except ValueError:  # a wrong cell count or a bad number
+                fits = False
+            else:
+                fits = (_plain(ts_s + price_s + qty_s) and action in _ACTION_SET
+                        and side in _SIDE_SET and otype in _TYPE_SET and lat in _LATENCY_SET
+                        and acct in _ACCOUNT_SET and (last_ts is None or last_ts <= ts)
+                        and ((otype == "MARKET" or action == "CANCEL") if price is None
+                             else otype != "MARKET" and 0 < price < math.inf))
+            if fits:
+                fields = (ts, oid, action, side, otype, price, qty, lat, acct,
+                          name, reader.line_num)
+            else:
+                fields = _row_event(row, reader.line_num, name, last_ts)
+            last_ts = fields[0]
+            yield fields
 
 
 @contextlib.contextmanager
@@ -171,6 +203,22 @@ def _log_rows(path: str | Path) -> Iterator[Iterator[list[str]]]:
             raise not_utf8(exc, name) from None
 
 
+def _plain(cells: str) -> bool:
+    """True when number cells hold only printable ASCII and no space or underscore:
+    ``int``/``float`` also read ``1_000``, `` 5 `` and non-ASCII digits such as ``٣``."""
+    return cells.isascii() and cells.isprintable() and "_" not in cells and " " not in cells
+
+
+def _number(kind, cell: str, field: str, line_no: int, name: str):
+    """``kind(cell)`` of a plain number cell; a ParseError naming ``field`` otherwise."""
+    try:
+        if _plain(cell):
+            return kind(cell)
+    except ValueError:
+        pass
+    raise ParseError(f"bad {field} {cell!r}", line=line_no, path=name)
+
+
 def _row_event(row: list[str], line_no: int, name: str, last_ts: int | None) -> OrderEvent:
     """The validated event of one non-blank log row at ``line_no``, whose timestamp
     must not be earlier than ``last_ts``, the previous row's; ParseError otherwise."""
@@ -178,18 +226,9 @@ def _row_event(row: list[str], line_no: int, name: str, last_ts: int | None) -> 
         raise ParseError(f"expected {len(CSV_HEADER)} fields, got {len(row)}",
                          line=line_no, path=name)
     ts, oid, action, side, otype, price_s, qty_s, lat, acct = row
-    try:
-        timestamp = int(ts)
-    except ValueError:
-        raise ParseError(f"bad timestamp_us {ts!r}", line=line_no, path=name) from None
-    try:
-        price = float(price_s) if price_s else None
-    except ValueError:
-        raise ParseError(f"bad price {price_s!r}", line=line_no, path=name) from None
-    try:
-        qty = int(qty_s)
-    except ValueError:
-        raise ParseError(f"bad qty {qty_s!r}", line=line_no, path=name) from None
+    timestamp = _number(int, ts, "timestamp_us", line_no, name)
+    price = _number(float, price_s, "price", line_no, name) if price_s else None
+    qty = _number(int, qty_s, "qty", line_no, name)
     try:
         ev = OrderEvent(timestamp, oid, action, side, otype, price, qty, lat, acct,
                         path=name, line=line_no)

@@ -2,10 +2,11 @@
 
 Everything here recomputes results from first principles: supply/demand by
 literal summation over order lists, the clearing by scanning every candidate
-price, injection sweeps by re-clearing at every volume, and the regime change
-point by refitting both segments at every cut.  None of it shares code with
-the package beyond the price grid.  The last section holds views of results
-that only tests read.
+price, injection sweeps by re-clearing at every volume, the regime change
+point by refitting both segments at every cut, and a log's events by building
+each row through the validating event record.  None of it shares code with
+the package beyond the price grid and that record.  The last section holds
+views of results that only tests read.
 """
 from __future__ import annotations
 
@@ -283,6 +284,67 @@ def naive_validate(ev) -> None:
         raise ParseError(f"{ev.order_type} order requires a price")
     if ev.price is not None and not 0 < ev.price < math.inf:
         raise ParseError(f"price must be positive and finite, got {ev.price}")
+
+
+_INT_CELL = r"[+-]?[0-9]+"
+_FLOAT_CELL = r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|(?i:inf|infinity|nan))"
+
+
+def naive_read_events(path):
+    """The reference log reader: every row built through the validating
+    ``OrderEvent(...)`` and checked against the previous row's timestamp.
+
+    A number cell must match the accepted forms spelled out as patterns: ASCII
+    digits with an optional sign, and for a price a fraction, an exponent or
+    ``inf``/``nan`` (which the event check then refuses).
+    """
+    import csv
+    import re
+
+    from uncross.errors import ParseError
+    from uncross.events import CSV_HEADER, OrderEvent
+
+    name = str(path)
+
+    def number(kind, pattern, cell, field, line):
+        if re.fullmatch(pattern, cell) is None:
+            raise ParseError(f"bad {field} {cell!r}", line=line, path=name)
+        return kind(cell)
+
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ParseError("empty file", line=1, path=name)
+            if header != CSV_HEADER:
+                raise ParseError(f"bad header {header!r}; expected {CSV_HEADER!r}",
+                                 line=1, path=name)
+            last_ts = None
+            for row in reader:
+                if not row:
+                    continue
+                line = reader.line_num
+                if len(row) != len(CSV_HEADER):
+                    raise ParseError(f"expected {len(CSV_HEADER)} fields, got {len(row)}",
+                                     line=line, path=name)
+                ts_s, oid, action, side, otype, price_s, qty_s, lat, acct = row
+                ts = number(int, _INT_CELL, ts_s, "timestamp_us", line)
+                price = number(float, _FLOAT_CELL, price_s, "price", line) if price_s else None
+                qty = number(int, _INT_CELL, qty_s, "qty", line)
+                try:
+                    ev = OrderEvent(ts, oid, action, side, otype, price, qty, lat, acct,
+                                    path=name, line=line)
+                except ParseError as exc:
+                    raise ParseError(str(exc), line=line, path=name) from None
+                if last_ts is not None and ts < last_ts:
+                    raise ParseError(f"timestamp_us {ts} is earlier than the previous "
+                                     f"row's {last_ts}", line=line, path=name)
+                last_ts = ts
+                yield ev
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text: {exc.reason} 0x{exc.object[exc.start]:02x}",
+                             path=name) from None
 
 
 def naive_marketable(ev, book, indicative_index):

@@ -23,7 +23,7 @@ from uncross.events import ACCOUNT_TYPES, CSV_HEADER, LATENCY_FLAGS, OrderEvent,
 from uncross.grid import PriceGrid
 
 from conftest import make_book
-from oracles import book_demand, book_supply, total_resting
+from oracles import book_demand, book_supply, naive_read_events, total_resting
 
 
 def grid10():
@@ -348,8 +348,11 @@ _REJECTS = (
     "limit-without-price", "earlier-timestamp", "submit-duplicate", "submit-qty-0",
     "unknown-cancel", "unknown-modify", "cancel-other-side", "cancel-other-type",
     "cancel-other-price", "cancel-off-grid", "modify-other-side", "modify-qty-0",
-    "too-few-cells", "too-many-cells", "not-utf8",
+    "too-few-cells", "too-many-cells", "not-utf8", "number-form",
 )
+# number forms ``int``/``float`` read that a log cell may not hold
+_NUMBER_FORMS = (lambda c: f" {c}", lambda c: f"{c}\t", lambda c: f"1_{c}",
+                 lambda c: c.translate({ord("0") + d: 0x660 + d for d in range(10)}))
 
 
 def _random_log(rng: random.Random, reject: str | None) -> bytes:
@@ -393,13 +396,16 @@ def _random_log(rng: random.Random, reject: str | None) -> bytes:
     def bad(ts):
         """``reject``'s row at ``ts``, or None while no live order can carry it."""
         if reject in ("enum", "timestamp-cell", "price-cell", "qty-cell", "earlier-timestamp",
-                      "too-few-cells", "too-many-cells", "not-utf8"):
+                      "too-few-cells", "too-many-cells", "not-utf8", "number-form"):
             row = valid(ts)
         if reject == "enum":
             row[rng.choice([2, 3, 4, 7, 8])] = rng.choice(["X", "b", "limit", ""])
         elif reject in ("timestamp-cell", "price-cell", "qty-cell"):
             row[{"timestamp-cell": 0, "price-cell": 5, "qty-cell": 6}[reject]] = rng.choice(
                 ["x", "1.5.0", "--1"] if reject == "price-cell" else ["x", "1.5", ""])
+        elif reject == "number-form":
+            at = rng.choice([i for i in (0, 5, 6) if row[i]])
+            row[at] = rng.choice(_NUMBER_FORMS)(row[at])
         elif reject == "earlier-timestamp":
             row[0] = str(ts - 4 - rng.randrange(3))  # rows are at most 3 apart
         elif reject == "too-few-cells":
@@ -473,15 +479,26 @@ def _replayed(replay):
             book.sell_market_total, list(book.orders.items()), book._seq)
 
 
+def _read(path, reader):
+    """Every field of every event ``reader`` reads from ``path``, or its error."""
+    try:
+        return [(type(ev), tuple(ev)) for ev in reader(path)]
+    except ParseError as exc:
+        return str(exc), exc.line
+
+
 @pytest.mark.parametrize("reject", [None, *_REJECTS])
 @given(seed=st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_log_replay_equals_the_event_replay(tmp_path_factory, reject, seed):
-    """``replay_log`` leaves the book that replaying ``read_events`` leaves, priorities
-    included, or raises the same ParseError at the same line."""
+    """``read_events`` reads the events of the reference reader, ``path``/``line``
+    included, and both log replays leave the book of those events, priorities
+    included, or raise the reference reader's ParseError at the same line."""
     log = tmp_path_factory.mktemp("log") / "day.csv"
     log.write_bytes(_random_log(random.Random(seed), reject))
-    want = _replayed(lambda: AuctionBook(grid10()).replay(read_events(log)))
+    assert _read(log, read_events) == _read(log, naive_read_events)
+    want = _replayed(lambda: AuctionBook(grid10()).replay(naive_read_events(log)))
+    assert _replayed(lambda: AuctionBook(grid10()).replay(read_events(log))) == want
     assert _replayed(lambda: AuctionBook(grid10()).replay_log(log)) == want
     if reject is not None:
         assert isinstance(want[0], str), want  # the bad row is refused

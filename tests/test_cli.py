@@ -13,7 +13,7 @@ import uncross
 from uncross.book import AuctionBook
 from uncross.cli import EXIT_NOCROSS, EXIT_OTHER, EXIT_PARSE, EXIT_TOOFEW, main
 from uncross.errors import UncrossError
-from uncross.events import CSV_HEADER, read_events, write_events
+from uncross.events import CSV_HEADER, OrderEvent, read_events, write_events
 from uncross.flowgen import FlowConfig, generate
 from uncross.grid import PriceGrid
 from uncross.regime import fit_regime
@@ -310,6 +310,41 @@ def test_exit_code_parse_error(tmp_path, text, where):
                "--out-dir", str(tmp_path)])
     assert res.exit_code == EXIT_PARSE, res.output
     assert f"bad.csv:{where}" in res.output
+
+
+@pytest.mark.parametrize("command", ["replay", "response", "series"])
+@pytest.mark.parametrize("row, where", [
+    ("1_000,a,SUBMIT,B,LIMIT, 1_0.0 ,\u0663,HFT,OWN", "bad timestamp_us '1_000'"),
+    ("0,a,SUBMIT,B,LIMIT, 1_0.0 ,\u0663,HFT,OWN", "bad price ' 1_0.0 '"),
+    ("0,a,SUBMIT,B,LIMIT,10.0,\u0663,HFT,OWN", "bad qty '\u0663'"),
+    ("0,a,SUBMIT,B,LIMIT,10.0 ,5,HFT,OWN", "bad price '10.0 '"),
+    ("\t0,a,SUBMIT,B,LIMIT,10.0,5,HFT,OWN", "bad timestamp_us '\\t0'"),
+    ("0,a,SUBMIT,B,LIMIT,1_0.0,5,HFT,OWN", "bad price '1_0.0'"),
+], ids=["every-cell", "spaced-price", "arabic-indic-qty", "trailing-space", "tab", "underscore"])
+def test_number_cell_in_a_python_only_form_is_parse_error(tmp_path, command, row, where):
+    """A number cell with an underscore, surrounding whitespace or a non-ASCII
+    digit is a bad cell, although ``int``/``float`` would read it."""
+    log = tmp_path / "bad.csv"
+    log.write_text(HEADER + row + "\n" + CROSSED.replace("0,a,", "0,z,"), encoding="utf-8")
+    res = run([command, str(log), "--tick", "0.1", "--ref", "10.0",
+               "--out-dir", str(tmp_path / "out")])
+    assert res.exit_code == EXIT_PARSE, res.output
+    assert f"bad.csv:2: {where}" in res.output
+
+
+def test_signed_and_exponent_number_cells_are_read(tmp_path):
+    plain = HEADER + CROSSED + "2,c,SUBMIT,S,LIMIT,10.1,5,HFT,OWN\n3,c,CANCEL,S,LIMIT,,-3,HFT,OWN\n"
+    signed = (HEADER + "+0,a,SUBMIT,B,LIMIT,1.000000e+01,+5,HFT,OWN\n"
+              "1,b,SUBMIT,S,LIMIT,1E1,5,HFT,OWN\n2,c,SUBMIT,S,LIMIT,+10.10,05,HFT,OWN\n"
+              "3,c,CANCEL,S,LIMIT,,-3,HFT,OWN\n")
+    for name, text in (("plain", plain), ("signed", signed)):
+        (tmp_path / f"{name}.csv").write_text(text)
+        res = run(["replay", str(tmp_path / f"{name}.csv"), "--tick", "0.1", "--ref", "10.0",
+                   "--out-dir", str(tmp_path / name)])
+        assert res.exit_code == 0, res.output
+    for suffix in ("clearing.json", "book.csv"):
+        got = (tmp_path / "signed" / f"signed_{suffix}").read_bytes()
+        assert got == (tmp_path / "plain" / f"plain_{suffix}").read_bytes(), suffix
 
 
 def test_blank_lines_in_a_log_are_skipped(tmp_path):
@@ -834,3 +869,23 @@ def test_only_response_and_series_read_a_log_event_by_event():
             getattr(node.func, "id", None), getattr(node.func, "attr", None))
     }
     assert callers == {"response", "series"}
+
+
+@pytest.mark.parametrize("command", ["replay", "impact", "density", "regime", "response",
+                                     "series"])
+def test_only_events_reach_apply(workspace, tmp_path, monkeypatch, command):
+    """``AuctionBook.apply`` is handed events, never the field tuples of a log's
+    rows: the benchmark's tracer counts submits, cancels and modifies by reading
+    ``.action`` of apply's argument."""
+    apply, handed = AuctionBook.apply, set()
+
+    def recorded(book, ev):
+        handed.add(type(ev))
+        return apply(book, ev)
+
+    monkeypatch.setattr(AuctionBook, "apply", recorded)
+    res = run([command, str(workspace / "day.csv"), "--grid", str(workspace / "day_meta.json"),
+               "--out-dir", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    assert handed <= {OrderEvent}
+    assert handed or command not in ("response", "series")  # those two apply each event

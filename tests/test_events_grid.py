@@ -1,4 +1,5 @@
 import copy
+import inspect
 import math
 import pickle
 from types import SimpleNamespace
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uncross.book import AuctionBook
+from uncross.clearing import indicative_series
 from uncross.errors import OffGridPrice, ParseError
 from uncross.events import (
     ACCOUNT_TYPES,
@@ -216,11 +218,14 @@ def test_validation_matches_the_per_field_oracle(**fields):
     pytest.param(lambda log, grid: AuctionBook(grid).replay_log(log), id="replay_log"),
     pytest.param(lambda log, grid: collect_marketable(read_events(log), grid, warmup_us=0),
                  id="response"),
+    pytest.param(lambda log, grid: indicative_series(read_events(log), grid, 1_000_000),
+                 id="series"),
 ])
 def test_replay_snaps_each_priced_row_once(tmp_path, monkeypatch, replay):
-    """Replaying a log, event by event or straight from its rows, or to measure
-    responses from its first event, snaps every price to its tick once: a second
-    snap per row would show up here before it shows up in a timing."""
+    """Replaying a log, event by event or straight from its rows, to measure
+    responses from its first event or to sample the indicative price, snaps each
+    distinct price to its tick once: a second snap would show up here before it
+    shows up in a timing."""
     cfg = FlowConfig(seed=5, total_shares_per_side=20_000, n_levels=60,
                      market_shares_per_side=1_000, cancellation_rate=0.5)
     events, _, meta = generate(cfg)
@@ -237,9 +242,14 @@ def test_replay_snaps_each_priced_row_once(tmp_path, monkeypatch, replay):
     grid = PriceGrid(meta["tick_size"], meta["anchor"], meta["reference_price"])
     monkeypatch.setattr(PriceGrid, "index_of", counted)
     replay(log, grid)
-    priced = sum(ev.price is not None for ev in events)
     assert any(ev.action == "CANCEL" and ev.price is not None for ev in events)
-    assert 0 < calls <= priced
+    assert calls == len({ev.price for ev in events if ev.price is not None})
+
+
+def test_read_events_is_a_generator_function():
+    """``read_events`` stays a generator function: the benchmark's tracer counts
+    the events it yields (``events.rows``) only for a generator function."""
+    assert inspect.isgeneratorfunction(read_events)
 
 
 def test_csv_table_writes_every_cell_by_one_rule():
