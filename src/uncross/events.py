@@ -157,7 +157,12 @@ def _log_fields(path: str | Path) -> Iterator[tuple]:
     """
     name = str(path)
     last_ts = None
-    with _log_rows(path) as reader:
+    with _csv_rows(path) as (header, reader):
+        if header is None:
+            raise ParseError("empty file", line=1, path=name)
+        if header != CSV_HEADER:
+            raise ParseError(f"bad header {header!r}; expected {CSV_HEADER!r}", line=1,
+                             path=name)
         for row in reader:
             if not row:
                 continue
@@ -183,24 +188,17 @@ def _log_fields(path: str | Path) -> Iterator[tuple]:
 
 
 @contextlib.contextmanager
-def _log_rows(path: str | Path) -> Iterator[Iterator[list[str]]]:
-    """A ``csv.reader`` over a log's rows, blank ones included, past its checked
-    header; a non-UTF-8 byte read inside the block is a ParseError naming the file."""
-    name = str(path)
+def _csv_rows(path: str | Path) -> Iterator[tuple[list[str] | None, Iterator[list[str]]]]:
+    """The header (None for an empty file) and a ``csv.reader`` over the rows past
+    it, blank ones included: the one prelude of the event log and day metrics
+    readers.  A non-UTF-8 byte read inside the block is a ParseError naming the file."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ParseError("empty file", line=1, path=name) from None
-            if header != CSV_HEADER:
-                raise ParseError(
-                    f"bad header {header!r}; expected {CSV_HEADER!r}", line=1, path=name
-                )
-            yield reader
+            yield next(reader, None), reader
         except UnicodeDecodeError as exc:
-            raise not_utf8(exc, name) from None
+            raise ParseError(f"not UTF-8 text: {exc.reason} 0x{exc.object[exc.start]:02x}",
+                             path=str(path)) from None
 
 
 def _plain(cells: str) -> bool:
@@ -238,12 +236,6 @@ def _row_event(row: list[str], line_no: int, name: str, last_ts: int | None) -> 
         raise ParseError(f"timestamp_us {timestamp} is earlier than the previous "
                          f"row's {last_ts}", line=line_no, path=name)
     return ev
-
-
-def not_utf8(exc: UnicodeDecodeError, path: str) -> ParseError:
-    """The ParseError for a file whose bytes are not UTF-8."""
-    return ParseError(f"not UTF-8 text: {exc.reason} 0x{exc.object[exc.start]:02x}",
-                      path=path)
 
 
 def format_event(ev: OrderEvent) -> list[str]:

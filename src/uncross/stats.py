@@ -9,7 +9,6 @@ continued fraction, so the package needs no SciPy.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -24,21 +23,14 @@ from .errors import (
     ParseError,
     TooFewPoints,
 )
-from .events import csv_table, not_utf8
+from .events import _csv_rows, _plain, csv_table
 
 
 def _midranks(values: Sequence[float]) -> np.ndarray:
-    v = np.asarray(values, dtype=float)
-    order = np.argsort(v, kind="mergesort")
-    ranks = np.empty(len(v))
-    i = 0
-    while i < len(v):
-        j = i
-        while j + 1 < len(v) and v[order[j + 1]] == v[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # average rank, 1-based
-        i = j + 1
-    return ranks
+    """1-based ranks, tied values sharing the mean of their ranks."""
+    _, inverse, counts = np.unique(np.asarray(values, dtype=float), return_inverse=True,
+                                   return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
 
 @dataclass(frozen=True)
@@ -145,38 +137,22 @@ def _kolmogorov_sf(lam: float) -> float:
     return min(1.0, max(0.0, total))
 
 
-def ks_two_sample(
-    x: Sequence[float], y: Sequence[float], alternative: str = "two-sided"
-) -> KsResult:
-    """Two-sample Kolmogorov-Smirnov test.
+def ks_two_sample(x: Sequence[float], y: Sequence[float]) -> KsResult:
+    """Two-sided two-sample Kolmogorov-Smirnov test, sup |Fx - Fy|.
 
-    ``alternative`` is ``"two-sided"`` (sup |Fx - Fy|), ``"greater"``
-    (sup Fx - Fy: x stochastically smaller) or ``"less"`` (sup Fy - Fx).
-    P-values are asymptotic with effective size n*m/(n+m); the one-sided tail
-    uses exp(-2 ne D^2).
+    The p-value is asymptotic with effective size n*m/(n+m).
     """
     if len(x) == 0 or len(y) == 0:
         raise EmptySample("both samples must be non-empty")
-    if alternative not in ("two-sided", "greater", "less"):
-        raise ValueError(f"unknown alternative {alternative!r}")
     xs = np.sort(np.asarray(x, dtype=float))
     ys = np.sort(np.asarray(y, dtype=float))
     n, m = len(xs), len(ys)
     grid = np.concatenate([xs, ys])
     fx = np.searchsorted(xs, grid, side="right") / n
     fy = np.searchsorted(ys, grid, side="right") / m
-    if alternative == "two-sided":
-        d = float(np.max(np.abs(fx - fy)))
-    elif alternative == "greater":
-        d = float(np.max(fx - fy))
-    else:
-        d = float(np.max(fy - fx))
+    d = float(np.max(np.abs(fx - fy)))
     ne = n * m / (n + m)
-    if alternative == "two-sided":
-        p = _kolmogorov_sf(math.sqrt(ne) * d)
-    else:
-        p = min(1.0, math.exp(-2.0 * ne * d * d)) if d > 0 else 1.0
-    return KsResult(d, p)
+    return KsResult(d, _kolmogorov_sf(math.sqrt(ne) * d))
 
 
 # ----------------------------------------------------------------- day metrics
@@ -225,6 +201,10 @@ def day_metrics_to_csv(rows: Sequence[DayMetrics]) -> str:
          r.beta_theo, r.l_cash) for r in rows))
 
 
+_NUMBER_FIELDS = ("p_a", "q_a", "omega0", "delta_bp", "l_tilde", "omega_max", "beta_emp",
+                  "beta_theo")
+
+
 def _finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -235,57 +215,57 @@ def _finite(text: str) -> float:
 def read_day_metrics(path) -> list[DayMetrics]:
     """Rows of a per-day metrics CSV.
 
-    A row with other than the header's number of fields, a number that is not
-    finite, ``q_a < 1``, ``p_a <= 0`` or ``omega0 < 0``, a side other than B or
-    S, or an earlier row's ``(date, side)`` is a ParseError at its physical
-    line.  A file that is not UTF-8 is a ParseError naming it.
+    A header that lacks a column or names one twice is a ParseError at line 1.
+    A row with other than the header's number of fields, a number cell that
+    ``events._plain`` refuses or that is not finite, ``q_a < 1``, ``p_a <= 0``
+    or ``omega0 < 0``, a side other than B or S, or an earlier row's
+    ``(date, side)`` is a ParseError at its physical line.  A file that is not
+    UTF-8 is a ParseError naming it.
     """
     rows = []
     seen: dict[tuple[str, str], int] = {}  # (date, side) -> line
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            expected = DAY_METRICS_HEADER.split(",")
-            if header is None or [f for f in expected if f not in header]:
-                raise ParseError(
-                    f"day metrics header must contain {expected}", line=1, path=str(path)
+    with _csv_rows(path) as (header, reader):
+        expected = DAY_METRICS_HEADER.split(",")
+        if (header is None or [f for f in expected if f not in header]
+                or len(set(header)) != len(header)):
+            raise ParseError(f"day metrics header must contain {expected}, each once",
+                             line=1, path=str(path))
+        for cells in reader:
+            if not cells:
+                continue
+            line_no = reader.line_num
+            try:
+                if len(cells) != len(header):
+                    raise ValueError(f"expected {len(header)} fields like the header, "
+                                     f"got {len(cells)}")
+                rec = dict(zip(header, cells))
+                for field in _NUMBER_FIELDS:
+                    if not _plain(rec[field]):
+                        raise ValueError(f"bad {field} {rec[field]!r}")
+                row = DayMetrics(
+                    date=rec["date"],
+                    side=rec["side"],
+                    p_a=_finite(rec["p_a"]),
+                    q_a=int(rec["q_a"]),
+                    omega0=_finite(rec["omega0"]),
+                    delta=_finite(rec["delta_bp"]) / 1e4 if rec["delta_bp"] else None,
+                    l_tilde=_finite(rec["l_tilde"]) if rec["l_tilde"] else None,
+                    omega_max=_finite(rec["omega_max"]) if rec["omega_max"] else None,
+                    beta_emp=_finite(rec["beta_emp"]) if rec["beta_emp"] else None,
+                    beta_theo=_finite(rec["beta_theo"]) if rec["beta_theo"] else None,
                 )
-            for cells in reader:
-                if not cells:
-                    continue
-                line_no = reader.line_num
-                try:
-                    if len(cells) != len(header):
-                        raise ValueError(f"expected {len(header)} fields like the header, "
-                                         f"got {len(cells)}")
-                    rec = dict(zip(header, cells))
-                    row = DayMetrics(
-                        date=rec["date"],
-                        side=rec["side"],
-                        p_a=_finite(rec["p_a"]),
-                        q_a=int(rec["q_a"]),
-                        omega0=_finite(rec["omega0"]),
-                        delta=_finite(rec["delta_bp"]) / 1e4 if rec["delta_bp"] else None,
-                        l_tilde=_finite(rec["l_tilde"]) if rec["l_tilde"] else None,
-                        omega_max=_finite(rec["omega_max"]) if rec["omega_max"] else None,
-                        beta_emp=_finite(rec["beta_emp"]) if rec["beta_emp"] else None,
-                        beta_theo=_finite(rec["beta_theo"]) if rec["beta_theo"] else None,
-                    )
-                    if row.q_a < 1 or row.p_a <= 0 or row.omega0 < 0:
-                        raise ValueError("need q_a >= 1, p_a > 0 and omega0 >= 0")
-                    if row.side not in ("B", "S"):
-                        raise ValueError(f"side must be B or S, got {row.side!r}")
-                    first = seen.setdefault((row.date, row.side), line_no)
-                    if first != line_no:
-                        raise ValueError(f"date {row.date!r} side {row.side} repeats line "
-                                         f"{first}")
-                except ValueError as exc:
-                    raise ParseError(f"bad day metrics row: {exc}", line=line_no,
-                                     path=str(path)) from None
-                rows.append(row)
-        except UnicodeDecodeError as exc:
-            raise not_utf8(exc, str(path)) from None
+                if row.q_a < 1 or row.p_a <= 0 or row.omega0 < 0:
+                    raise ValueError("need q_a >= 1, p_a > 0 and omega0 >= 0")
+                if row.side not in ("B", "S"):
+                    raise ValueError(f"side must be B or S, got {row.side!r}")
+                first = seen.setdefault((row.date, row.side), line_no)
+                if first != line_no:
+                    raise ValueError(f"date {row.date!r} side {row.side} repeats line "
+                                     f"{first}")
+            except ValueError as exc:
+                raise ParseError(f"bad day metrics row: {exc}", line=line_no,
+                                 path=str(path)) from None
+            rows.append(row)
     return rows
 
 
@@ -344,10 +324,8 @@ def rcdf(values: Sequence[float]) -> list[tuple[float, float]]:
         raise TooFewPoints(f"need >= 2 values, got {len(values)}")
     v = np.sort(np.asarray(values, dtype=float))
     n = len(v)
-    out = []
-    for u in np.unique(v):
-        out.append((float(u), float(np.sum(v >= u)) / n))
-    return out
+    u, first = np.unique(v, return_index=True)  # v[first:] are the values >= u
+    return list(zip(u.tolist(), ((n - first) / n).tolist()))
 
 
 KDE_GRID_POINTS = 256

@@ -3,8 +3,9 @@
 Everything here recomputes results from first principles: supply/demand by
 literal summation over order lists, the clearing by scanning every candidate
 price, injection sweeps by re-clearing at every volume, the regime change
-point by refitting both segments at every cut, and a log's events by building
-each row through the validating event record.  None of it shares code with
+point by refitting both segments at every cut, a log's events by building
+each row through the validating event record, and a reverse CDF by counting
+the sample at each of its values.  None of it shares code with
 the package beyond the price grid and that record.  The last section holds
 views of results that only tests read.
 """
@@ -371,6 +372,12 @@ def naive_marketable(ev, book, indicative_index):
     if tick is not None and sign * (tick - indicative_index) < 0:
         return None
     return (sign if ev.action == "SUBMIT" else -sign), shares
+
+
+def naive_rcdf(values) -> list[tuple[float, float]]:
+    """(v, fraction of the sample >= v) at each unique value v, counted afresh for each."""
+    v = np.sort(np.asarray(values, dtype=float))
+    return [(float(u), float(np.sum(v >= u)) / len(v)) for u in np.unique(v)]
 
 
 # ------------------------------------------------------- views only tests read

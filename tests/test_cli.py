@@ -152,7 +152,8 @@ def test_stats_reports_a_spearman_it_cannot_compute(tmp_path):
     ("omega0", "nan"), ("omega0", "inf"), ("omega0", "-0.1"), ("l_tilde", "inf"),
     ("delta_bp", "nan"), ("beta_emp", "-inf"), ("p_a", "nan"), ("p_a", "0.0"), ("p_a", "-1.0"),
     ("q_a", "0"), ("q_a", "-5"), (None, "short-row"), (None, "no-optional-cells"),
-    (None, "extra-cell"),
+    (None, "extra-cell"), ("q_a", "1_000"), ("p_a", "1_0.0"), ("p_a", " 10.0 "),
+    ("q_a", "\u0663"),
 ])
 def test_bad_day_metrics_row_is_parse_error(tmp_path, field, value):
     metrics = _metrics_csv(tmp_path / "metrics.csv", [(0.01, 0.02)])
@@ -651,8 +652,15 @@ def test_bins_too_narrow_to_tell_apart_are_usage_error(tmp_path):
     assert not out.exists() or list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("text", ["date,side,p_a\n2017-05-01,B,100.0\n", ""],
-                         ids=["missing-columns", "empty-file"])
+# a header naming omega0 twice: read by name, each row would take the last copy, 0.9
+# in every row, and not the real omega0 column
+_TWICE_OMEGA0 = ("date,side,p_a,q_a,omega0,delta_bp,l_tilde,omega_max,beta_emp,beta_theo,"
+                 "l_cash,omega0\n" + "".join(f"2017-05-0{i},{side},100.0,1000,0.0{i},,,,,,,0.9\n"
+                                           for i in range(1, 4) for side in "BS"))
+
+
+@pytest.mark.parametrize("text", ["date,side,p_a\n2017-05-01,B,100.0\n", "", _TWICE_OMEGA0],
+                         ids=["missing-columns", "empty-file", "a-column-twice"])
 def test_metrics_csv_without_its_columns_is_parse_error(tmp_path, text):
     metrics = tmp_path / "metrics.csv"
     metrics.write_text(text)

@@ -1,7 +1,9 @@
+import ast
 import copy
 import inspect
 import math
 import pickle
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import uncross
 from uncross.book import AuctionBook
 from uncross.clearing import indicative_series
 from uncross.errors import OffGridPrice, ParseError
@@ -256,3 +259,28 @@ def test_csv_table_writes_every_cell_by_one_rule():
     rows = [(np.float64(0.1), None, 3, "B"), (1e-05, -0.0, np.int64(7), 2.0)]
     assert csv_table("a,b,c,d", rows) == "a,b,c,d\n0.1,,3,B\n1e-05,-0.0,7,2.0\n"
     assert csv_table("a,b", []) == "a,b\n"
+
+
+def _csv_readers(node, scope):
+    """``scope`` of every ``csv.reader``/``csv.DictReader`` call, or import of
+    either name from ``csv``, under ``node``."""
+    names = {"reader", "DictReader"}
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and (
+            node.func.attr in names and getattr(node.func.value, "id", None) == "csv"):
+        yield scope
+    if isinstance(node, ast.ImportFrom) and node.module == "csv" and (
+            names & {alias.name for alias in node.names}):
+        yield scope
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        scope = f"{scope}.{node.name}"
+    for child in ast.iter_child_nodes(node):
+        yield from _csv_readers(child, scope)
+
+
+def test_only_the_one_prelude_builds_a_csv_reader():
+    """Both input tables, the event log and the day metrics, are read through
+    ``events._csv_rows``: one open, one UTF-8 guard and one header read."""
+    scopes = set()
+    for path in sorted(Path(uncross.__file__).parent.glob("*.py")):
+        scopes.update(_csv_readers(ast.parse(path.read_text()), path.stem))
+    assert scopes == {"events._csv_rows"}
