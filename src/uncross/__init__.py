@@ -24,8 +24,9 @@ from .response import (
 )
 from .stats import (
     DayMetrics,
-    distribution_report,
+    kde_csv,
     ks_two_sample,
+    rcdf_csv,
     spearman,
     zero_impact_probability,
 )
@@ -53,15 +54,16 @@ __all__ = [
     "collect_marketable",
     "clear",
     "day_profile",
-    "distribution_report",
     "empirical_slope",
     "fit_regime",
     "generate",
     "impact_curve",
     "indicative_series",
     "inject_and_reclear",
+    "kde_csv",
     "ks_two_sample",
     "post_clearing_impact",
+    "rcdf_csv",
     "read_events",
     "response_curves",
     "spearman",

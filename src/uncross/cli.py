@@ -45,7 +45,7 @@ from .grid import PriceGrid
 from .impact import impact_curve, signed_curve_csv
 from .regime import fit_regime, fits_to_csv
 from .response import DEFAULT_BINS, DEFAULT_OMEGA_RANGE, log_bins, response_curves
-from .stats import batch_report, csv_label, day_metrics_to_csv, distribution_report, read_day_metrics
+from .stats import batch_report, csv_label, day_metrics_to_csv, kde_csv, rcdf_csv, read_day_metrics
 
 EXIT_PARSE = 65
 EXIT_NOCROSS = 66
@@ -151,6 +151,7 @@ class _Finite(click.FloatRange):
 
 FINITE = _Finite()
 POSITIVE = _Finite(min=0, min_open=True)
+MIN_POINTS = click.IntRange(min=2)  # a change point needs two density samples
 
 
 def _grid_options(fn):
@@ -219,28 +220,19 @@ def replay(out, log, grid):
 
 @_command
 @click.argument("log", type=click.Path(exists=True))
-@click.option("--side", type=click.Choice(["B", "S", "both"]), default="both",
-              show_default=True)
 @click.option("--max-x", type=POSITIVE, default=200.0, show_default=True,
               help="Truncation distance in basis points.")
 @_grid_options
-def impact(out, log, side, max_x, grid):
-    """Exact impact curve(s) of the replayed book, plus signed plot data."""
+def impact(out, log, max_x, grid):
+    """Exact impact curves of both sides of the replayed book, plus signed plot data."""
     stem = Path(log).stem
-    outputs = []
     book, clearing = _cleared(log, grid)
-    sides = ("B", "S") if side == "both" else (side,)
-    curves = {}
-    for s in sides:
-        curves[s] = impact_curve(book, clearing, s, max_x=max_x * 1e-4)
-        name = f"{stem}_impact_{s}.csv"
-        _write(out / name, curves[s].to_csv())
-        outputs.append(name)
-    if side == "both":
-        name = f"{stem}_impact_signed.csv"
-        _write(out / name, signed_curve_csv(curves["B"], curves["S"]))
-        outputs.append(name)
-    return outputs, f"wrote {', '.join(outputs)}"
+    buy, sell = (impact_curve(book, clearing, s, max_x=max_x * 1e-4) for s in ("B", "S"))
+    texts = {f"{stem}_impact_B.csv": buy.to_csv(), f"{stem}_impact_S.csv": sell.to_csv(),
+             f"{stem}_impact_signed.csv": signed_curve_csv(buy, sell)}
+    for name, text in texts.items():
+        _write(out / name, text)
+    return list(texts), f"wrote {', '.join(texts)}"
 
 
 @_command
@@ -266,15 +258,13 @@ def density(out, logs, dx, group, grid):
 @_command
 @click.argument("log", type=click.Path(exists=True))
 @click.option("--date", default=None, help="Date label for output rows (default: log stem).")
-@click.option("--min-points", type=int, default=20, show_default=True)
+@click.option("--min-points", type=MIN_POINTS, default=20, show_default=True)
 @click.option("--max-x", type=POSITIVE, default=200.0, show_default=True,
               help="Truncation distance in basis points.")
-@click.option("--approx-slope", is_flag=True,
-              help="Use the clearing price instead of the first occupied tick in the slope.")
 @click.option("--full-metrics", is_flag=True,
               help="Also write the extended per-day metrics CSV for the stats command.")
 @_grid_options
-def regime(out, log, date, min_points, max_x, approx_slope, full_metrics, grid):
+def regime(out, log, date, min_points, max_x, full_metrics, grid):
     """Constant-density window, liquidity, and impact slopes per side."""
     stem = Path(log).stem
     try:
@@ -285,8 +275,7 @@ def regime(out, log, date, min_points, max_x, approx_slope, full_metrics, grid):
     outputs = []
     book = AuctionBook(grid).replay_log(log)
     fits = [
-        (date, fit_regime(book, s, max_x=max_x * 1e-4, min_points=min_points,
-                          slope_from_auction_price=approx_slope))
+        (date, fit_regime(book, s, max_x=max_x * 1e-4, min_points=min_points))
         for s in ("B", "S")
     ]
     name = f"{stem}_regime.csv"
@@ -334,7 +323,7 @@ def response(out, log, warmup, with_cancels, bins, omega_lo, omega_hi, grid):
 @click.argument("log", type=click.Path(exists=True))
 @click.option("--interval", type=_Finite(min=1e-6), default=5.0, show_default=True,
               help="Snapshot interval in seconds, at least one microsecond.")
-@click.option("--min-points", type=int, default=20, show_default=True)
+@click.option("--min-points", type=MIN_POINTS, default=20, show_default=True)
 @click.option("--max-x", type=POSITIVE, default=200.0, show_default=True)
 @_grid_options
 def series(out, log, interval, min_points, max_x, grid):
@@ -390,11 +379,11 @@ def stats(out, metrics, threshold, rcdf_col, kde_col):
 
     if rcdf_col:
         name = f"stats_rcdf_{rcdf_col}.csv"
-        _write(out / name, distribution_report(column(rcdf_col), "rcdf"))
+        _write(out / name, rcdf_csv(column(rcdf_col)))
         outputs.append(name)
     if kde_col:
         name = f"stats_kde_{kde_col}.csv"
-        _write(out / name, distribution_report(column(kde_col), "histogram-smoothed"))
+        _write(out / name, kde_csv(column(kde_col)))
         outputs.append(name)
     return outputs, f"wrote {', '.join(outputs)}"
 

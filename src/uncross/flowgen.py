@@ -12,6 +12,12 @@ Accumulation starts at time 0.  Both sides rest ``total_shares_per_side``
 limit shares (market orders come on top); only the peak mass may differ
 between them.  The bell shape peaks 25 ticks from the fundamental.
 
+Participant flags are drawn for every row independently of its price and time,
+with fixed weights: ``LATENCY_WEIGHTS`` HFT 0.25, MIX 0.35, NON 0.40 and
+``ACCOUNT_WEIGHTS`` OWN 0.30, CLIENT 0.40, MARKET_MAKER 0.15, PARENT 0.08,
+RMO 0.05, RLP 0.02.  No flag group therefore leans toward any part of the book,
+whatever its weight.
+
 Everything is driven by one ``random.Random(seed)``: the same config generates
 byte-identical logs.
 """
@@ -21,12 +27,12 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 from .book import AuctionBook
 from .clearing import uncross_values
 from .errors import InfeasibleConfig
-from .events import ACCOUNT_TYPES, LATENCY_FLAGS, OrderEvent
+from .events import OrderEvent
 from .grid import PriceGrid
 
 SHAPES = ("constant", "bell", "piecewise")
@@ -40,26 +46,14 @@ def _json_fits(value, kind: str) -> bool:
     if kind == "tuple[int, int]":
         return (isinstance(value, list) and len(value) == 2
                 and all(_json_fits(v, "int") for v in value))
-    if kind == "dict[str, float]":
-        return isinstance(value, dict) and all(_json_fits(v, "float") for v in value.values())
     if isinstance(value, float) and not math.isfinite(value):
         return False  # json reads NaN, Infinity and 1e400 as floats; no field takes them
     return not isinstance(value, bool) and isinstance(value, _JSON_TYPES[kind])
 
 
-def _default_latency_weights() -> dict[str, float]:
-    return {"HFT": 0.25, "MIX": 0.35, "NON": 0.40}
-
-
-def _default_account_weights() -> dict[str, float]:
-    return {
-        "OWN": 0.30,
-        "CLIENT": 0.40,
-        "MARKET_MAKER": 0.15,
-        "PARENT": 0.08,
-        "RMO": 0.05,
-        "RLP": 0.02,
-    }
+LATENCY_WEIGHTS = {"HFT": 0.25, "MIX": 0.35, "NON": 0.40}
+ACCOUNT_WEIGHTS = {"OWN": 0.30, "CLIENT": 0.40, "MARKET_MAKER": 0.15, "PARENT": 0.08,
+                   "RMO": 0.05, "RLP": 0.02}
 
 
 @dataclass
@@ -83,8 +77,6 @@ class FlowConfig:
     market_shares_per_side: int = 0
     market_size_range: tuple[int, int] = (1, 2000)
     mean_order_size: int = 200
-    latency_weights: dict[str, float] = field(default_factory=_default_latency_weights)
-    account_weights: dict[str, float] = field(default_factory=_default_account_weights)
 
     def validate(self) -> None:
         if self.tick_size <= 0 or self.fundamental_price <= 0:
@@ -118,14 +110,6 @@ class FlowConfig:
             raise InfeasibleConfig(f"market_size_range needs 1 <= lo <= hi, got [{lo}, {hi}]")
         if self.mean_order_size < 1:
             raise InfeasibleConfig("mean_order_size must be >= 1")
-        for name, weights, allowed in (
-            ("latency_weights", self.latency_weights, LATENCY_FLAGS),
-            ("account_weights", self.account_weights, ACCOUNT_TYPES),
-        ):
-            if set(weights) - set(allowed) or not weights:
-                raise InfeasibleConfig(f"{name} keys must be a subset of {allowed}")
-            if min(weights.values()) < 0 or sum(weights.values()) <= 0:
-                raise InfeasibleConfig(f"{name} must be non-negative and sum > 0")
 
     def side_peak_mass(self, side: str) -> float:
         """Peak mass of one side: its override, else ``peak_mass``."""
@@ -213,10 +197,10 @@ def generate(cfg: FlowConfig) -> tuple[list[OrderEvent], dict, dict]:
     ids = itertools.count(1)
 
     # cumulative weights, built once: ``choices`` draws the same as with ``weights=``
-    lat_names = list(cfg.latency_weights)
-    lat_cum = list(itertools.accumulate(cfg.latency_weights.values()))
-    acct_names = list(cfg.account_weights)
-    acct_cum = list(itertools.accumulate(cfg.account_weights.values()))
+    lat_names = list(LATENCY_WEIGHTS)
+    lat_cum = list(itertools.accumulate(LATENCY_WEIGHTS.values()))
+    acct_names = list(ACCOUNT_WEIGHTS)
+    acct_cum = list(itertools.accumulate(ACCOUNT_WEIGHTS.values()))
 
     def flags() -> tuple[str, str]:
         return (

@@ -146,22 +146,15 @@ def _omega_max(curve: ImpactCurve, walk: list[tuple[int, float, int]], delta: fl
     return float(curve.omega0) + total / curve.q_a
 
 
-def empirical_slope(
-    curve: ImpactCurve,
-    omega_lo: float,
-    omega_hi: float,
-    include_lo: bool = False,
-) -> tuple[float, int]:
+def empirical_slope(curve: ImpactCurve, omega_lo: float, omega_hi: float) -> tuple[float, int]:
     """Least-squares slope of impact against scaled volume over curve jumps.
 
-    Uses jumps with omega in (omega_lo, omega_hi] (closed below when
-    ``include_lo``).  Returns (slope, number of points).
+    Uses jumps with omega in (omega_lo, omega_hi].  Returns (slope, number of points).
     """
     pts = []
     for bp in curve.breakpoints:
         w = bp.omega_num / curve.q_a
-        above = w >= omega_lo if include_lo else w > omega_lo
-        if above and w <= omega_hi:
+        if omega_lo < w <= omega_hi:
             pts.append((w, bp.impact))
     if len(pts) < 2:
         raise TooFewPoints(f"need >= 2 jumps inside the window, got {len(pts)}")
@@ -209,7 +202,6 @@ def fit_regime(
     side: str,
     max_x: float = DEFAULT_MAX_X,
     min_points: int = DEFAULT_MIN_POINTS,
-    slope_from_auction_price: bool = False,
 ) -> RegimeFit:
     """Full one-side pipeline: density samples, change point, window, slopes.
 
@@ -226,8 +218,7 @@ def fit_regime(
     w_max = _omega_max(curve, walk, cp.delta)
     # the change point had two samples, and the second tick's threshold is never negative
     p_first = curve.grid.price_at(curve.breakpoints[0].target_index)
-    ref = curve.p_a if slope_from_auction_price else p_first
-    beta_theo = theoretical_slope(ref, cp.l_tilde)
+    beta_theo = theoretical_slope(p_first, cp.l_tilde)
     try:
         beta_emp, _ = empirical_slope(curve, float(curve.omega0), w_max)
     except TooFewPoints:

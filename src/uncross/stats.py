@@ -202,7 +202,7 @@ def day_metrics_to_csv(rows: Sequence[DayMetrics]) -> str:
 
 
 _NUMBER_FIELDS = ("p_a", "q_a", "omega0", "delta_bp", "l_tilde", "omega_max", "beta_emp",
-                  "beta_theo")
+                  "beta_theo", "l_cash")
 
 
 def _finite(text: str) -> float:
@@ -217,10 +217,11 @@ def read_day_metrics(path) -> list[DayMetrics]:
 
     A header that lacks a column or names one twice is a ParseError at line 1.
     A row with other than the header's number of fields, a number cell that
-    ``events._plain`` refuses or that is not finite, ``q_a < 1``, ``p_a <= 0``
-    or ``omega0 < 0``, a side other than B or S, or an earlier row's
-    ``(date, side)`` is a ParseError at its physical line.  A file that is not
-    UTF-8 is a ParseError naming it.
+    ``events._plain`` refuses or that is not finite, ``q_a < 1``, ``p_a <= 0``,
+    ``omega0 < 0``, an ``l_cash`` other than ``p_a * q_a * l_tilde`` (compared
+    exactly: the writer's numbers round-trip), a side other than B or S, or an
+    earlier row's ``(date, side)`` is a ParseError at its physical line.  A file
+    that is not UTF-8 is a ParseError naming it.
     """
     rows = []
     seen: dict[tuple[str, str], int] = {}  # (date, side) -> line
@@ -256,6 +257,9 @@ def read_day_metrics(path) -> list[DayMetrics]:
                 )
                 if row.q_a < 1 or row.p_a <= 0 or row.omega0 < 0:
                     raise ValueError("need q_a >= 1, p_a > 0 and omega0 >= 0")
+                if (_finite(rec["l_cash"]) if rec["l_cash"] else None) != row.l_cash:
+                    raise ValueError(f"l_cash {rec['l_cash']!r} is not p_a * q_a * l_tilde "
+                                     f"({row.l_cash})")
                 if row.side not in ("B", "S"):
                     raise ValueError(f"side must be B or S, got {row.side!r}")
                 first = seen.setdefault((row.date, row.side), line_no)
@@ -351,10 +355,11 @@ def kernel_density(values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     return grid, dens
 
 
-def distribution_report(values: Sequence[float], kind: str) -> str:
-    """CSV table for a sample: smoothed histogram or exact reverse CDF."""
-    if kind == "rcdf":
-        return csv_table("value,fraction_ge", rcdf(values))
-    if kind == "histogram-smoothed":
-        return csv_table("value,density", zip(*kernel_density(values)))
-    raise ValueError(f"unknown report kind {kind!r}; use 'rcdf' or 'histogram-smoothed'")
+def rcdf_csv(values: Sequence[float]) -> str:
+    """The exact reverse CDF of a sample as a CSV table."""
+    return csv_table("value,fraction_ge", rcdf(values))
+
+
+def kde_csv(values: Sequence[float]) -> str:
+    """The smoothed histogram of a sample as a CSV table."""
+    return csv_table("value,density", zip(*kernel_density(values)))

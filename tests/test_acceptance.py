@@ -178,9 +178,9 @@ def test_criterion_4_linear_slope_realized():
     for side in "BS":
         curve = impact_curve(book, c, side, max_x=0.02)
         bps = curve.breakpoints
-        w1 = bps[1].omega_num / c.q_a
+        w0 = bps[0].omega_num / c.q_a
         w2 = bps[2].omega_num / c.q_a
-        slope, _ = empirical_slope(curve, w1, w2, include_lo=True)
+        slope, _ = empirical_slope(curve, w0, w2)  # (w0, w2]: jumps 1 and 2
         p_first = grid.price_at(bps[0].target_index)
         theo = theoretical_slope(p_first, l_tilde)
         worst = max(worst, abs(slope - theo) / theo)

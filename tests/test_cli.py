@@ -153,7 +153,8 @@ def test_stats_reports_a_spearman_it_cannot_compute(tmp_path):
     ("delta_bp", "nan"), ("beta_emp", "-inf"), ("p_a", "nan"), ("p_a", "0.0"), ("p_a", "-1.0"),
     ("q_a", "0"), ("q_a", "-5"), (None, "short-row"), (None, "no-optional-cells"),
     (None, "extra-cell"), ("q_a", "1_000"), ("p_a", "1_0.0"), ("p_a", " 10.0 "),
-    ("q_a", "\u0663"),
+    ("q_a", "\u0663"), ("l_cash", "junk"), ("l_cash", "nan"), ("l_cash", "1.5"),
+    ("l_cash", ""), ("l_tilde", ""),
 ])
 def test_bad_day_metrics_row_is_parse_error(tmp_path, field, value):
     metrics = _metrics_csv(tmp_path / "metrics.csv", [(0.01, 0.02)])
@@ -477,8 +478,6 @@ def test_bad_grid_file_is_parse_error(tmp_path, text, message):
     ('{"n_levels": "many"}', EXIT_PARSE,
      "bad config file: config field 'n_levels' must be int, got 'many'"),
     ("[1, 2]", EXIT_PARSE, "bad config file: a config must be a JSON object"),
-    ('{"latency_weights": {"HFT": "x"}}', EXIT_PARSE,
-     "bad config file: config field 'latency_weights' must be dict[str, float], got {'HFT': 'x'}"),
     ('{"market_size_range": [1, "a"]}', EXIT_PARSE,
      "bad config file: config field 'market_size_range' must be tuple[int, int], got [1, 'a']"),
     # well formed but unsatisfiable: not a parse error
@@ -506,13 +505,16 @@ def test_bad_grid_file_is_parse_error(tmp_path, text, message):
     ('{"decay": NaN}', EXIT_PARSE, "bad config file: config field 'decay' must be float, got nan"),
     ('{"buy_peak_mass": 1e400}', EXIT_PARSE,
      "bad config file: config field 'buy_peak_mass' must be float | None, got inf"),
-    ('{"latency_weights": {"HFT": NaN}}', EXIT_PARSE,
-     "bad config file: config field 'latency_weights' must be dict[str, float], got {'HFT': nan}"),
-], ids=["not-json", "unknown-field", "wrong-type", "not-an-object", "wrong-weight",
+    # the participant flag weights are constants of the generator
+    ('{"latency_weights": {"HFT": 1.0}}', EXIT_PARSE,
+     "bad config file: unknown config fields: ['latency_weights']"),
+    ('{"account_weights": {"OWN": 1.0}}', EXIT_PARSE,
+     "bad config file: unknown config fields: ['account_weights']"),
+], ids=["not-json", "unknown-field", "wrong-type", "not-an-object",
         "wrong-range-element", "infeasible", "start_us", "bell_mode_ticks",
         "buy_total_shares", "range-reversed", "range-zero", "range-negative", "nan-tick",
         "infinite-delta", "negative-infinite-churn", "nan-decay", "overflowing-peak-mass",
-        "nan-weight"])
+        "latency_weights", "account_weights"])
 def test_bad_gen_config_is_parse_error(tmp_path, text, code, message):
     config = tmp_path / "config.json"
     config.write_text(text)
@@ -533,21 +535,33 @@ def test_bad_gen_config_is_parse_error(tmp_path, text, code, message):
     ('{"command": "replay", "inputs": {}, "params": {"log": LOG, "tick": 0.1, "ref": 10.0, '
      '"grid_file": null}}', "params do not fit replay: unknown [], missing ['anchor']"),
     ('{"command": "regime", "inputs": {}, "params": {"log": LOG, "date": null, '
-     '"min_points": 20, "max_x": "abc", "approx_slope": false, "full_metrics": false, '
+     '"min_points": 20, "max_x": "abc", "full_metrics": false, '
      '"tick": 0.1, "ref": 10.0, "anchor": null, "grid_file": null}}',
      "bad param 'max_x': 'abc' is not a valid float"),
-    ('{"command": "impact", "inputs": {}, "params": {"log": LOG, "side": "both", '
+    ('{"command": "impact", "inputs": {}, "params": {"log": LOG, '
      '"max_x": null, "tick": 0.1, "ref": 10.0, "anchor": null, "grid_file": null}}',
      "bad param 'max_x': null is not one of its values"),
-    ('{"command": "impact", "inputs": {}, "params": {"log": LOG, "side": "both", '
+    ('{"command": "impact", "inputs": {}, "params": {"log": LOG, '
      '"max_x": 0, "tick": 0.1, "ref": 10.0, "anchor": null, "grid_file": null}}',
      "bad param 'max_x': 0.0 is not in the range x>0"),
     ('{"command": "series", "inputs": {}, "params": {"log": LOG, "interval": NaN, '
      '"min_points": 20, "max_x": 200.0, "tick": 0.1, "ref": 10.0, "anchor": null, '
      '"grid_file": null}}', "bad param 'interval': nan is not a finite number"),
+    ('{"command": "regime", "inputs": {}, "params": {"log": LOG, "date": null, '
+     '"min_points": 1, "max_x": 200.0, "full_metrics": false, '
+     '"tick": 0.1, "ref": 10.0, "anchor": null, "grid_file": null}}',
+     "bad param 'min_points': 1 is not in the range x>=2"),
+    # parameters of an older version, which the commands no longer take
+    ('{"command": "impact", "inputs": {}, "params": {"log": LOG, "side": "both", '
+     '"max_x": 200.0, "tick": 0.1, "ref": 10.0, "anchor": null, "grid_file": null}}',
+     "params do not fit impact: unknown ['side'], missing []"),
+    ('{"command": "regime", "inputs": {}, "params": {"log": LOG, "date": null, '
+     '"min_points": 20, "max_x": 200.0, "approx_slope": false, "full_metrics": false, '
+     '"tick": 0.1, "ref": 10.0, "anchor": null, "grid_file": null}}',
+     "params do not fit regime: unknown ['approx_slope'], missing []"),
 ], ids=["not-json", "missing-key", "unknown-command", "rerun-itself", "unknown-param",
         "missing-param", "bad-param-value", "null-param-value", "param-out-of-range",
-        "param-not-finite"])
+        "param-not-finite", "too-few-min-points", "impact-side", "regime-approx-slope"])
 def test_rerun_of_a_non_manifest_is_parse_error(tmp_path, text, message):
     log = tmp_path / "day.csv"
     log.write_text(",".join(CSV_HEADER) + "\n" + CROSSED)
@@ -629,6 +643,10 @@ def test_gen_name_that_is_not_a_bare_file_name_is_usage_error(tmp_path, name):
     ("series", "--interval", "-5"),
     ("series", "--interval", "1e-7"),  # rounds below one microsecond
     ("series", "--interval", "nan"),
+    ("regime", "--min-points", "-5"),
+    ("regime", "--min-points", "0"),
+    ("regime", "--min-points", "1"),  # a change point needs two samples
+    ("series", "--min-points", "1"),
 ])
 def test_option_outside_its_domain_is_usage_error(tmp_path, command, option, value):
     log = tmp_path / "day.csv"
@@ -693,9 +711,9 @@ def test_exit_code_too_few_points(tmp_path):
 
 
 def test_unknown_flag_values_enumerated(tmp_path):
-    res = run(["impact", "--side", "X", "--tick", "0.1", "--ref", "10.0", "."])
+    res = run(["density", "--group", "X", "--tick", "0.1", "--ref", "10.0", "."])
     assert res.exit_code == 2
-    assert "'B', 'S'" in res.output or "B, S" in res.output.replace("'", "")
+    assert "'latency', 'account'" in res.output or "latency, account" in res.output.replace("'", "")
 
 
 def test_rerun_reproduces_bytes(workspace, tmp_path):
@@ -737,7 +755,7 @@ def test_gen_determinism_via_rerun(tmp_path):
 
 @pytest.mark.parametrize("args", [
     ["response", "--warmup", "10", "--no-cancels"],
-    ["regime", "--approx-slope", "--full-metrics"],
+    ["regime", "--full-metrics"],
 ])
 def test_rerun_passes_flags_back(workspace, tmp_path, args):
     command, *options = args
@@ -746,8 +764,7 @@ def test_rerun_passes_flags_back(workspace, tmp_path, args):
                *options, "--out-dir", str(out1)])
     assert res.exit_code == 0, res.output
     rec = assert_rerun_reproduces(out1, tmp_path / "run2", command)
-    flags = {"with_cancels": False} if command == "response" else {
-        "approx_slope": True, "full_metrics": True}
+    flags = {"with_cancels": False} if command == "response" else {"full_metrics": True}
     assert flags.items() <= rec["params"].items()
     assert len(rec["outputs"]) == (1 if command == "response" else 2)
 

@@ -1,6 +1,9 @@
 import hashlib
+import importlib
 import json
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +11,7 @@ from uncross.book import AuctionBook
 from uncross.clearing import clear
 from uncross.errors import InfeasibleConfig
 from uncross.events import format_event, read_events, write_events
-from uncross.flowgen import FlowConfig, generate
+from uncross.flowgen import ACCOUNT_WEIGHTS, LATENCY_WEIGHTS, FlowConfig, generate
 from uncross.grid import PriceGrid
 from uncross.regime import fit_regime
 
@@ -156,11 +159,11 @@ def test_flag_mixture_within_3_sigma():
     assert len(events) >= 10_000
     submits = [e for e in events if e.action == "SUBMIT"]
     n = len(submits)
-    for flag, p in cfg.latency_weights.items():
+    for flag, p in LATENCY_WEIGHTS.items():
         count = sum(1 for e in submits if e.latency_flag == flag)
         sigma = math.sqrt(n * p * (1 - p))
         assert abs(count - n * p) <= 3 * sigma, flag
-    for flag, p in cfg.account_weights.items():
+    for flag, p in ACCOUNT_WEIGHTS.items():
         count = sum(1 for e in submits if e.account_type == flag)
         sigma = math.sqrt(n * p * (1 - p))
         assert abs(count - n * p) <= 3 * sigma, flag
@@ -192,13 +195,27 @@ class TestInfeasibleConfigs:
         with pytest.raises(InfeasibleConfig):
             FlowConfig(shape="triangle").validate()
 
-    def test_bad_weights(self):
-        with pytest.raises(InfeasibleConfig):
-            FlowConfig(latency_weights={"WARP": 1.0}).validate()
-
     def test_json_round_trip_and_unknown_field(self):
         cfg = small_config()
         back = FlowConfig.from_json(cfg.to_json())
         assert back == cfg
         with pytest.raises(InfeasibleConfig):
             FlowConfig.from_json('{"warp_speed": 9}')
+
+
+@pytest.mark.parametrize("tiny", [False, True], ids=["full", "tiny"])
+def test_every_benchmark_day_is_a_valid_config(monkeypatch, tiny):
+    """Every day of both ``perfbench`` workloads builds and validates a config, the
+    way the benchmark's set-up reads it, so a change to the config fields that
+    would break that set-up fails here."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    for workload in workloads.WORKLOADS:
+        for seed in (3, 11):
+            days = workloads.configs(workload, seed, tiny)
+            assert days
+            for _, cfg in days:
+                built = FlowConfig(**cfg)
+                built.validate()
+                assert FlowConfig.from_json(json.dumps(cfg, sort_keys=True)) == built

@@ -4,6 +4,7 @@ A change to what a command writes, down to the last byte, shows here; the
 manifest rerun of acceptance criterion 9 only compares two runs of the same
 code.  A change that alters outputs on purpose records the new digests.
 """
+import csv
 import hashlib
 import json
 
@@ -98,3 +99,20 @@ def test_output_bytes_are_pinned(days, tmp_path, command, args, digests):
     outputs = json.loads((tmp_path / f"{command}.manifest.json").read_text())["outputs"]
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in outputs}
     assert got == digests
+
+
+# the ``beta_theo`` that the former ``regime --approx-slope`` wrote on the pinned
+# days, on both sides; it took the clearing price for the first occupied tick past it
+CLEARING_PRICE_BETA_THEO = {"day7": "0.0014901960784313726", "day8": "0.0017460825071953943",
+                            "day9": "0.002018952618453865"}
+
+
+def test_clearing_price_slope_is_read_from_the_metrics_rows(days):
+    """``1 / (p_a * l_tilde)`` of a ``regime --full-metrics`` row is the
+    clearing-price slope, to the last digit."""
+    with open(days / "metrics.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 2 * len(SEEDS)
+    for row in rows:
+        slope = 1 / (float(row["p_a"]) * float(row["l_tilde"]))
+        assert repr(slope) == CLEARING_PRICE_BETA_THEO[row["date"]], row

@@ -211,7 +211,7 @@ class TestEmpiricalSlope:
         assert len(bps) >= 2
         w0 = bps[0].omega_num / c.q_a
         w1 = bps[1].omega_num / c.q_a
-        slope, n = empirical_slope(curve, w0, w1, include_lo=True)
+        slope, n = empirical_slope(curve, 0.0, w1)  # (0, w1]: the first two jumps
         assert n == 2
         expect = (bps[1].impact - bps[0].impact) / (w1 - w0)
         assert slope == pytest.approx(expect)
@@ -248,9 +248,9 @@ class TestEmpiricalSlope:
         for side in "BS":
             curve = impact_curve(book, c, side, max_x=0.02)
             bps = curve.breakpoints
-            w1 = bps[1].omega_num / c.q_a
+            w0 = bps[0].omega_num / c.q_a
             w2 = bps[2].omega_num / c.q_a
-            slope, _ = empirical_slope(curve, w1, w2, include_lo=True)
+            slope, _ = empirical_slope(curve, w0, w2)  # (w0, w2]: jumps 1 and 2
             p_first = book.grid.price_at(bps[0].target_index)
             theo = theoretical_slope(p_first, v / (c.q_a * tick))
             assert abs(slope - theo) / theo < 1e-6
