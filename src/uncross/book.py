@@ -280,6 +280,8 @@ class AuctionBook:
         ``x = |log(price / price at index)|``.  It ends with the first tick
         farther than ``max_x``, which is kept so callers can see the gap to it.
         """
+        if not max_x > 0:  # NaN fails too
+            raise ValueError("max_x must be positive")
         i = index - self.lo_index
         lo = max(i + 1, 0) if side == "B" else 0
         hi = None if side == "B" else max(i, 0)

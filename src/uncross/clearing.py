@@ -16,8 +16,8 @@ limit orders through the price, then limit orders at the price.  The clearing
 record (matched and remaining shares at the price, unfilled market volume,
 spillover) follows from the level sums alone.  ``fills`` is the per-order
 price-time allocation of the same shares: within a price, by priority
-timestamp, with the order id as the final tie.  The shorter side always fills
-completely.
+timestamp, then by the arrival of the event that set it.  The shorter side
+always fills completely.
 """
 from __future__ import annotations
 
@@ -140,11 +140,12 @@ class ClearingResult:
 
 
 def _priority_key(rec: OrderRecord):
-    # market orders first, then price aggressiveness, then time, then id
+    # market orders first, then price aggressiveness, then time, then arrival:
+    # no two live orders share a priority_seq, so the key is never tied
     if rec.is_market:
-        return (0, 0, rec.priority_ts, rec.priority_seq, rec.order_id)
+        return (0, 0, rec.priority_ts, rec.priority_seq)
     aggressiveness = -rec.price_index if rec.side == "B" else rec.price_index
-    return (1, aggressiveness, rec.priority_ts, rec.priority_seq, rec.order_id)
+    return (1, aggressiveness, rec.priority_ts, rec.priority_seq)
 
 
 def _allocate(book: AuctionBook, price_index: int, q_a: int) -> dict[str, int]:

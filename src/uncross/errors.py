@@ -63,7 +63,7 @@ class TooFewPoints(UncrossError):
 
 
 class NonPositiveDensity(UncrossError):
-    """Density samples must be strictly positive where sampled."""
+    """Density samples must be positive and finite where sampled."""
 
 
 class LengthMismatch(UncrossError):

@@ -104,25 +104,32 @@ class OrderEvent(_EventFields):
         return f"{self.__class__.__qualname__}({fields})"
 
     def validate(self) -> None:
-        try:
-            known = (self.action in _ACTION_SET and self.side in _SIDE_SET
-                     and self.order_type in _TYPE_SET and self.latency_flag in _LATENCY_SET
-                     and self.account_type in _ACCOUNT_SET)
-        except TypeError:  # an unhashable value is in no set
-            known = False
-        if not known:  # name the first bad field
-            for name, allowed in _ENUMS:
-                value = getattr(self, name)
-                if value not in allowed:
-                    raise ParseError(f"unknown {name} {value!r}; expected one of {allowed}")
-        if self.order_type == "MARKET":
-            if self.price is not None:
-                raise ParseError("MARKET order must not carry a price")
-        elif self.price is None and self.action != "CANCEL":
-            # cancels only need the order id; price/qty are informational
-            raise ParseError(f"{self.order_type} order requires a price")
-        if self.price is not None and not 0 < self.price < math.inf:  # NaN fails too
-            raise ParseError(f"price must be positive and finite, got {self.price}")
+        fault = _event_fault(self.action, self.side, self.order_type, self.price,
+                             self.latency_flag, self.account_type)
+        if fault:
+            raise ParseError(fault)
+
+
+def _event_fault(action, side, otype, price, lat, acct) -> str | None:
+    """The first broken event rule, or None: each enumerated field in column order,
+    then the price rules.  ``OrderEvent.validate`` and the log reader both ask it."""
+    try:
+        known = (action in _ACTION_SET and side in _SIDE_SET and otype in _TYPE_SET
+                 and lat in _LATENCY_SET and acct in _ACCOUNT_SET)
+    except TypeError:  # an unhashable value is in no set
+        known = False
+    if not known:
+        for (name, allowed), value in zip(_ENUMS, (action, side, otype, lat, acct)):
+            if value not in allowed:
+                return f"unknown {name} {value!r}; expected one of {allowed}"
+    if price is None:
+        if otype != "MARKET" and action != "CANCEL":  # a CANCEL needs only its id
+            return f"{otype} order requires a price"
+    elif otype == "MARKET":
+        return "MARKET order must not carry a price"
+    elif not 0 < price < math.inf:  # NaN fails too
+        return f"price must be positive and finite, got {price}"
+    return None
 
 
 def _located(ev: tuple, exc: UncrossError) -> UncrossError:
@@ -150,13 +157,12 @@ def _log_fields(path: str | Path) -> Iterator[tuple]:
     """The eleven ``OrderEvent`` fields of each row of a log, path and line last:
     the one loop over a log's rows, behind ``read_events`` and ``replay_log``.
 
-    A row that passes the quick check below, which holds every check of
-    ``_row_event`` (its cells, ``OrderEvent.validate`` and the timestamp order),
-    is yielded as parsed.  Any other row goes to ``_row_event``, which names its
-    fault, and whose event is yielded should it accept the row.
+    Each row is checked once, and the first fault raises a ParseError at its
+    line: the cell count, the number cells (``_cell_fault``), the event rules
+    (``_event_fault``), then the timestamp order.
     """
     name = str(path)
-    last_ts = None
+    last_ts = -math.inf
     with _csv_rows(path) as (header, reader):
         if header is None:
             raise ParseError("empty file", line=1, path=name)
@@ -170,21 +176,17 @@ def _log_fields(path: str | Path) -> Iterator[tuple]:
                 ts_s, oid, action, side, otype, price_s, qty_s, lat, acct = row
                 ts, qty = int(ts_s), int(qty_s)
                 price = float(price_s) if price_s else None
-            except ValueError:  # a wrong cell count or a bad number
-                fits = False
-            else:
-                fits = (_plain(ts_s + price_s + qty_s) and action in _ACTION_SET
-                        and side in _SIDE_SET and otype in _TYPE_SET and lat in _LATENCY_SET
-                        and acct in _ACCOUNT_SET and (last_ts is None or last_ts <= ts)
-                        and ((otype == "MARKET" or action == "CANCEL") if price is None
-                             else otype != "MARKET" and 0 < price < math.inf))
-            if fits:
-                fields = (ts, oid, action, side, otype, price, qty, lat, acct,
-                          name, reader.line_num)
-            else:
-                fields = _row_event(row, reader.line_num, name, last_ts)
-            last_ts = fields[0]
-            yield fields
+                plain = _plain(ts_s + price_s + qty_s)
+            except ValueError:  # a wrong cell count or a number int/float refuses
+                plain = False
+            fault = (_event_fault(action, side, otype, price, lat, acct) if plain
+                     else _cell_fault(row))
+            if fault is None and ts < last_ts:
+                fault = f"timestamp_us {ts} is earlier than the previous row's {last_ts}"
+            if fault:
+                raise ParseError(fault, line=reader.line_num, path=name)
+            last_ts = ts
+            yield ts, oid, action, side, otype, price, qty, lat, acct, name, reader.line_num
 
 
 @contextlib.contextmanager
@@ -207,35 +209,22 @@ def _plain(cells: str) -> bool:
     return cells.isascii() and cells.isprintable() and "_" not in cells and " " not in cells
 
 
-def _number(kind, cell: str, field: str, line_no: int, name: str):
-    """``kind(cell)`` of a plain number cell; a ParseError naming ``field`` otherwise."""
-    try:
-        if _plain(cell):
-            return kind(cell)
-    except ValueError:
-        pass
-    raise ParseError(f"bad {field} {cell!r}", line=line_no, path=name)
-
-
-def _row_event(row: list[str], line_no: int, name: str, last_ts: int | None) -> OrderEvent:
-    """The validated event of one non-blank log row at ``line_no``, whose timestamp
-    must not be earlier than ``last_ts``, the previous row's; ParseError otherwise."""
+def _cell_fault(row: list[str]) -> str:
+    """The first fault of a refused row's cells: a wrong cell count, else the first
+    number cell, in column order, that ``_plain`` or ``int``/``float`` refuses."""
     if len(row) != len(CSV_HEADER):
-        raise ParseError(f"expected {len(CSV_HEADER)} fields, got {len(row)}",
-                         line=line_no, path=name)
-    ts, oid, action, side, otype, price_s, qty_s, lat, acct = row
-    timestamp = _number(int, ts, "timestamp_us", line_no, name)
-    price = _number(float, price_s, "price", line_no, name) if price_s else None
-    qty = _number(int, qty_s, "qty", line_no, name)
-    try:
-        ev = OrderEvent(timestamp, oid, action, side, otype, price, qty, lat, acct,
-                        path=name, line=line_no)
-    except ParseError as exc:
-        raise ParseError(str(exc), line=line_no, path=name) from None
-    if last_ts is not None and timestamp < last_ts:
-        raise ParseError(f"timestamp_us {timestamp} is earlier than the previous "
-                         f"row's {last_ts}", line=line_no, path=name)
-    return ev
+        return f"expected {len(CSV_HEADER)} fields, got {len(row)}"
+    for i, kind in ((0, int), (5, float), (6, int)):
+        cell = row[i]
+        if i == 5 and not cell:
+            continue  # no price: the event rules judge it
+        try:
+            if _plain(cell):
+                kind(cell)
+                continue
+        except ValueError:
+            pass
+        return f"bad {CSV_HEADER[i]} {cell!r}"
 
 
 def format_event(ev: OrderEvent) -> list[str]:

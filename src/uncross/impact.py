@@ -73,7 +73,7 @@ class ImpactCurve:
 
     def _last_jump(self, q: int | Fraction) -> int:
         """Number of jumps reached by an injection of q shares."""
-        if q < 0:
+        if not q >= 0:  # NaN fails too
             raise ValueError("injected volume must be >= 0")
         if q == 0 or self.pinned:
             return 0  # zero injection never moves the price
@@ -125,8 +125,6 @@ def _impact_curve(
     a ``levels_past`` walk from ``k_a`` taken with ``max_x``."""
     if q_a <= 0:
         raise DegenerateAuction("auction volume is zero")
-    if max_x <= 0:
-        raise ValueError("max_x must be positive")
     _check_side(side)
     vb_at, vs_at = book.volume_at(k_a)
     # market orders fill first, so own-side market volume beyond q_a is rationed

@@ -66,8 +66,10 @@ def changepoint(
         raise ValueError("xs and rhos must have equal length")
     if len(x) < max(2, min_points):
         raise TooFewPoints(f"need at least {max(2, min_points)} samples, got {len(x)}")
-    if np.any(r <= 0):
-        raise NonPositiveDensity("density samples must be strictly positive")
+    if not np.all((r > 0) & (r < np.inf)):  # NaN fails too
+        raise NonPositiveDensity("density samples must be positive and finite")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("sample abscissae must be finite")
     order = np.argsort(x)
     x = x[order]
     r = r[order]

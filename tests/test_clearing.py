@@ -216,6 +216,17 @@ def test_allocation_time_priority(worked_book):
     ) == c.q_a
 
 
+def test_allocation_breaks_a_timestamp_tie_by_arrival():
+    # two sells at t=5, rationed at the price, fill in arrival order, not by id
+    book = AuctionBook(PriceGrid(0.1, 10.0, 10.0))
+    book.apply(OrderEvent(5, "zz", "SUBMIT", "S", "LIMIT", 10.0, 30))
+    book.apply(OrderEvent(5, "aa", "SUBMIT", "S", "LIMIT", 10.0, 30))
+    book.apply(OrderEvent(6, "b", "SUBMIT", "B", "LIMIT", 10.0, 40))
+    c = clear(book)
+    assert (c.p_a, c.q_a) == (10.0, 40)
+    assert c.fills == {"zz": 30, "aa": 10, "b": 40}
+
+
 def test_allocation_market_orders_first():
     book = make_book(
         buys=[(10.0, 50)],

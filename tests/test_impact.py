@@ -90,6 +90,21 @@ class TestImpactCurve:
         with pytest.raises(BeyondTruncation):
             impact_at(cb, Fraction(cb.cap_num, c.q_a))
 
+    @pytest.mark.parametrize("q", [-1, math.nan])
+    def test_negative_or_nan_shares_are_refused(self, worked_book, q):
+        curve = impact_curve(worked_book, clear(worked_book), "B")
+        with pytest.raises(ValueError, match="injected volume must be >= 0"):
+            curve.impact_at_shares(q)
+        with pytest.raises(ValueError, match="injected volume must be >= 0"):
+            curve.price_index_at_shares(q)
+
+    @pytest.mark.parametrize("max_x", [0.0, -1.0, math.nan])
+    def test_a_max_x_that_is_not_positive_is_refused(self, worked_book, max_x):
+        with pytest.raises(ValueError, match="max_x must be positive"):
+            impact_curve(worked_book, clear(worked_book), "B", max_x=max_x)
+        with pytest.raises(ValueError, match="max_x must be positive"):
+            fit_regime(worked_book, "B", max_x=max_x)
+
     def test_degenerate_auction_rejected(self, worked_book):
         from uncross.clearing import ClearingResult
 

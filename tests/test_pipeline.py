@@ -1,5 +1,8 @@
-"""Smoke test of the end-to-end demo script."""
+"""Smoke test of the end-to-end demo script, and of the benchmark's calls into
+the package."""
+import ast
 import csv
+import importlib
 import json
 import os
 import subprocess
@@ -14,6 +17,7 @@ from uncross.cli import main
 from uncross.events import read_events
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_pipeline.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def run_script(out: Path, days: str) -> subprocess.CompletedProcess:
@@ -80,3 +84,36 @@ def test_run_pipeline_refuses_a_day_count_below_one(tmp_path, days):
     assert res.returncode == 2, res.stderr
     assert "--days" in res.stderr and "Traceback" not in res.stderr
     assert not (tmp_path / "report.json").exists()
+
+
+def test_every_benchmark_call_names_what_the_package_has(monkeypatch):
+    """Each ``<x>_mod.<name>`` that ``perfbench/workloads.py`` reads is on
+    ``uncross.<x>``, each traced method is on its class, and each literal command
+    and ``--option`` of an ``ops.cli(...)`` call is registered on ``uncross``'s CLI.
+    The benchmark's files are read, not changed, so a rename that would fail the
+    benchmark's operations fails here."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    for layer in tracing.LAYERS:
+        importlib.import_module(f"uncross.{layer}")
+    for layer, cls_name, meth in tracing.METHODS:
+        assert meth in vars(getattr(importlib.import_module(f"uncross.{layer}"), cls_name))
+    attrs, calls = set(), []
+    for node in ast.walk(ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id.endswith("_mod")):
+            attrs.add((node.value.id.removesuffix("_mod"), node.attr))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and isinstance(node.func.value, ast.Name)
+              and (node.func.value.id, node.func.attr) == ("ops", "cli")):
+            calls.append([a.value for a in node.args if isinstance(a, ast.Constant)])
+    assert attrs and calls
+    missing = [f"uncross.{m}.{name}" for m, name in sorted(attrs)
+               if not hasattr(importlib.import_module(f"uncross.{m}"), name)]
+    assert missing == []
+    for command, *args in calls:
+        assert command in main.commands, command
+        options = {opt for param in main.commands[command].params for opt in param.opts}
+        flags = {a for a in args if isinstance(a, str) and a.startswith("--")}
+        assert flags <= options, (command, flags - options)

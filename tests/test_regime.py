@@ -84,8 +84,14 @@ class TestChangepoint:
             changepoint([1e-4], [1.0], min_points=2)
 
     def test_non_positive_density(self):
-        with pytest.raises(NonPositiveDensity):
-            changepoint([1e-4, 2e-4, 3e-4], [1.0, 0.0, 2.0], min_points=2)
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(NonPositiveDensity, match="positive and finite"):
+                changepoint([1e-4, 2e-4, 3e-4], [1.0, bad, 2.0], min_points=2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_abscissa(self, bad):
+        with pytest.raises(ValueError, match="abscissae must be finite"):
+            changepoint([1e-4, bad, 3e-4], [1.0, 1.5, 2.0], min_points=2)
 
     def test_scale_invariance_in_volume(self):
         # multiplying every density by a constant shifts logs, not the cut
