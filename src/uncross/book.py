@@ -11,7 +11,8 @@ The book keeps two mutually consistent views:
 The impact curve, the regime fit's density samples and its window all read
 the occupied ticks past the clearing price through one walk,
 ``levels_past``: buy+sell volume per tick, nearest first, with each tick's
-log-price distance from the price.
+log-price distance from the price.  The ungrouped density profile reads all
+the occupied levels at once, as ``buy_volume``/``sell_volume``.
 
 Supply at a price counts all sell volume at or below it plus all sell market
 orders; demand counts buy volume at or above plus buy market orders.  Market
@@ -45,7 +46,7 @@ from .errors import (
     UncrossError,
     UnknownOrderId,
 )
-from .events import OrderEvent, _located, _log_fields, format_price
+from .events import OrderEvent, _check_side, _located, _log_fields, format_price
 from .grid import PriceGrid
 
 # Ticks of slack on each side of the reference tick in a new book's level
@@ -65,7 +66,7 @@ class OrderRecord:
     order_id: str
     side: str
     order_type: str
-    price_index: int | None  # None for MARKET (and dormant STOP)
+    price_index: int | None  # None for MARKET; a STOP keeps its price's tick
     quantity: int
     priority_ts: int
     priority_seq: int
@@ -280,6 +281,7 @@ class AuctionBook:
         ``x = |log(price / price at index)|``.  It ends with the first tick
         farther than ``max_x``, which is kept so callers can see the gap to it.
         """
+        _check_side(side)
         if not max_x > 0:  # NaN fails too
             raise ValueError("max_x must be positive")
         i = index - self.lo_index

@@ -2,7 +2,8 @@
 
 Each day's resting limit volume is binned by log-price distance from the
 book's own clearing price in fixed bins of width ``dx`` and scaled by its
-auction volume, so profiles of different days average bin by bin.
+auction volume, so profiles of different days average bin by bin.  Each
+distinct tick of the book's levels (or of one flag's live orders) is binned once.
 """
 from __future__ import annotations
 
@@ -17,8 +18,7 @@ from .events import ACCOUNT_TYPES, LATENCY_FLAGS, csv_table
 
 DEFAULT_DX = 1e-4  # 1 basis point bins
 # per ``group_by``: the order record's flag field, and the profile keys
-_GROUPS = {None: (None, (None,)), "latency": ("latency_flag", LATENCY_FLAGS),
-           "account": ("account_type", ACCOUNT_TYPES)}
+_GROUPS = {"latency": ("latency_flag", LATENCY_FLAGS), "account": ("account_type", ACCOUNT_TYPES)}
 
 
 @dataclass
@@ -49,41 +49,40 @@ def day_profile(
     """Bin one day's book into density profiles, optionally split by a flag.
 
     The profile uncrosses the book itself (NoCross without a cross) and bins
-    around its clearing price, scaled by its auction volume.  ``group_by`` is
-    ``"latency"`` or ``"account"``; None gives a single profile keyed by None.
-    Grouped profiles sum to the ungrouped one bin by bin.
+    around its clearing price, scaled by its auction volume.  None for ``group_by``
+    gives one profile keyed by None, from the levels; ``"latency"`` or ``"account"``
+    one per flag value, from its live orders.  Grouped profiles sum to the ungrouped one.
     """
-    if dx <= 0:
-        raise ValueError(f"dx must be positive, got {dx}")
-    if group_by not in _GROUPS:
+    if not 0 < dx < math.inf:  # NaN fails too
+        raise ValueError(f"dx must be positive and finite, got {dx}")
+    if group_by is not None and group_by not in _GROUPS:
         raise ValueError(f"group_by must be None, 'latency' or 'account', got {group_by!r}")
-    grid = book.grid
     k_a, q_a, _, _ = uncross_values(book)
-    auction_price = grid.price_at(k_a)
-
+    if group_by is None:
+        return _binned({None: (book.buy_volume, book.sell_volume)}, book.grid, k_a, q_a, dx)
     flag, keys = _GROUPS[group_by]
-    shares_b: dict[str | None, dict[int, int]] = {k: {} for k in keys}
-    shares_s: dict[str | None, dict[int, int]] = {k: {} for k in keys}
-
+    levels = {key: ({}, {}) for key in keys}
     for rec in book.live_resting_orders():
-        if rec.is_market:
-            continue  # unpriced volume has no log-price coordinate
-        key = getattr(rec, flag) if flag else None
-        x = math.log(grid.price_at(rec.price_index) / auction_price)
-        b = round(x / dx)
-        dest = shares_b if rec.side == "B" else shares_s
-        dest[key][b] = dest[key].get(b, 0) + rec.quantity
+        if not rec.is_market:  # unpriced volume has no log-price coordinate
+            dest = levels[getattr(rec, flag)][rec.side == "S"]
+            dest[rec.price_index] = dest.get(rec.price_index, 0) + rec.quantity
+    return _binned(levels, book.grid, k_a, q_a, dx)
 
-    return {
-        key: DensityProfile(
-            dx=dx,
-            rho_buy={b: v / (q_a * dx) for b, v in sorted(shares_b[key].items())},
-            rho_sell={b: v / (q_a * dx) for b, v in sorted(shares_s[key].items())},
-            n_days=1,
-            group=key,
-        )
-        for key in keys
-    }
+
+def _binned(levels, grid, k_a, q_a, dx) -> dict[str | None, DensityProfile]:
+    """A profile per key of ``levels``, ``{key: (buy, sell)}`` of ``{tick: shares}``:
+    each distinct tick is binned once, and the shares per bin scaled by ``q_a * dx``."""
+    p_a = grid.price_at(k_a)
+    ticks = {k for sides in levels.values() for shares in sides for k in shares}
+    bin_of = {k: round(math.log(grid.price_at(k) / p_a) / dx) for k in ticks}
+
+    def rho(shares) -> dict[int, float]:
+        per_bin: dict[int, int] = {}
+        for k, v in shares.items():
+            per_bin[bin_of[k]] = per_bin.get(bin_of[k], 0) + v
+        return {b: v / (q_a * dx) for b, v in sorted(per_bin.items())}
+
+    return {key: DensityProfile(dx, *map(rho, sides), group=key) for key, sides in levels.items()}
 
 
 def average_density(profiles: Sequence[DensityProfile]) -> DensityProfile:

@@ -45,6 +45,12 @@ _ACTION_SET, _SIDE_SET, _TYPE_SET, _LATENCY_SET, _ACCOUNT_SET = (
     frozenset(allowed) for _, allowed in _ENUMS)
 
 
+def _check_side(side: str) -> None:
+    """The side rule of the book's walks and of impact re-clearing."""
+    if side not in SIDES:
+        raise ValueError(f"side must be 'B' or 'S', got {side!r}")
+
+
 class _EventFields(NamedTuple):
     timestamp: int  # microseconds
     order_id: str
@@ -62,10 +68,10 @@ class _EventFields(NamedTuple):
 class OrderEvent(_EventFields):
     """A single submit/modify/cancel message: an immutable, tuple-backed record.
 
-    An event is validated when it is built (``_make``/``_replace`` too) and
-    cannot change.  For MODIFY, ``price``/``quantity``/``order_type`` carry
-    the new values; a MODIFY that changes a STOP order's type to LIMIT or
-    MARKET activates it.  A CANCEL or MODIFY must name the live order's side,
+    An event is validated when it is built (``_make``/``_replace`` too), its
+    timestamp and quantity as ``int``s, and cannot change.  For MODIFY,
+    ``price``/``quantity``/``order_type`` carry the new values; a MODIFY that
+    changes a STOP order's type to LIMIT or MARKET activates it.  A CANCEL or MODIFY must name the live order's side,
     and a CANCEL its type and (when given) its price; a CANCEL's quantity is
     informational.  ``path``/``line``, the last two fields and keyword-only,
     locate an event read from a log; they are None for a hand-built event and
@@ -104,6 +110,9 @@ class OrderEvent(_EventFields):
         return f"{self.__class__.__qualname__}({fields})"
 
     def validate(self) -> None:
+        ts, qty = self.timestamp, self.quantity
+        if type(ts) is not int or type(qty) is not int:  # a bool, float or NaN too
+            raise ParseError(f"timestamp and quantity must be ints, got {ts!r} and {qty!r}")
         fault = _event_fault(self.action, self.side, self.order_type, self.price,
                              self.latency_flag, self.account_type)
         if fault:

@@ -39,7 +39,7 @@ from .errors import (
     NoPositiveRoot,
     ZeroLiquidity,
 )
-from .events import csv_table, format_price
+from .events import _check_side, csv_table, format_price
 from .grid import PriceGrid
 
 DEFAULT_MAX_X = 0.02  # truncate the tick walk at a 2% log-price distance
@@ -122,10 +122,9 @@ def _impact_curve(
     walk: list[tuple[int, float, int]],
 ) -> ImpactCurve:
     """``impact_curve`` from the clearing tick, volume and imbalance S - D, over
-    a ``levels_past`` walk from ``k_a`` taken with ``max_x``."""
+    a ``levels_past`` walk from ``k_a``, which checked ``side`` and ``max_x``."""
     if q_a <= 0:
         raise DegenerateAuction("auction volume is zero")
-    _check_side(side)
     vb_at, vs_at = book.volume_at(k_a)
     # market orders fill first, so own-side market volume beyond q_a is rationed
     if side == "B":
@@ -171,11 +170,6 @@ def signed_curve_csv(curve_buy: ImpactCurve, curve_sell: ImpactCurve) -> str:
 # ------------------------------------------------------------- re-clearing
 
 
-def _check_side(side: str) -> None:
-    if side not in ("B", "S"):
-        raise ValueError(f"side must be 'B' or 'S', got {side!r}")
-
-
 def inject_and_reclear(book: AuctionBook, side: str, q: int) -> float:
     """Add q market shares on a side and return the new clearing price.
 
@@ -208,9 +202,9 @@ def theoretical_slope(p_first: float, l_tilde: float) -> float:
     ``p_first`` is the first non-empty tick past the clearing price; passing
     the clearing price instead gives the commonly used approximation.
     """
-    if l_tilde <= 0:
+    if not l_tilde > 0:  # NaN fails too
         raise ZeroLiquidity(f"scaled liquidity must be positive, got {l_tilde}")
-    if p_first <= 0:
+    if not p_first > 0:
         raise ValueError(f"price must be positive, got {p_first}")
     return 1.0 / (p_first * l_tilde)
 
@@ -222,24 +216,24 @@ def post_clearing_impact(a1: float, b1: float, q: float) -> float:
     linear impact ``q/a1`` for small q, square-root ``sqrt(2 q / b1)`` for
     large q.
     """
-    if q <= 0:
+    if not q > 0:  # NaN fails too
         raise ValueError(f"q must be positive, got {q}")
-    if a1 < 0:
+    if not a1 >= 0:
         raise ValueError(f"a1 must be >= 0, got {a1}")
     if b1 == 0:
         if a1 == 0:
             raise NoPositiveRoot("a1 = b1 = 0 admits no solution")
         return q / a1
     disc = a1 * a1 + 2.0 * b1 * q
-    if disc < 0:
-        raise NoPositiveRoot(f"negative discriminant {disc} (a1={a1}, b1={b1}, q={q})")
+    if not disc >= 0:  # a NaN b1 fails too
+        raise NoPositiveRoot(f"discriminant {disc} is not >= 0 (a1={a1}, b1={b1}, q={q})")
     return (-a1 + math.sqrt(disc)) / b1
 
 
 def cash_volume(omega: float, q_a: int, p_a: float) -> float:
     """Currency value of a scaled volume: ``omega * q_a * p_a``."""
-    if omega < 0:
+    if not omega >= 0:  # NaN fails too
         raise ValueError(f"omega must be >= 0, got {omega}")
-    if q_a <= 0 or p_a <= 0:
+    if not (q_a > 0 and p_a > 0):
         raise ValueError("q_a and p_a must be positive")
     return omega * q_a * p_a

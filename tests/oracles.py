@@ -215,6 +215,14 @@ def spec_to_events(spec: BookSpec):
     return events
 
 
+def book_to_spec(book) -> BookSpec:
+    """The per-tick volumes, market totals and reference of an ``AuctionBook``."""
+    return BookSpec(tick=book.grid.tick_size, base=book.grid.anchor,
+                    buy=dict(book.buy_volume), sell=dict(book.sell_volume),
+                    buy_market=book.buy_market_total, sell_market=book.sell_market_total,
+                    ref_index=book.grid.reference_index)
+
+
 def spec_to_book(spec: BookSpec):
     from uncross.book import AuctionBook
     from uncross.grid import PriceGrid

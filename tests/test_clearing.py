@@ -11,6 +11,7 @@ from uncross.grid import PriceGrid
 from conftest import make_book
 from oracles import (
     book_demand,
+    book_to_spec,
     book_supply,
     dense_random_book,
     naive_clear,
@@ -74,20 +75,8 @@ def test_lower_price_final_tiebreak():
     book2 = make_book(ref=10.2, buys=[(10.4, 50)], sells=[(10.1, 50)])
     # now 10.1..10.4 tie and both 10.1/10.3... check distance logic via oracle instead
     c2 = clear(book2)
-    spec_price, _, _ = _oracle_for(book2)
+    spec_price, _, _ = naive_clear(book_to_spec(book2))
     assert c2.price_index == spec_price
-
-
-def _oracle_for(book):
-    from oracles import BookSpec
-
-    spec = BookSpec(tick=book.grid.tick_size, base=book.grid.anchor)
-    spec.buy = dict(book.buy_volume)
-    spec.sell = dict(book.sell_volume)
-    spec.buy_market = book.buy_market_total
-    spec.sell_market = book.sell_market_total
-    spec.ref_index = book.grid.reference_index
-    return naive_clear(spec)
 
 
 def test_no_cross():

@@ -14,7 +14,10 @@ from uncross.grid import PriceGrid
 from uncross.regime import _density_samples
 
 from conftest import make_book
-from oracles import dense_random_book, naive_clear, random_book, spec_to_book, spec_to_events
+from oracles import (
+    book_to_spec, dense_random_book, naive_clear, random_book, spec_to_book, spec_to_events,
+)
+from test_response import _odd_events
 
 
 def test_package_attribute_is_the_module():
@@ -233,17 +236,56 @@ def test_day_profile_bins_around_the_books_own_clearing(make):
         events = [ev._replace(latency_flag=rng.choice(LATENCY_FLAGS))
                   for ev in spec_to_events(spec)]
         book = AuctionBook(spec_to_book(spec).grid).replay(events)
-        k, q, _ = naive_clear(spec)
-        for dx in (1e-4, 7e-4):
-            want = _binned_around(book, k, q, dx)
-            profiles = {None: day_profile(book, dx=dx)[None],
-                        **day_profile(book, dx=dx, group_by="latency")}
-            assert profiles.keys() == want.keys()
-            for key, prof in profiles.items():
-                assert (prof.dx, prof.n_days, prof.group) == (dx, 1, key)
-                assert (prof.rho_buy, prof.rho_sell) == want[key], (make.__name__, seed, dx)
-                assert list(prof.rho_buy) == sorted(prof.rho_buy)
-                assert list(prof.rho_sell) == sorted(prof.rho_sell)
+        _assert_bins_around_the_clearing(book, naive_clear(spec), (make.__name__, seed))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_day_profile_bins_shared_ticks_as_the_orders_do(seed):
+    """The same on streams with several orders per tick, dormant STOPs,
+    MODIFYs, market orders and far ticks."""
+    rng = random.Random(seed)
+    events = [ev._replace(latency_flag=rng.choice(LATENCY_FLAGS)) for ev in _odd_events(seed)]
+    book = AuctionBook(PriceGrid(0.01, 10.0, 10.0)).replay(events)
+    assert any(rec.order_type == "STOP" for rec in book.orders.values())
+    priced = [rec for rec in book.live_resting_orders() if not rec.is_market]
+    assert len(priced) > len({(rec.side, rec.price_index) for rec in priced})
+    _assert_bins_around_the_clearing(book, naive_clear(book_to_spec(book)), seed)
+
+
+def _assert_bins_around_the_clearing(book, cleared, case):
+    """Ungrouped and latency profiles of ``book`` at ``dx`` 1 and 7 bp equal
+    ``_binned_around`` at the exhaustive scan's clearing ``(tick, volume, _)``."""
+    k, q, _ = cleared
+    for dx in (1e-4, 7e-4):
+        want = _binned_around(book, k, q, dx)
+        profiles = {None: day_profile(book, dx=dx)[None],
+                    **day_profile(book, dx=dx, group_by="latency")}
+        assert profiles.keys() == want.keys()
+        for key, prof in profiles.items():
+            assert (prof.dx, prof.n_days, prof.group) == (dx, 1, key)
+            assert (prof.rho_buy, prof.rho_sell) == want[key], (case, dx)
+            assert list(prof.rho_buy) == sorted(prof.rho_buy)
+            assert list(prof.rho_sell) == sorted(prof.rho_sell)
+
+
+def test_an_ungrouped_profile_reads_the_levels_not_the_orders(monkeypatch):
+    book = _day_book(1)
+    want = day_profile(book)[None]
+
+    def refuse(self):
+        raise AssertionError("the ungrouped profile walked the live orders")
+
+    monkeypatch.setattr(AuctionBook, "live_resting_orders", refuse)
+    monkeypatch.setattr(book, "orders", {})
+    assert day_profile(book)[None] == want
+
+
+@pytest.mark.parametrize("dx", [math.inf, math.nan, 0.0, -1e-4])
+def test_a_bin_width_that_is_not_positive_and_finite_is_refused(dx):
+    # unguarded, inf puts every tick in bin 0 and nan fails inside round()
+    for group_by in (None, "latency"):
+        with pytest.raises(ValueError, match="dx must be positive and finite"):
+            day_profile(_day_book(1), dx=dx, group_by=group_by)
 
 
 def test_day_profile_of_a_book_without_a_cross_raises():

@@ -182,6 +182,17 @@ class TestEventRecord:
         assert moved.price == 10.1 and (moved.path, moved.line) == ("day.csv", 7)
         assert OrderEvent._make(ev) == ev
 
+    @pytest.mark.parametrize("field, value", [
+        ("quantity", 1.5), ("quantity", math.nan),
+        ("timestamp", 1.5), ("timestamp", "x"), ("timestamp", None), ("timestamp", True),
+    ])
+    def test_a_timestamp_or_quantity_that_is_not_an_int_is_refused(self, field, value):
+        # unguarded, a quantity of 1.5 rests as 1 share and nan fails inside int()
+        with pytest.raises(ParseError, match="timestamp and quantity must be ints"):
+            OrderEvent(**{**self.event()._asdict(), field: value})
+        with pytest.raises(ParseError, match="timestamp and quantity must be ints"):
+            self.event()._replace(**{field: value})
+
 
 def _enum_values(valid):
     """Every valid value of one field plus values no field allows, an unhashable one included."""

@@ -171,6 +171,16 @@ class TestInjectAndReclear:
         with pytest.raises(ValueError, match="side must be 'B' or 'S'"):
             reclear(book, side, 0)
 
+    @pytest.mark.parametrize("side", ["b", "X", None])
+    def test_a_walk_or_fit_on_a_side_other_than_b_or_s_is_refused(self, side):
+        # unguarded, the walk goes down, as for "S", on any side but "B"
+        book = make_book(buys=[(10.0, 50), (9.9, 20)], sells=[(10.0, 50), (10.1, 20)])
+        for call in (lambda: book.levels_past(0, side, 1.0),
+                     lambda: impact_curve(book, clear(book), side),
+                     lambda: fit_regime(book, side)):
+            with pytest.raises(ValueError, match="side must be 'B' or 'S'"):
+                call()
+
 
 class TestOracleEquivalence:
     """The breakpoint walk against brute-force re-clearing, share by share."""
@@ -268,6 +278,19 @@ class TestScalars:
             cash_volume(0.1, 0, 10.0)
         with pytest.raises(ValueError):
             cash_volume(-0.1, 10, 10.0)
+
+    @pytest.mark.parametrize("call, args", [
+        (theoretical_slope, (math.nan, 1.0)),
+        (theoretical_slope, (1.0, math.nan)),
+        (post_clearing_impact, (1.0, 1.0, math.nan)),
+        (post_clearing_impact, (math.nan, 1.0, 1.0)),
+        (cash_volume, (math.nan, 5, 10.0)),
+        (cash_volume, (1.0, 5, math.nan)),
+    ])
+    def test_a_nan_argument_is_refused(self, call, args):
+        # NaN passes a guard written x <= 0 or x < 0 and comes back as the result
+        with pytest.raises((ValueError, ZeroLiquidity)):
+            call(*args)
 
 
 def test_curve_csv_round_trip_columns(worked_book):
