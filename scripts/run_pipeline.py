@@ -25,7 +25,7 @@ from uncross.events import write_events
 from uncross.flowgen import FlowConfig, generate
 from uncross.grid import PriceGrid
 from uncross.regime import fit_regime
-from uncross.stats import DayMetrics, batch_report, day_metrics_to_csv
+from uncross.stats import DEFAULT_THRESHOLD, DayMetrics, batch_report, day_metrics_to_csv
 
 
 def run_day(i: int, seed: int, out: Path) -> tuple[list[DayMetrics], dict]:
@@ -80,7 +80,7 @@ def main() -> None:
     (out / "metrics.csv").write_text(day_metrics_to_csv(all_rows))
     (out / "density_profile.csv").write_text(profiles_to_csv([average_density(profiles)]))
 
-    report = json.dumps(batch_report(all_rows, 0.01), indent=2, sort_keys=True) + "\n"
+    report = json.dumps(batch_report(all_rows, DEFAULT_THRESHOLD), indent=2, sort_keys=True) + "\n"
     (out / "report.json").write_text(report)
     print(report, end="")
     above_half = sum(1 for r in all_rows if r.omega_max is not None and r.omega_max > 0.5)

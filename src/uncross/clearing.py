@@ -228,8 +228,8 @@ def _snapshots(events: Iterable, book: AuctionBook, interval_us: int) -> Iterato
     final point at the last event's timestamp.  While a point is being
     consumed, ``book`` holds exactly the events before its instant.
     """
-    if not interval_us >= 1:
-        raise ValueError(f"interval_us must be at least 1, got {interval_us}")
+    if type(interval_us) is not int or interval_us < 1:  # a bool, float or NaN too
+        raise ValueError(f"interval_us must be at least 1 and an int, got {interval_us!r}")
     next_t: int | None = None
     last_t: int | None = None
 

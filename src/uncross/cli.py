@@ -37,15 +37,17 @@ import click
 from . import __version__
 from .book import AuctionBook
 from .clearing import _snapshots, clear, series_to_csv
-from .density import average_density, day_profile, profiles_to_csv
+from .density import DEFAULT_DX, average_density, day_profile, profiles_to_csv
 from .errors import NoCross, OffGridPrice, ParseError, TooFewPoints, UncrossError
 from .events import csv_table, format_price, read_events, write_events
 from .flowgen import FlowConfig, generate
 from .grid import PriceGrid
-from .impact import impact_curve, signed_curve_csv
-from .regime import fit_regime, fits_to_csv
-from .response import DEFAULT_BINS, DEFAULT_OMEGA_RANGE, log_bins, response_curves
-from .stats import batch_report, csv_label, day_metrics_to_csv, kde_csv, rcdf_csv, read_day_metrics
+from .impact import DEFAULT_MAX_X, impact_curve, signed_curve_csv
+from .regime import DEFAULT_MIN_POINTS, fit_regime, fits_to_csv
+from .response import (DEFAULT_BINS, DEFAULT_OMEGA_RANGE, DEFAULT_WARMUP_US, log_bins,
+                       response_curves)
+from .stats import (DEFAULT_THRESHOLD, batch_report, csv_label, day_metrics_to_csv, kde_csv,
+                    rcdf_csv, read_day_metrics)
 
 EXIT_PARSE = 65
 EXIT_NOCROSS = 66
@@ -151,7 +153,13 @@ class _Finite(click.FloatRange):
 
 FINITE = _Finite()
 POSITIVE = _Finite(min=0, min_open=True)
-MIN_POINTS = click.IntRange(min=2)  # a change point needs two density samples
+STATS_COLUMN = click.Choice(["omega0", "l_cash", "beta_emp", "beta_theo"])
+
+# options shared by several commands; each default is the library's, in CLI units
+max_x_option = click.option("--max-x", type=POSITIVE, default=DEFAULT_MAX_X * 1e4,
+                            show_default=True, help="Truncation distance in basis points.")
+min_points_option = click.option(  # a change point needs two density samples
+    "--min-points", type=click.IntRange(min=2), default=DEFAULT_MIN_POINTS, show_default=True)
 
 
 def _grid_options(fn):
@@ -220,8 +228,7 @@ def replay(out, log, grid):
 
 @_command
 @click.argument("log", type=click.Path(exists=True))
-@click.option("--max-x", type=POSITIVE, default=200.0, show_default=True,
-              help="Truncation distance in basis points.")
+@max_x_option
 @_grid_options
 def impact(out, log, max_x, grid):
     """Exact impact curves of both sides of the replayed book, plus signed plot data."""
@@ -237,7 +244,7 @@ def impact(out, log, max_x, grid):
 
 @_command
 @click.argument("logs", nargs=-1, required=True, type=click.Path(exists=True))
-@click.option("--dx", type=POSITIVE, default=1.0, show_default=True,
+@click.option("--dx", type=POSITIVE, default=DEFAULT_DX * 1e4, show_default=True,
               help="Bin width in basis points.")
 @click.option("--group", type=click.Choice(["latency", "account"]), default=None,
               help="Split profiles by participant flag.")
@@ -258,9 +265,8 @@ def density(out, logs, dx, group, grid):
 @_command
 @click.argument("log", type=click.Path(exists=True))
 @click.option("--date", default=None, help="Date label for output rows (default: log stem).")
-@click.option("--min-points", type=MIN_POINTS, default=20, show_default=True)
-@click.option("--max-x", type=POSITIVE, default=200.0, show_default=True,
-              help="Truncation distance in basis points.")
+@min_points_option
+@max_x_option
 @click.option("--full-metrics", is_flag=True,
               help="Also write the extended per-day metrics CSV for the stats command.")
 @_grid_options
@@ -290,7 +296,7 @@ def regime(out, log, date, min_points, max_x, full_metrics, grid):
 
 @_command
 @click.argument("log", type=click.Path(exists=True))
-@click.option("--warmup", type=FINITE, default=30.0, show_default=True,
+@click.option("--warmup", type=FINITE, default=DEFAULT_WARMUP_US / 1e6, show_default=True,
               help="Seconds discarded at the start of the log.")
 @click.option("--with-cancels/--no-cancels", default=True, show_default=True,
               help="Include marketable cancellations.")
@@ -323,8 +329,8 @@ def response(out, log, warmup, with_cancels, bins, omega_lo, omega_hi, grid):
 @click.argument("log", type=click.Path(exists=True))
 @click.option("--interval", type=_Finite(min=1e-6), default=5.0, show_default=True,
               help="Snapshot interval in seconds, at least one microsecond.")
-@click.option("--min-points", type=MIN_POINTS, default=20, show_default=True)
-@click.option("--max-x", type=POSITIVE, default=200.0, show_default=True)
+@min_points_option
+@max_x_option
 @_grid_options
 def series(out, log, interval, min_points, max_x, grid):
     """Indicative price/volume snapshots plus liquidity and max linear volume."""
@@ -357,14 +363,12 @@ def series(out, log, interval, min_points, max_x, grid):
 
 @_command
 @click.argument("metrics", type=click.Path(exists=True))
-@click.option("--threshold", type=POSITIVE, default=0.01, show_default=True,
+@click.option("--threshold", type=POSITIVE, default=DEFAULT_THRESHOLD, show_default=True,
               help="Scaled size for the zero-impact probability.")
-@click.option("--rcdf", "rcdf_col",
-              type=click.Choice(["omega0", "l_cash", "beta_emp", "beta_theo"]),
-              default=None, help="Also write a reverse-CDF table of this column.")
-@click.option("--kde", "kde_col",
-              type=click.Choice(["omega0", "l_cash", "beta_emp", "beta_theo"]),
-              default=None, help="Also write a smoothed histogram of this column.")
+@click.option("--rcdf", "rcdf_col", type=STATS_COLUMN, default=None,
+              help="Also write a reverse-CDF table of this column.")
+@click.option("--kde", "kde_col", type=STATS_COLUMN, default=None,
+              help="Also write a smoothed histogram of this column.")
 def stats(out, metrics, threshold, rcdf_col, kde_col):
     """Batch report over a per-day metrics CSV (see regime --full-metrics)."""
     outputs = []

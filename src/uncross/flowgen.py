@@ -37,8 +37,7 @@ from .grid import PriceGrid
 
 SHAPES = ("constant", "bell", "piecewise")
 # the JSON values a scalar config field of each annotation accepts
-_JSON_TYPES = {"int": int, "float": (int, float), "float | None": (int, float, type(None)),
-               "str": str}
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str}
 
 
 def _json_fits(value, kind: str) -> bool:
@@ -58,6 +57,9 @@ ACCOUNT_WEIGHTS = {"OWN": 0.30, "CLIENT": 0.40, "MARKET_MAKER": 0.15, "PARENT": 
 
 @dataclass
 class FlowConfig:
+    """One generated day's settings; ``buy_peak_mass`` and ``sell_peak_mass`` are the
+    fractions of each side's limit shares that rest at the fundamental price."""
+
     seed: int = 0
     tick_size: float = 0.01
     fundamental_price: float = 100.0
@@ -65,11 +67,9 @@ class FlowConfig:
     latest_clear_us: int = 330_000_000
     shape: str = "bell"
     total_shares_per_side: int = 100_000
-    peak_mass: float = 0.2  # fraction of a side's shares resting at the fundamental
-    # optional per-side overrides; asymmetric books give the two sides
-    # different zero-impact volumes
-    buy_peak_mass: float | None = None
-    sell_peak_mass: float | None = None
+    # asymmetric peaks give the two sides different zero-impact volumes
+    buy_peak_mass: float = 0.2
+    sell_peak_mass: float = 0.2
     n_levels: int = 150  # priced ticks per side beyond the fundamental
     delta_star_bp: float = 50.0  # piecewise plateau half-width, basis points
     decay: float = 150.0  # log-density slope past the plateau, per unit log-price
@@ -86,10 +86,10 @@ class FlowConfig:
         if self.shape not in SHAPES:
             raise InfeasibleConfig(f"shape must be one of {SHAPES}, got {self.shape!r}")
         total = self.total_shares_per_side
-        for side in "BS":
-            pm = self.side_peak_mass(side)
+        for name in ("buy_peak_mass", "sell_peak_mass"):
+            pm = getattr(self, name)
             if not 0 <= pm <= 1:
-                raise InfeasibleConfig(f"peak_mass must be in [0, 1], got {pm}")
+                raise InfeasibleConfig(f"{name} must be in [0, 1], got {pm}")
             if total <= 0:
                 if pm > 0:
                     raise InfeasibleConfig("zero shares with nonzero peak mass")
@@ -110,11 +110,6 @@ class FlowConfig:
             raise InfeasibleConfig(f"market_size_range needs 1 <= lo <= hi, got [{lo}, {hi}]")
         if self.mean_order_size < 1:
             raise InfeasibleConfig("mean_order_size must be >= 1")
-
-    def side_peak_mass(self, side: str) -> float:
-        """Peak mass of one side: its override, else ``peak_mass``."""
-        pm = self.buy_peak_mass if side == "B" else self.sell_peak_mass
-        return self.peak_mass if pm is None else pm
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2)
@@ -153,7 +148,7 @@ def _largest_remainder(weights: list[float], total: int) -> list[int]:
 def _level_targets(cfg: FlowConfig, side: str) -> tuple[list[int], int]:
     """Per-tick share targets for one side (tick 1..n_levels) and the peak size."""
     total = cfg.total_shares_per_side
-    peak = round(cfg.side_peak_mass(side) * total)
+    peak = round((cfg.buy_peak_mass if side == "B" else cfg.sell_peak_mass) * total)
     body = total - peak
     if cfg.shape == "constant":
         per = body // cfg.n_levels

@@ -177,16 +177,16 @@ def inject_and_reclear(book: AuctionBook, side: str, q: int) -> float:
     lower price); the book itself is left untouched.
     """
     _check_side(side)
-    if q < 0 or q != int(q):
-        raise ValueError("injected volume must be a non-negative integer")
+    if type(q) is not int or q < 0:  # a bool, float or NaN too
+        raise ValueError(f"injected volume must be a non-negative int, got {q!r}")
     return book.grid.price_at(uncross_values(book, side, q)[0])
 
 
 def cancel_market_and_reclear(book: AuctionBook, side: str, q: int) -> float:
     """Remove q market shares from a side and return the new clearing price."""
     _check_side(side)
-    if q < 0 or q != int(q):
-        raise ValueError("canceled volume must be a non-negative integer")
+    if type(q) is not int or q < 0:  # a bool, float or NaN too
+        raise ValueError(f"canceled volume must be a non-negative int, got {q!r}")
     total = book.buy_market_total if side == "B" else book.sell_market_total
     if q > total:
         raise ValueError(f"cannot cancel {q} market shares; only {total} resting")

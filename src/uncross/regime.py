@@ -64,8 +64,10 @@ def changepoint(
     r = np.asarray(rhos, dtype=float)
     if len(x) != len(r):
         raise ValueError("xs and rhos must have equal length")
-    if len(x) < max(2, min_points):
-        raise TooFewPoints(f"need at least {max(2, min_points)} samples, got {len(x)}")
+    if type(min_points) is not int or min_points < 2:  # a bool, float or NaN too
+        raise ValueError(f"min_points must be an int of at least 2, got {min_points!r}")
+    if len(x) < min_points:
+        raise TooFewPoints(f"need at least {min_points} samples, got {len(x)}")
     if not np.all((r > 0) & (r < np.inf)):  # NaN fails too
         raise NonPositiveDensity("density samples must be positive and finite")
     if not np.all(np.isfinite(x)):

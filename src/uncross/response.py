@@ -155,6 +155,8 @@ def collect_marketable(
     Returns the events (with ``p_next`` resolved, the last one against the
     final clearing) and the count skipped for lack of a cross.
     """
+    if type(warmup_us) is not int:  # a bool, float or NaN too
+        raise ValueError(f"warmup_us must be an int, got {warmup_us!r}")
     book = AuctionBook(grid)
     indicative = _Indicative(book)
     recorded: list[MarketableEvent] = []

@@ -181,6 +181,8 @@ class DayMetrics:
         return self.p_a * self.q_a * self.l_tilde
 
 
+DEFAULT_THRESHOLD = 0.01  # scaled size of the zero-impact probability
+
 DAY_METRICS_HEADER = (
     "date,side,p_a,q_a,omega0,delta_bp,l_tilde,omega_max,beta_emp,beta_theo,l_cash"
 )
@@ -201,8 +203,7 @@ def day_metrics_to_csv(rows: Sequence[DayMetrics]) -> str:
          r.beta_theo, r.l_cash) for r in rows))
 
 
-_NUMBER_FIELDS = ("p_a", "q_a", "omega0", "delta_bp", "l_tilde", "omega_max", "beta_emp",
-                  "beta_theo", "l_cash")
+_METRICS_FIELDS = DAY_METRICS_HEADER.split(",")
 
 
 def _finite(text: str) -> float:
@@ -212,53 +213,48 @@ def _finite(text: str) -> float:
     return value
 
 
-def read_day_metrics(path) -> list[DayMetrics]:
-    """Rows of a per-day metrics CSV.
+def _optional(text: str) -> float | None:
+    return _finite(text) if text else None
 
-    A header that lacks a column or names one twice is a ParseError at line 1.
-    A row with other than the header's number of fields, a number cell that
-    ``events._plain`` refuses or that is not finite, ``q_a < 1``, ``p_a <= 0``,
-    ``omega0 < 0``, an ``l_cash`` other than ``p_a * q_a * l_tilde`` (compared
-    exactly: the writer's numbers round-trip), a side other than B or S, or an
-    earlier row's ``(date, side)`` is a ParseError at its physical line.  A file
-    that is not UTF-8 is a ParseError naming it.
+
+def read_day_metrics(path) -> list[DayMetrics]:
+    """Rows of a per-day metrics CSV, as ``day_metrics_to_csv`` writes them.
+
+    A header other than exactly ``DAY_METRICS_HEADER`` is a ParseError at line
+    1; cells are read by position.  A row with other than its number of fields,
+    a number cell that ``events._plain`` refuses or that is not finite,
+    ``q_a < 1``, ``p_a <= 0``, ``omega0 < 0``, an ``l_cash`` other than
+    ``p_a * q_a * l_tilde`` (compared exactly: the writer's numbers round-trip),
+    a side other than B or S, or an earlier row's ``(date, side)`` is a
+    ParseError at its physical line.  A file that is not UTF-8 is a ParseError
+    naming it.
     """
     rows = []
     seen: dict[tuple[str, str], int] = {}  # (date, side) -> line
     with _csv_rows(path) as (header, reader):
-        expected = DAY_METRICS_HEADER.split(",")
-        if (header is None or [f for f in expected if f not in header]
-                or len(set(header)) != len(header)):
-            raise ParseError(f"day metrics header must contain {expected}, each once",
+        if header != _METRICS_FIELDS:
+            raise ParseError(f"day metrics header must be exactly {DAY_METRICS_HEADER!r}",
                              line=1, path=str(path))
         for cells in reader:
             if not cells:
                 continue
             line_no = reader.line_num
             try:
-                if len(cells) != len(header):
-                    raise ValueError(f"expected {len(header)} fields like the header, "
+                if len(cells) != len(_METRICS_FIELDS):
+                    raise ValueError(f"expected {len(_METRICS_FIELDS)} fields like the header, "
                                      f"got {len(cells)}")
-                rec = dict(zip(header, cells))
-                for field in _NUMBER_FIELDS:
-                    if not _plain(rec[field]):
-                        raise ValueError(f"bad {field} {rec[field]!r}")
-                row = DayMetrics(
-                    date=rec["date"],
-                    side=rec["side"],
-                    p_a=_finite(rec["p_a"]),
-                    q_a=int(rec["q_a"]),
-                    omega0=_finite(rec["omega0"]),
-                    delta=_finite(rec["delta_bp"]) / 1e4 if rec["delta_bp"] else None,
-                    l_tilde=_finite(rec["l_tilde"]) if rec["l_tilde"] else None,
-                    omega_max=_finite(rec["omega_max"]) if rec["omega_max"] else None,
-                    beta_emp=_finite(rec["beta_emp"]) if rec["beta_emp"] else None,
-                    beta_theo=_finite(rec["beta_theo"]) if rec["beta_theo"] else None,
-                )
+                date, side, *numbers = cells
+                for field, cell in zip(_METRICS_FIELDS[2:], numbers):
+                    if not _plain(cell):
+                        raise ValueError(f"bad {field} {cell!r}")
+                p_a, q_a, omega0, delta_bp, *fit, l_cash = numbers
+                delta = _optional(delta_bp)
+                row = DayMetrics(date, side, _finite(p_a), int(q_a), _finite(omega0),
+                                 None if delta is None else delta / 1e4, *map(_optional, fit))
                 if row.q_a < 1 or row.p_a <= 0 or row.omega0 < 0:
                     raise ValueError("need q_a >= 1, p_a > 0 and omega0 >= 0")
-                if (_finite(rec["l_cash"]) if rec["l_cash"] else None) != row.l_cash:
-                    raise ValueError(f"l_cash {rec['l_cash']!r} is not p_a * q_a * l_tilde "
+                if _optional(l_cash) != row.l_cash:
+                    raise ValueError(f"l_cash {l_cash!r} is not p_a * q_a * l_tilde "
                                      f"({row.l_cash})")
                 if row.side not in ("B", "S"):
                     raise ValueError(f"side must be B or S, got {row.side!r}")
@@ -280,7 +276,7 @@ def zero_impact_probability(rows: Sequence[DayMetrics], threshold: float) -> flo
     threshold size shifts the price, so this is the chance that any order
     strictly smaller than ``threshold * q_a`` is free.
     """
-    if threshold <= 0:
+    if not threshold > 0:  # NaN fails too
         raise ValueError(f"threshold must be positive, got {threshold}")
     if not rows:
         raise EmptyBatch("no day metrics")

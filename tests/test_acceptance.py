@@ -164,7 +164,8 @@ def test_criterion_4_linear_slope_realized():
         fundamental_price=50.0,
         shape="constant",
         total_shares_per_side=14_000,
-        peak_mass=10_000 / 14_000,
+        buy_peak_mass=10_000 / 14_000,
+        sell_peak_mass=10_000 / 14_000,
         n_levels=8,
     )
     events, truth, meta = generate(cfg)
@@ -255,7 +256,8 @@ def _response_flow():
         fundamental_price=100.0,
         shape="bell",
         total_shares_per_side=500_000,
-        peak_mass=0.25,
+        buy_peak_mass=0.25,
+        sell_peak_mass=0.25,
         n_levels=150,
         cancellation_rate=0.6,
         market_shares_per_side=150_000,
@@ -421,7 +423,8 @@ def test_criterion_9_manifest_determinism(tmp_path):
         seed=8,
         shape="piecewise",
         total_shares_per_side=100_000,
-        peak_mass=0.2,
+        buy_peak_mass=0.2,
+        sell_peak_mass=0.2,
         n_levels=200,
         delta_star_bp=50.0,
         decay=400.0,

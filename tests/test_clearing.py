@@ -404,6 +404,14 @@ def test_indicative_series_refuses_an_interval_below_one_microsecond(interval_us
         indicative_series(_ts_events(), grid, interval_us)
 
 
+@pytest.mark.parametrize("interval_us", [1.5, 5e6, float("nan"), True])
+def test_indicative_series_refuses_an_interval_that_is_not_an_int(interval_us):
+    # 1.5 used to step the snapshots by fractional microseconds, written to t_us as floats
+    grid = PriceGrid(0.1, 10.0, 10.0)
+    with pytest.raises(ValueError, match="interval_us must be at least 1 and an int"):
+        indicative_series(_ts_events(), grid, interval_us)
+
+
 @pytest.mark.parametrize("last_ts", [1_400, 1_450], ids=["last-on-a-boundary", "last-off-a-boundary"])
 def test_indicative_points_fall_on_boundaries_then_on_the_last_event(last_ts):
     grid = PriceGrid(0.1, 10.0, 10.0)

@@ -30,7 +30,8 @@ def workspace(tmp_path_factory):
         fundamental_price=100.0,
         shape="piecewise",
         total_shares_per_side=120_000,
-        peak_mass=0.2,
+        buy_peak_mass=0.2,
+        sell_peak_mass=0.2,
         n_levels=200,
         delta_star_bp=50.0,
         decay=400.0,
@@ -277,7 +278,7 @@ def test_density_multi_day(tmp_path):
     paths = []
     for seed in (1, 2):
         cfg = FlowConfig(seed=seed, shape="bell", total_shares_per_side=40_000,
-                         peak_mass=0.2, n_levels=80)
+                         buy_peak_mass=0.2, sell_peak_mass=0.2, n_levels=80)
         events, _, _ = generate(cfg)
         p = tmp_path / f"d{seed}.csv"
         write_events(p, events)
@@ -504,7 +505,11 @@ def test_bad_grid_file_is_parse_error(tmp_path, text, message):
      "bad config file: config field 'cancellation_rate' must be float, got -inf"),
     ('{"decay": NaN}', EXIT_PARSE, "bad config file: config field 'decay' must be float, got nan"),
     ('{"buy_peak_mass": 1e400}', EXIT_PARSE,
-     "bad config file: config field 'buy_peak_mass' must be float | None, got inf"),
+     "bad config file: config field 'buy_peak_mass' must be float, got inf"),
+    # each side's peak mass is its own field: no shared value, no null fallback
+    ('{"peak_mass": 0.2}', EXIT_PARSE, "bad config file: unknown config fields: ['peak_mass']"),
+    ('{"sell_peak_mass": null}', EXIT_PARSE,
+     "bad config file: config field 'sell_peak_mass' must be float, got None"),
     # the participant flag weights are constants of the generator
     ('{"latency_weights": {"HFT": 1.0}}', EXIT_PARSE,
      "bad config file: unknown config fields: ['latency_weights']"),
@@ -514,7 +519,7 @@ def test_bad_grid_file_is_parse_error(tmp_path, text, message):
         "wrong-range-element", "infeasible", "start_us", "bell_mode_ticks",
         "buy_total_shares", "range-reversed", "range-zero", "range-negative", "nan-tick",
         "infinite-delta", "negative-infinite-churn", "nan-decay", "overflowing-peak-mass",
-        "latency_weights", "account_weights"])
+        "peak_mass", "null-peak-mass", "latency_weights", "account_weights"])
 def test_bad_gen_config_is_parse_error(tmp_path, text, code, message):
     config = tmp_path / "config.json"
     config.write_text(text)
@@ -670,21 +675,34 @@ def test_bins_too_narrow_to_tell_apart_are_usage_error(tmp_path):
     assert not out.exists() or list(out.iterdir()) == []
 
 
-# a header naming omega0 twice: read by name, each row would take the last copy, 0.9
+# a header naming omega0 twice: a reader going by name would take the last copy, 0.9
 # in every row, and not the real omega0 column
 _TWICE_OMEGA0 = ("date,side,p_a,q_a,omega0,delta_bp,l_tilde,omega_max,beta_emp,beta_theo,"
                  "l_cash,omega0\n" + "".join(f"2017-05-0{i},{side},100.0,1000,0.0{i},,,,,,,0.9\n"
                                            for i in range(1, 4) for side in "BS"))
+# the writer's columns in another order: every row is well formed under its header
+_REORDERED = ("side,date,p_a,q_a,omega0,delta_bp,l_tilde,omega_max,beta_emp,beta_theo,"
+              "l_cash\n" + "".join(f"{side},2017-05-0{i},100.0,1000,0.0{i},,,,,,\n"
+                                    for i in range(1, 4) for side in "BS"))
+# the writer's columns plus one it never writes
+_EXTRA = ("date,side,p_a,q_a,omega0,delta_bp,l_tilde,omega_max,beta_emp,beta_theo,l_cash,"
+          "note\n" + "".join(f"2017-05-0{i},{side},100.0,1000,0.0{i},,,,,,,x\n"
+                              for i in range(1, 4) for side in "BS"))
 
 
-@pytest.mark.parametrize("text", ["date,side,p_a\n2017-05-01,B,100.0\n", "", _TWICE_OMEGA0],
-                         ids=["missing-columns", "empty-file", "a-column-twice"])
+@pytest.mark.parametrize("text", ["date,side,p_a\n2017-05-01,B,100.0\n", "", _TWICE_OMEGA0,
+                                  _REORDERED, _EXTRA],
+                         ids=["missing-columns", "empty-file", "a-column-twice",
+                              "reordered-columns", "extra-column"])
 def test_metrics_csv_without_its_columns_is_parse_error(tmp_path, text):
     metrics = tmp_path / "metrics.csv"
     metrics.write_text(text)
     res = run(["stats", str(metrics), "--out-dir", str(tmp_path / "out")])
     assert res.exit_code == EXIT_PARSE, res.output
-    assert f"{metrics}:1: day metrics header must contain" in res.output
+    assert (f"{metrics}:1: day metrics header must be exactly "
+            "'date,side,p_a,q_a,omega0,delta_bp,l_tilde,omega_max,beta_emp,beta_theo,l_cash'"
+            in res.output)
+    assert not (tmp_path / "out").exists() or list((tmp_path / "out").iterdir()) == []
 
 
 def test_exit_code_no_cross(tmp_path):
@@ -742,7 +760,7 @@ def assert_rerun_reproduces(out1, out2, command):
 
 def test_gen_determinism_via_rerun(tmp_path):
     cfg = FlowConfig(seed=11, shape="constant", total_shares_per_side=20_000,
-                     peak_mass=0.3, n_levels=40, cancellation_rate=0.5)
+                     buy_peak_mass=0.3, sell_peak_mass=0.3, n_levels=40, cancellation_rate=0.5)
     (tmp_path / "cfg.json").write_text(cfg.to_json())
     out1, out2 = tmp_path / "g1", tmp_path / "g2"
     res = run(["gen", str(tmp_path / "cfg.json"), "--out-dir", str(out1)])
@@ -914,3 +932,17 @@ def test_only_events_reach_apply(workspace, tmp_path, monkeypatch, command):
     assert res.exit_code == 0, res.output
     assert handed <= {OrderEvent}
     assert handed or command not in ("response", "series")  # those two apply each event
+
+
+@pytest.mark.parametrize("command, name, default", [
+    ("impact", "max_x", 200.0), ("regime", "max_x", 200.0), ("series", "max_x", 200.0),
+    ("regime", "min_points", 20), ("series", "min_points", 20), ("density", "dx", 1.0),
+    ("response", "warmup", 30.0), ("stats", "threshold", 0.01),
+])
+def test_option_defaults_are_the_library_defaults_in_cli_units(command, name, default):
+    """Each default is read from the library constant it mirrors; the value shown
+    in ``--help`` and recorded in a manifest stays the one earlier versions wrote."""
+    param = next(p for p in main.commands[command].params if p.name == name)
+    assert repr(param.default) == repr(default)
+    shown = " ".join(run([command, "--help"]).output.split())
+    assert f"--{name.replace('_', '-')}" in shown and f"[default: {default};" in shown

@@ -23,7 +23,8 @@ def small_config(**overrides):
         fundamental_price=100.0,
         shape="constant",
         total_shares_per_side=30_000,
-        peak_mass=0.25,
+        buy_peak_mass=0.25,
+        sell_peak_mass=0.25,
         n_levels=60,
     )
     base.update(overrides)
@@ -82,7 +83,7 @@ def test_constant_shape_exactly_flat():
     cfg = small_config(cancellation_rate=0.4)
     events, truth, meta = generate(cfg)
     book = replay(events, cfg)
-    per_tick = cfg.total_shares_per_side * (1 - cfg.peak_mass) // cfg.n_levels
+    per_tick = cfg.total_shares_per_side * (1 - cfg.buy_peak_mass) // cfg.n_levels
     for k in range(1, cfg.n_levels + 1):
         vb_above, vs_above = book.volume_at(k)
         vb_below, vs_below = book.volume_at(-k)
@@ -119,7 +120,7 @@ def test_l_star_matches_replayed_book():
     events, truth, meta = generate(cfg)
     book = replay(events, cfg)
     c = clear(book)
-    per_tick = cfg.total_shares_per_side * (1 - cfg.peak_mass) // cfg.n_levels
+    per_tick = cfg.total_shares_per_side * (1 - cfg.buy_peak_mass) // cfg.n_levels
     assert truth["l_star"] == pytest.approx(per_tick / (c.q_a * cfg.tick_size))
 
 
@@ -130,7 +131,8 @@ def test_piecewise_end_to_end_recovers_delta():
         fundamental_price=100.0,
         shape="piecewise",
         total_shares_per_side=200_000,
-        peak_mass=0.2,
+        buy_peak_mass=0.2,
+        sell_peak_mass=0.2,
         n_levels=200,
         delta_star_bp=50.0,
         decay=400.0,
@@ -150,7 +152,8 @@ def test_flag_mixture_within_3_sigma():
         seed=3,
         shape="bell",
         total_shares_per_side=400_000,
-        peak_mass=0.15,
+        buy_peak_mass=0.15,
+        sell_peak_mass=0.15,
         n_levels=120,
         mean_order_size=30,
         cancellation_rate=0.2,
@@ -181,7 +184,7 @@ def test_csv_round_trip(tmp_path):
 class TestInfeasibleConfigs:
     def test_zero_shares_with_peak(self):
         with pytest.raises(InfeasibleConfig):
-            FlowConfig(total_shares_per_side=0, peak_mass=0.5).validate()
+            FlowConfig(total_shares_per_side=0, buy_peak_mass=0.5, sell_peak_mass=0.5).validate()
 
     def test_window_order(self):
         with pytest.raises(InfeasibleConfig):
@@ -189,7 +192,7 @@ class TestInfeasibleConfigs:
 
     def test_no_crossing_mass(self):
         with pytest.raises(InfeasibleConfig):
-            FlowConfig(peak_mass=0.0, market_shares_per_side=0).validate()
+            FlowConfig(buy_peak_mass=0.0, sell_peak_mass=0.0, market_shares_per_side=0).validate()
 
     def test_bad_shape(self):
         with pytest.raises(InfeasibleConfig):

@@ -163,6 +163,14 @@ class TestInjectAndReclear:
             cancel_market_and_reclear(worked_book, "B", 1)
 
     @pytest.mark.parametrize("reclear", [inject_and_reclear, cancel_market_and_reclear])
+    @pytest.mark.parametrize("q", [math.inf, math.nan, 1.0, True, -1])
+    def test_a_volume_that_is_not_a_non_negative_int_is_refused(self, reclear, q):
+        # inf used to end in a bare OverflowError from int(q); 1.0 and True were taken as 1
+        book = make_book(buys=[(10.0, 50)], sells=[(10.0, 50), (10.5, 50)], buy_market=5)
+        with pytest.raises(ValueError, match="volume must be a non-negative int"):
+            reclear(book, "B", q)
+
+    @pytest.mark.parametrize("reclear", [inject_and_reclear, cancel_market_and_reclear])
     @pytest.mark.parametrize("side", ["b", "X", None])
     def test_a_side_other_than_b_or_s_is_refused(self, reclear, side):
         # a bad side used to re-clear the untouched book: 10.0 where "B" gives 10.5

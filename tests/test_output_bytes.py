@@ -31,7 +31,8 @@ def days(tmp_path_factory):
     metrics = []
     for seed in SEEDS:
         cfg = FlowConfig(seed=seed, shape="piecewise", total_shares_per_side=20_000,
-                         peak_mass=0.02 * seed, n_levels=80, delta_star_bp=5.0 * seed,
+                         buy_peak_mass=0.02 * seed, sell_peak_mass=0.02 * seed, n_levels=80,
+                         delta_star_bp=5.0 * seed,
                          mean_order_size=100, cancellation_rate=0.5,
                          market_shares_per_side=1_000)
         events, _, _ = generate(cfg)

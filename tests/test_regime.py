@@ -83,6 +83,17 @@ class TestChangepoint:
         with pytest.raises(TooFewPoints):
             changepoint([1e-4], [1.0], min_points=2)
 
+    @pytest.mark.parametrize("min_points", [1, 0, -5, math.nan, 2.5, True])
+    def test_min_points_that_is_not_an_int_of_at_least_2_is_refused(self, min_points):
+        # ``max(2, min_points)`` used to run these with 2
+        xs, rhos = [1e-4 * k for k in range(1, 31)], [1.0] * 30
+        book = make_book(buys=[(10.0, 50), (9.9, 20), (9.8, 20)],
+                         sells=[(10.0, 50), (10.1, 20), (10.2, 20)])
+        for call in (lambda: changepoint(xs, rhos, min_points=min_points),
+                     lambda: fit_regime(book, "B", min_points=min_points)):
+            with pytest.raises(ValueError, match="min_points must be an int of at least 2"):
+                call()
+
     def test_non_positive_density(self):
         for bad in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(NonPositiveDensity, match="positive and finite"):

@@ -86,6 +86,14 @@ def _base_events():
 
 
 class TestCollect:
+    @pytest.mark.parametrize("warmup_us", [math.nan, 1.5, 0.0, True])
+    def test_a_warmup_that_is_not_an_int_is_refused(self, warmup_us):
+        # NaN used to measure nothing and return ([], 0)
+        events = _base_events() + [OrderEvent(1_000, "m1", "SUBMIT", "B", "MARKET", None, 600)]
+        for call in (collect_marketable, response_curves):
+            with pytest.raises(ValueError, match="warmup_us must be an int"):
+                call(events, grid10(), warmup_us=warmup_us)
+
     def test_no_price_moves_means_zero_responses(self):
         events = _base_events() + [
             OrderEvent(1_000, "m1", "SUBMIT", "B", "MARKET", None, 10),
@@ -211,7 +219,8 @@ def test_marketable_set_covers_marketable_price_changes():
         seed=13,
         shape="bell",
         total_shares_per_side=80_000,
-        peak_mass=0.2,
+        buy_peak_mass=0.2,
+        sell_peak_mass=0.2,
         n_levels=100,
         cancellation_rate=0.5,
         market_shares_per_side=30_000,

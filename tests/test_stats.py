@@ -17,6 +17,7 @@ from uncross.errors import (
 from uncross.stats import (
     DayMetrics,
     _midranks,
+    batch_report,
     day_metrics_to_csv,
     kernel_density,
     ks_two_sample,
@@ -187,6 +188,12 @@ class TestZeroImpactProbability:
             zero_impact_probability([], 0.01)
         with pytest.raises(ValueError):
             zero_impact_probability(_metrics([0.1]), 0.0)
+
+    def test_nan_threshold_is_refused(self):
+        # ``threshold <= 0`` let NaN through: no omega0 reaches it, and the fraction read 0.0
+        for call in (zero_impact_probability, batch_report):
+            with pytest.raises(ValueError, match="threshold must be positive, got nan"):
+                call(_metrics([0.1]), math.nan)
 
 
 class TestDistributions:
