@@ -33,7 +33,7 @@ are treated as immutable snapshots and may be shared freely across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
 
@@ -83,26 +83,21 @@ class OrderRecord:
         return self.order_type != "STOP"
 
 
-@dataclass
 class AuctionBook:
     """Book state; ``buy_levels[i]``/``sell_levels[i]`` rest at tick ``lo_index + i``."""
 
-    grid: PriceGrid
-    buy_market_total: int = field(default=0, init=False)
-    sell_market_total: int = field(default=0, init=False)
-    orders: dict[str, OrderRecord] = field(default_factory=dict, init=False)
-    _seq: int = field(default=0, init=False)
-    _ticks: dict[float, int] = field(default_factory=dict, init=False, repr=False,
-                                     compare=False)  # price -> tick, on-grid prices only
-    lo_index: int = field(init=False, repr=False, compare=False)
-    buy_levels: np.ndarray = field(init=False, repr=False, compare=False)
-    sell_levels: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        """Open the level window around the reference tick, whose price is positive;
-        ``_slot`` only grows the window, so it holds that tick for the book's life."""
-        ref = self.grid.reference_index
-        self.lo_index = max(ref - _PAD, self.grid.min_price_index)
+    def __init__(self, grid: PriceGrid):
+        """An empty book whose level window opens around the reference tick, whose
+        price is positive; ``_slot`` only grows the window, so it holds that tick
+        for the book's life."""
+        self.grid = grid
+        self.buy_market_total = 0
+        self.sell_market_total = 0
+        self.orders: dict[str, OrderRecord] = {}
+        self._seq = 0
+        self._ticks: dict[float, int] = {}  # price -> tick, on-grid prices only
+        ref = grid.reference_index
+        self.lo_index = max(ref - _PAD, grid.min_price_index)
         n = ref + _PAD - self.lo_index + 1
         self.buy_levels = np.zeros(n, dtype=np.int64)
         self.sell_levels = np.zeros(n, dtype=np.int64)

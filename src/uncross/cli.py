@@ -1,15 +1,18 @@
 """Command line surface: replay, impact, density, regime, response, series, stats, gen, rerun.
 
-Each analysis command is a thin wrapper over library calls; ``_command`` gives
-them one shared prelude.  It builds the price grid from ``--tick``/``--ref``
-(with ``--anchor``) or ``--grid FILE``, creates ``--out-dir``, maps package
-errors to exit codes, writes ``<command>.manifest.json`` next to the outputs
-and echoes a one-line summary.
+Each analysis command is a thin wrapper over library calls that returns its
+files' texts and a one-line summary; ``_command`` gives them one shared
+prelude.  It builds the price grid from ``--tick``/``--ref`` (with
+``--anchor``) or ``--grid FILE``, creates ``--out-dir`` and maps package
+errors to exit codes.  Only once the command has succeeded does it write the
+files, then ``<command>.manifest.json`` beside them, and echo the summary: a
+command that fails writes nothing.
 
 A manifest records ``command``; ``params``, the parameters as click parsed
 them, ``--out-dir`` aside; ``inputs``, the sha256 of every input file keyed by
 its path as given (logs, the ``--grid`` file, the ``gen`` config, the
-``stats`` metrics CSV); ``outputs``, the file names written; and ``out_dir``.
+``stats`` metrics CSV); ``outputs``, the names of exactly the files written
+beside it; and ``out_dir``.
 ``uncross rerun manifest.json --out-dir DIR`` checks the inputs' hashes and
 then calls the recorded command with the recorded parameters, reproducing the
 outputs byte for byte.
@@ -39,7 +42,7 @@ from .book import AuctionBook
 from .clearing import _snapshots, clear, series_to_csv
 from .density import DEFAULT_DX, average_density, day_profile, profiles_to_csv
 from .errors import NoCross, OffGridPrice, ParseError, TooFewPoints, UncrossError
-from .events import csv_table, format_price, read_events, write_events
+from .events import csv_table, events_csv, format_price, read_events
 from .flowgen import FlowConfig, generate
 from .grid import PriceGrid
 from .impact import DEFAULT_MAX_X, impact_curve, signed_curve_csv
@@ -65,8 +68,8 @@ def _fail(exc: UncrossError) -> NoReturn:
     sys.exit(EXIT_OTHER)
 
 
-def _write(path: Path, text: str) -> None:
-    path.write_bytes(text.encode("utf-8"))
+def _json_text(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def _sha256(path: str) -> str:
@@ -81,21 +84,6 @@ def _input_paths(command: click.Command, params: dict) -> list[str]:
         if isinstance(p.type, click.Path) and p.type.exists and value is not None:
             paths.extend(value if isinstance(value, (list, tuple)) else [value])
     return paths
-
-
-def _manifest(out_dir: Path, command: str, params: dict, inputs: dict[str, str],
-              outputs: list[str]) -> None:
-    rec = {
-        "tool": "uncross",
-        "version": __version__,
-        "command": command,
-        "params": params,
-        "inputs": inputs,
-        "outputs": outputs,
-        "out_dir": str(out_dir),
-    }
-    _write(out_dir / f"{command}.manifest.json",
-           json.dumps(rec, sort_keys=True, indent=2) + "\n")
 
 
 @contextlib.contextmanager
@@ -188,9 +176,10 @@ def main() -> None:
 def _command(body):
     """Register ``body`` as a command of ``main``, inside the shared prelude.
 
-    ``body`` takes the output directory as a ``Path``, its own parameters and,
-    in place of the grid options, ``grid``; it returns the names of the files
-    it wrote and the summary line.
+    ``body`` takes its own parameters and, in place of the grid options,
+    ``grid``; it writes nothing and returns ``({file name: text}, summary)``.
+    Once it has returned, the prelude writes each file into ``--out-dir``, then
+    the manifest naming them, and echoes the summary.
     """
     @functools.wraps(body)
     def run(out_dir, **params):
@@ -203,10 +192,15 @@ def _command(body):
                 grid_args = [args.pop(k) for k in ("tick", "ref", "anchor", "grid_file")]
                 args["grid"] = _grid_from(*grid_args)
             out.mkdir(parents=True, exist_ok=True)
-            outputs, summary = body(out, **args)
+            files, summary = body(**args)
         except UncrossError as exc:
             _fail(exc)
-        _manifest(out, command.name, params, inputs, outputs)
+        files[f"{command.name}.manifest.json"] = _json_text({
+            "tool": "uncross", "version": __version__, "command": command.name,
+            "params": params, "inputs": inputs, "outputs": list(files), "out_dir": str(out),
+        })
+        for name, text in files.items():
+            (out / name).write_bytes(text.encode("utf-8"))
         click.echo(summary)
 
     return out_dir_option(main.command()(run))
@@ -215,31 +209,29 @@ def _command(body):
 @_command
 @click.argument("log", type=click.Path(exists=True))
 @_grid_options
-def replay(out, log, grid):
+def replay(log, grid):
     """Replay an event log, uncross it, and dump the clearing and final book."""
     stem = Path(log).stem
     book, clearing = _cleared(log, grid)
-    _write(out / f"{stem}_clearing.json", clearing.to_json() + "\n")
     rows = [(format_price(grid.price_at(k)), *book.volume_at(k)) for k in book.nonempty_indices()]
     rows.append(("MARKET", book.buy_market_total, book.sell_market_total))
-    _write(out / f"{stem}_book.csv", csv_table("price,buy_shares,sell_shares", rows))
-    return [f"{stem}_clearing.json", f"{stem}_book.csv"], f"p_a={clearing.p_a} q_a={clearing.q_a}"
+    return ({f"{stem}_clearing.json": clearing.to_json() + "\n",
+             f"{stem}_book.csv": csv_table("price,buy_shares,sell_shares", rows)},
+            f"p_a={clearing.p_a} q_a={clearing.q_a}")
 
 
 @_command
 @click.argument("log", type=click.Path(exists=True))
 @max_x_option
 @_grid_options
-def impact(out, log, max_x, grid):
+def impact(log, max_x, grid):
     """Exact impact curves of both sides of the replayed book, plus signed plot data."""
     stem = Path(log).stem
     book, clearing = _cleared(log, grid)
     buy, sell = (impact_curve(book, clearing, s, max_x=max_x * 1e-4) for s in ("B", "S"))
-    texts = {f"{stem}_impact_B.csv": buy.to_csv(), f"{stem}_impact_S.csv": sell.to_csv(),
+    files = {f"{stem}_impact_B.csv": buy.to_csv(), f"{stem}_impact_S.csv": sell.to_csv(),
              f"{stem}_impact_signed.csv": signed_curve_csv(buy, sell)}
-    for name, text in texts.items():
-        _write(out / name, text)
-    return list(texts), f"wrote {', '.join(texts)}"
+    return files, f"wrote {', '.join(files)}"
 
 
 @_command
@@ -249,7 +241,7 @@ def impact(out, log, max_x, grid):
 @click.option("--group", type=click.Choice(["latency", "account"]), default=None,
               help="Split profiles by participant flag.")
 @_grid_options
-def density(out, logs, dx, group, grid):
+def density(logs, dx, group, grid):
     """Average scaled book density across one or more day logs."""
     daily = []
     for log in logs:
@@ -258,8 +250,7 @@ def density(out, logs, dx, group, grid):
     keys = sorted(daily[0].keys(), key=lambda k: (k is None, k))
     averaged = [average_density([d[k] for d in daily]) for k in keys]
     name = "density_profile.csv"
-    _write(out / name, profiles_to_csv(averaged))
-    return [name], f"wrote {name} ({len(logs)} day(s))"
+    return {name: profiles_to_csv(averaged)}, f"wrote {name} ({len(logs)} day(s))"
 
 
 @_command
@@ -270,7 +261,7 @@ def density(out, logs, dx, group, grid):
 @click.option("--full-metrics", is_flag=True,
               help="Also write the extended per-day metrics CSV for the stats command.")
 @_grid_options
-def regime(out, log, date, min_points, max_x, full_metrics, grid):
+def regime(log, date, min_points, max_x, full_metrics, grid):
     """Constant-density window, liquidity, and impact slopes per side."""
     stem = Path(log).stem
     try:
@@ -278,20 +269,15 @@ def regime(out, log, date, min_points, max_x, full_metrics, grid):
     except ValueError as exc:
         raise click.BadParameter(f"{exc}; without --date the label is the log's file name stem.",
                                  param_hint="'--date'") from None
-    outputs = []
     book = AuctionBook(grid).replay_log(log)
     fits = [
         (date, fit_regime(book, s, max_x=max_x * 1e-4, min_points=min_points))
         for s in ("B", "S")
     ]
-    name = f"{stem}_regime.csv"
-    _write(out / name, fits_to_csv(fits))
-    outputs.append(name)
+    files = {f"{stem}_regime.csv": fits_to_csv(fits)}
     if full_metrics:
-        name = f"{stem}_metrics.csv"
-        _write(out / name, day_metrics_to_csv([fit.metrics(date) for _, fit in fits]))
-        outputs.append(name)
-    return outputs, f"wrote {', '.join(outputs)}"
+        files[f"{stem}_metrics.csv"] = day_metrics_to_csv([fit.metrics(date) for _, fit in fits])
+    return files, f"wrote {', '.join(files)}"
 
 
 @_command
@@ -305,7 +291,7 @@ def regime(out, log, date, min_points, max_x, full_metrics, grid):
               help="Lower edge of the scaled-size bins; below --omega-hi.")
 @click.option("--omega-hi", type=POSITIVE, default=DEFAULT_OMEGA_RANGE[1], show_default=True)
 @_grid_options
-def response(out, log, warmup, with_cancels, bins, omega_lo, omega_hi, grid):
+def response(log, warmup, with_cancels, bins, omega_lo, omega_hi, grid):
     """One-lag and mechanical responses of the indicative price."""
     if not omega_lo < omega_hi:
         raise click.BadParameter(f"{omega_lo} is not below --omega-hi {omega_hi}.",
@@ -321,8 +307,8 @@ def response(out, log, warmup, with_cancels, bins, omega_lo, omega_hi, grid):
         with_cancels=with_cancels,
     )
     name = f"{Path(log).stem}_response.csv"
-    _write(out / name, curve.to_csv())
-    return [name], f"wrote {name} ({curve.skipped_no_cross} events skipped without a cross)"
+    return ({name: curve.to_csv()},
+            f"wrote {name} ({curve.skipped_no_cross} events skipped without a cross)")
 
 
 @_command
@@ -332,7 +318,7 @@ def response(out, log, warmup, with_cancels, bins, omega_lo, omega_hi, grid):
 @min_points_option
 @max_x_option
 @_grid_options
-def series(out, log, interval, min_points, max_x, grid):
+def series(log, interval, min_points, max_x, grid):
     """Indicative price/volume snapshots plus liquidity and max linear volume."""
     stem = Path(log).stem
     book = AuctionBook(grid)
@@ -353,12 +339,10 @@ def series(out, log, interval, min_points, max_x, grid):
             except UncrossError:
                 liq_rows.append((t, s, p_ind, q_ind, None, None, None, None))
 
-    name_ind = f"{stem}_indicative.csv"
-    _write(out / name_ind, series_to_csv(points, grid))
-    name_liq = f"{stem}_liquidity.csv"
-    _write(out / name_liq, csv_table("t_us,side,p_ind,q_ind,l_tilde,l_abs,omega_max,q_max",
-                                     liq_rows))
-    return [name_ind, name_liq], f"wrote {name_ind}, {name_liq} ({len(points)} snapshots)"
+    files = {f"{stem}_indicative.csv": series_to_csv(points, grid),
+             f"{stem}_liquidity.csv": csv_table(
+                 "t_us,side,p_ind,q_ind,l_tilde,l_abs,omega_max,q_max", liq_rows)}
+    return files, f"wrote {', '.join(files)} ({len(points)} snapshots)"
 
 
 @_command
@@ -369,27 +353,20 @@ def series(out, log, interval, min_points, max_x, grid):
               help="Also write a reverse-CDF table of this column.")
 @click.option("--kde", "kde_col", type=STATS_COLUMN, default=None,
               help="Also write a smoothed histogram of this column.")
-def stats(out, metrics, threshold, rcdf_col, kde_col):
+def stats(metrics, threshold, rcdf_col, kde_col):
     """Batch report over a per-day metrics CSV (see regime --full-metrics)."""
-    outputs = []
     rows = read_day_metrics(metrics)
-    name = "stats_report.json"
-    _write(out / name, json.dumps(batch_report(rows, threshold), sort_keys=True, indent=2) + "\n")
-    outputs.append(name)
+    files = {"stats_report.json": _json_text(batch_report(rows, threshold))}
 
     def column(col: str) -> list[float]:
         vals = [getattr(r, col) for r in rows]
         return [v for v in vals if v is not None]
 
     if rcdf_col:
-        name = f"stats_rcdf_{rcdf_col}.csv"
-        _write(out / name, rcdf_csv(column(rcdf_col)))
-        outputs.append(name)
+        files[f"stats_rcdf_{rcdf_col}.csv"] = rcdf_csv(column(rcdf_col))
     if kde_col:
-        name = f"stats_kde_{kde_col}.csv"
-        _write(out / name, kde_csv(column(kde_col)))
-        outputs.append(name)
-    return outputs, f"wrote {', '.join(outputs)}"
+        files[f"stats_kde_{kde_col}.csv"] = kde_csv(column(kde_col))
+    return files, f"wrote {', '.join(files)}"
 
 
 def _bare_name(ctx, param, name: str) -> str:
@@ -402,19 +379,15 @@ def _bare_name(ctx, param, name: str) -> str:
 @click.argument("config", type=click.Path(exists=True))
 @click.option("--name", default="flow", show_default=True, callback=_bare_name,
               help="Output file stem, a bare file name.")
-def gen(out, config, name):
+def gen(config, name):
     """Generate a synthetic auction log from a JSON config."""
     with _parsing(config, "config file"):
         cfg = FlowConfig.from_json(Path(config).read_text())
     events, truth, meta = generate(cfg)
-    log_name = f"{name}.csv"
-    write_events(out / log_name, events)
-    truth_name = f"{name}_truth.json"
-    _write(out / truth_name, json.dumps(truth, sort_keys=True, indent=2) + "\n")
-    meta_name = f"{name}_meta.json"
-    _write(out / meta_name, json.dumps(meta, sort_keys=True, indent=2) + "\n")
-    return ([log_name, truth_name, meta_name],
-            f"wrote {log_name} ({len(events)} events), {truth_name}, {meta_name}")
+    files = {f"{name}.csv": events_csv(events), f"{name}_truth.json": _json_text(truth),
+             f"{name}_meta.json": _json_text(meta)}
+    log_name, truth_name, meta_name = files
+    return files, f"wrote {log_name} ({len(events)} events), {truth_name}, {meta_name}"
 
 
 @main.command()

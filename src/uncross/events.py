@@ -250,14 +250,19 @@ def format_event(ev: OrderEvent) -> list[str]:
     ]
 
 
-def write_events(path: str | Path, events: Iterable[OrderEvent]) -> None:
-    """Write an event log; output is byte-deterministic for a fixed event sequence."""
+def events_csv(events: Iterable[OrderEvent]) -> str:
+    """An event log's text; byte-deterministic for a fixed event sequence."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for ev in events:
         writer.writerow(format_event(ev))
-    Path(path).write_bytes(buf.getvalue().encode("utf-8"))
+    return buf.getvalue()
+
+
+def write_events(path: str | Path, events: Iterable[OrderEvent]) -> None:
+    """Write an event log, ``events_csv(events)`` in UTF-8."""
+    Path(path).write_bytes(events_csv(events).encode("utf-8"))
 
 
 def format_price(p: float) -> str:

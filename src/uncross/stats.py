@@ -5,7 +5,8 @@ small enough that an explicit implementation doubles as documentation of the
 conventions: mid-ranks for ties, t-approximation for significance, asymptotic
 Kolmogorov p-values at effective size n*m/(n+m)).  The t tail is the regularized
 incomplete beta function I_x(nu/2, 1/2) at x = nu/(nu+t^2), evaluated by its
-continued fraction, so the package needs no SciPy.
+continued fraction, so the package needs no SciPy.  A sample that holds a NaN or
+an infinity is refused with ``ValueError`` rather than ranked, sorted or smoothed.
 """
 from __future__ import annotations
 
@@ -26,10 +27,17 @@ from .errors import (
 from .events import _csv_rows, _plain, csv_table
 
 
+def _sample(values: Sequence[float]) -> np.ndarray:
+    """``values`` as a float array; a NaN or infinite value is a ``ValueError``."""
+    v = np.asarray(values, dtype=float)
+    if not np.isfinite(v).all():
+        raise ValueError("a sample value is NaN or infinite")
+    return v
+
+
 def _midranks(values: Sequence[float]) -> np.ndarray:
     """1-based ranks, tied values sharing the mean of their ranks."""
-    _, inverse, counts = np.unique(np.asarray(values, dtype=float), return_inverse=True,
-                                   return_counts=True)
+    _, inverse, counts = np.unique(_sample(values), return_inverse=True, return_counts=True)
     return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
 
@@ -144,8 +152,8 @@ def ks_two_sample(x: Sequence[float], y: Sequence[float]) -> KsResult:
     """
     if len(x) == 0 or len(y) == 0:
         raise EmptySample("both samples must be non-empty")
-    xs = np.sort(np.asarray(x, dtype=float))
-    ys = np.sort(np.asarray(y, dtype=float))
+    xs = np.sort(_sample(x))
+    ys = np.sort(_sample(y))
     n, m = len(xs), len(ys)
     grid = np.concatenate([xs, ys])
     fx = np.searchsorted(xs, grid, side="right") / n
@@ -322,7 +330,7 @@ def rcdf(values: Sequence[float]) -> list[tuple[float, float]]:
     """Reverse CDF step table: (v, fraction of sample >= v) at each unique value."""
     if len(values) < 2:
         raise TooFewPoints(f"need >= 2 values, got {len(values)}")
-    v = np.sort(np.asarray(values, dtype=float))
+    v = np.sort(_sample(values))
     n = len(v)
     u, first = np.unique(v, return_index=True)  # v[first:] are the values >= u
     return list(zip(u.tolist(), ((n - first) / n).tolist()))
@@ -333,7 +341,7 @@ KDE_GRID_POINTS = 256
 
 def kernel_density(values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian kernel density on ``KDE_GRID_POINTS`` points with Silverman's bandwidth."""
-    v = np.asarray(values, dtype=float)
+    v = _sample(values)
     if len(v) < 2:
         raise TooFewPoints(f"need >= 2 values, got {len(v)}")
     sd = float(v.std(ddof=1))

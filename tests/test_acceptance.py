@@ -468,6 +468,7 @@ def test_criterion_9_manifest_determinism(tmp_path):
         res = runner.invoke(main, ["rerun", str(man), "--out-dir", str(rerun_dir)])
         assert res.exit_code == 0, f"{man.name}: {res.output}"
         rec = json.loads(man.read_text())
+        assert sorted(p.name for p in rerun_dir.iterdir()) == sorted([*rec["outputs"], man.name])
         for name in rec["outputs"]:
             if (run1 / name).read_bytes() != (rerun_dir / name).read_bytes():
                 mismatched.append(f"{man.name}:{name}")

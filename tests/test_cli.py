@@ -208,6 +208,24 @@ def test_metrics_row_after_a_blank_line_is_blamed_on_its_own_line(tmp_path):
     assert f"{metrics}:4: bad day metrics row: side must be B or S, got 'X'" in res.output
 
 
+@pytest.mark.parametrize("rows, args, code", [
+    (1, ["--rcdf", "omega0"], EXIT_TOOFEW),
+    (2, ["--rcdf", "omega0", "--kde", "l_cash"], EXIT_OTHER),
+])
+def test_a_command_that_fails_writes_nothing(tmp_path, rows, args, code):
+    """The report is ready before the reverse CDF fails on one row, and the
+    report and reverse CDF before the density fails on one day whose sides share
+    ``l_cash``; the prelude writes a command's files only once it has succeeded."""
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_text(day_metrics_to_csv([
+        DayMetrics(date="2017-05-01", side=side, p_a=100.0, q_a=1000, omega0=w, l_tilde=0.5)
+        for side, w in zip("BS", (0.01, 0.02))][:rows]))
+    out = tmp_path / "out"
+    res = run(["stats", str(metrics), *args, "--out-dir", str(out)])
+    assert res.exit_code == code, res.output
+    assert list(out.iterdir()) == []
+
+
 def test_series_rows_without_a_fit_keep_price_and_volume(workspace, tmp_path):
     res = run(["series", str(workspace / "day.csv"), "--grid", str(workspace / "day_meta.json"),
                "--interval", "60", "--min-points", "1000000", "--out-dir", str(tmp_path)])

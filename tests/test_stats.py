@@ -227,6 +227,22 @@ class TestDistributions:
             kernel_density([2.0, 2.0, 2.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", [
+    lambda v: spearman([v, 1, 2, 3], [1, 2, 3, 4]),
+    lambda v: spearman([1, 2, 3, 4], [1, 2, v, 4]),
+    lambda v: ks_two_sample([v, 1], [2, 3]),
+    lambda v: ks_two_sample([1, 2], [3, v]),
+    lambda v: rcdf([v, 1, 2]),
+    lambda v: kernel_density([v, 1, 2]),
+], ids=["spearman_x", "spearman_y", "ks_x", "ks_y", "rcdf", "kernel_density"])
+def test_a_sample_with_a_non_finite_value_is_refused(call, bad):
+    """No silent answer: NaN used to give a rank correlation, a KS distance, a
+    reverse-CDF row and an all-NaN density."""
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        call(bad)
+
+
 def test_day_metrics_csv_round_trip(tmp_path):
     rows = [
         DayMetrics("2017-05-05", "B", 48.0, 2_246_617, 0.2745, 0.004, 2.2, 0.9, 0.0036, 0.0037),
