@@ -109,6 +109,7 @@ class ClearingResult:
             self.q_a == self.supply_at - rem_s
             and self.q_a == self.demand_at - rem_b
             and rem_s * rem_b == 0
+            and self.imbalance == self.supply_at - self.demand_at
             and min(self.vbm, self.vbr, self.vsm, self.vsr,
                     self.market_buy_unfilled, self.market_sell_unfilled,
                     self.buy_spillover, self.sell_spillover) >= 0
@@ -116,7 +117,7 @@ class ClearingResult:
         if not ok:
             raise AllocationInvariantError(
                 "matched/remaining accounting broke at the clearing price: "
-                f"q_a={self.q_a} S={self.supply_at} D={self.demand_at} "
+                f"q_a={self.q_a} S={self.supply_at} D={self.demand_at} imbalance={self.imbalance} "
                 f"vbm={self.vbm} vbr={self.vbr} vsm={self.vsm} vsr={self.vsr} "
                 f"mbu={self.market_buy_unfilled} msu={self.market_sell_unfilled} "
                 f"spill_b={self.buy_spillover} spill_s={self.sell_spillover}"

@@ -2,11 +2,12 @@
 
 Each analysis command is a thin wrapper over library calls that returns its
 files' texts and a one-line summary; ``_command`` gives them one shared
-prelude.  It builds the price grid from ``--tick``/``--ref`` (with
-``--anchor``) or ``--grid FILE``, creates ``--out-dir`` and maps package
-errors to exit codes.  Only once the command has succeeded does it write the
-files, then ``<command>.manifest.json`` beside them, and echo the summary: a
-command that fails writes nothing.
+prelude.  It reads the price grid from the required ``--grid FILE``, a JSON
+object with the numbers ``tick_size``, ``anchor`` and ``reference_price``
+(the ``<name>_meta.json`` that ``gen`` writes is one), creates ``--out-dir``
+and maps package errors to exit codes.  Only once the command has succeeded
+does it write the files, then ``<command>.manifest.json`` beside them, and
+echo the summary: a command that fails writes nothing.
 
 A manifest records ``command``; ``params``, the parameters as click parsed
 them, ``--out-dir`` aside; ``inputs``, the sha256 of every input file keyed by
@@ -17,12 +18,17 @@ beside it; and ``out_dir``.
 then calls the recorded command with the recorded parameters, reproducing the
 outputs byte for byte.
 
-Exit codes: 0 success; 65 malformed input, named by file and line (a bad row,
-a log event the book rejects) or by file (a log or metrics file that is not
-UTF-8, a bad grid file, a ``gen`` config that is not a JSON object of known,
-well-typed, finite fields, a ``rerun`` file that is not a manifest or whose
-params the command does not take); 66 no cross; 67 too few points; 70 other package errors, and a rerun whose inputs
-are missing or changed.  Click itself uses 2 for usage errors.
+Exit codes:
+  0   success;
+  2   a usage error (click's own), such as a missing ``--grid``;
+  65  malformed input, named by file and line (a bad row, a log event the book
+      rejects) or by file (a log or metrics file that is not UTF-8, a bad grid
+      file, a ``gen`` config that is not a JSON object of known, well-typed,
+      finite fields, a ``rerun`` file that is not a manifest or whose params
+      the command does not take);
+  66  no cross;
+  67  too few points;
+  70  other package errors, and a rerun whose inputs are missing or changed.
 """
 from __future__ import annotations
 
@@ -41,7 +47,7 @@ from . import __version__
 from .book import AuctionBook
 from .clearing import _snapshots, clear, series_to_csv
 from .density import DEFAULT_DX, average_density, day_profile, profiles_to_csv
-from .errors import NoCross, OffGridPrice, ParseError, TooFewPoints, UncrossError
+from .errors import NoCross, ParseError, TooFewPoints, UncrossError
 from .events import csv_table, events_csv, format_price, read_events
 from .flowgen import FlowConfig, generate
 from .grid import PriceGrid
@@ -97,26 +103,15 @@ def _parsing(path: str, what: str):
         raise ParseError(f"bad {what}: {exc}", path=path) from None
 
 
-def _grid_from(tick: float | None, ref: float | None, anchor: float | None,
-               grid_file: str | None) -> PriceGrid:
-    if grid_file is not None:
-        given = [name for name, v in (("--tick", tick), ("--ref", ref), ("--anchor", anchor))
-                 if v is not None]
-        if given:
-            raise click.UsageError(f"give either --grid or {'/'.join(given)}, not both")
-        with _parsing(grid_file, "grid file"):
-            meta = json.loads(Path(grid_file).read_text())
-            keys = ("tick_size", "anchor", "reference_price")
-            for key in keys:
-                if type(meta[key]) not in (int, float):  # a JSON number, not true or "1"
-                    raise TypeError(f"{key} must be a number, got {json.dumps(meta[key])}")
-            return PriceGrid(*(meta[key] for key in keys))
-    if tick is None or ref is None:
-        raise click.UsageError("provide --grid FILE or both --tick and --ref")
-    try:
-        return PriceGrid(tick, anchor if anchor is not None else ref, ref)
-    except OffGridPrice as exc:
-        raise click.BadParameter(str(exc), param_hint="'--ref'") from None
+def _read_grid(path: str) -> PriceGrid:
+    """The grid named by a JSON file's ``tick_size``, ``anchor`` and ``reference_price``."""
+    with _parsing(path, "grid file"):
+        meta = json.loads(Path(path).read_text())
+        keys = ("tick_size", "anchor", "reference_price")
+        for key in keys:
+            if type(meta[key]) not in (int, float):  # a JSON number, not true or "1"
+                raise TypeError(f"{key} must be a number, got {json.dumps(meta[key])}")
+        return PriceGrid(*(meta[key] for key in keys))
 
 
 def _cleared(log: str, grid: PriceGrid):
@@ -150,15 +145,9 @@ min_points_option = click.option(  # a change point needs two density samples
     "--min-points", type=click.IntRange(min=2), default=DEFAULT_MIN_POINTS, show_default=True)
 
 
-def _grid_options(fn):
-    fn = click.option("--tick", type=POSITIVE, default=None, help="Tick size.")(fn)
-    fn = click.option("--ref", type=POSITIVE, default=None,
-                      help="Reference (last traded) price.")(fn)
-    fn = click.option("--anchor", type=FINITE, default=None,
-                      help="A price known to be on the grid; defaults to --ref.")(fn)
-    fn = click.option("--grid", "grid_file", type=click.Path(exists=True), default=None,
-                      help="JSON file with tick_size/anchor/reference_price (see gen output).")(fn)
-    return fn
+grid_option = click.option(
+    "--grid", type=click.Path(exists=True), required=True,
+    help="JSON file with tick_size, anchor and reference_price (gen writes one).")
 
 
 out_dir_option = click.option(
@@ -176,8 +165,8 @@ def main() -> None:
 def _command(body):
     """Register ``body`` as a command of ``main``, inside the shared prelude.
 
-    ``body`` takes its own parameters and, in place of the grid options,
-    ``grid``; it writes nothing and returns ``({file name: text}, summary)``.
+    ``body`` takes its own parameters, with ``grid`` read from the ``--grid``
+    file; it writes nothing and returns ``({file name: text}, summary)``.
     Once it has returned, the prelude writes each file into ``--out-dir``, then
     the manifest naming them, and echoes the summary.
     """
@@ -188,9 +177,8 @@ def _command(body):
         args = dict(params)
         out = Path(out_dir)
         try:
-            if "grid_file" in args:
-                grid_args = [args.pop(k) for k in ("tick", "ref", "anchor", "grid_file")]
-                args["grid"] = _grid_from(*grid_args)
+            if "grid" in args:
+                args["grid"] = _read_grid(args["grid"])
             out.mkdir(parents=True, exist_ok=True)
             files, summary = body(**args)
         except UncrossError as exc:
@@ -208,7 +196,7 @@ def _command(body):
 
 @_command
 @click.argument("log", type=click.Path(exists=True))
-@_grid_options
+@grid_option
 def replay(log, grid):
     """Replay an event log, uncross it, and dump the clearing and final book."""
     stem = Path(log).stem
@@ -223,7 +211,7 @@ def replay(log, grid):
 @_command
 @click.argument("log", type=click.Path(exists=True))
 @max_x_option
-@_grid_options
+@grid_option
 def impact(log, max_x, grid):
     """Exact impact curves of both sides of the replayed book, plus signed plot data."""
     stem = Path(log).stem
@@ -240,15 +228,14 @@ def impact(log, max_x, grid):
               help="Bin width in basis points.")
 @click.option("--group", type=click.Choice(["latency", "account"]), default=None,
               help="Split profiles by participant flag.")
-@_grid_options
+@grid_option
 def density(logs, dx, group, grid):
     """Average scaled book density across one or more day logs."""
     daily = []
     for log in logs:
         book = AuctionBook(grid).replay_log(log)
         daily.append(day_profile(book, dx=dx * 1e-4, group_by=group))
-    keys = sorted(daily[0].keys(), key=lambda k: (k is None, k))
-    averaged = [average_density([d[k] for d in daily]) for k in keys]
+    averaged = [average_density([d[k] for d in daily]) for k in sorted(daily[0])]
     name = "density_profile.csv"
     return {name: profiles_to_csv(averaged)}, f"wrote {name} ({len(logs)} day(s))"
 
@@ -260,7 +247,7 @@ def density(logs, dx, group, grid):
 @max_x_option
 @click.option("--full-metrics", is_flag=True,
               help="Also write the extended per-day metrics CSV for the stats command.")
-@_grid_options
+@grid_option
 def regime(log, date, min_points, max_x, full_metrics, grid):
     """Constant-density window, liquidity, and impact slopes per side."""
     stem = Path(log).stem
@@ -290,7 +277,7 @@ def regime(log, date, min_points, max_x, full_metrics, grid):
 @click.option("--omega-lo", type=POSITIVE, default=DEFAULT_OMEGA_RANGE[0], show_default=True,
               help="Lower edge of the scaled-size bins; below --omega-hi.")
 @click.option("--omega-hi", type=POSITIVE, default=DEFAULT_OMEGA_RANGE[1], show_default=True)
-@_grid_options
+@grid_option
 def response(log, warmup, with_cancels, bins, omega_lo, omega_hi, grid):
     """One-lag and mechanical responses of the indicative price."""
     if not omega_lo < omega_hi:
@@ -317,7 +304,7 @@ def response(log, warmup, with_cancels, bins, omega_lo, omega_hi, grid):
               help="Snapshot interval in seconds, at least one microsecond.")
 @min_points_option
 @max_x_option
-@_grid_options
+@grid_option
 def series(log, interval, min_points, max_x, grid):
     """Indicative price/volume snapshots plus liquidity and max linear volume."""
     stem = Path(log).stem

@@ -102,10 +102,9 @@ def average_density(profiles: Sequence[DensityProfile]) -> DensityProfile:
     acc_b: dict[int, float] = {}
     acc_s: dict[int, float] = {}
     for p in profiles:
-        for b, v in p.rho_buy.items():
-            acc_b[b] = acc_b.get(b, 0.0) + v * p.n_days
-        for b, v in p.rho_sell.items():
-            acc_s[b] = acc_s.get(b, 0.0) + v * p.n_days
+        for acc, rho in ((acc_b, p.rho_buy), (acc_s, p.rho_sell)):
+            for b, v in rho.items():
+                acc[b] = acc.get(b, 0.0) + v * p.n_days
     return DensityProfile(
         dx=dx,
         rho_buy={b: v / n for b, v in sorted(acc_b.items())},

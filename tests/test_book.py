@@ -34,6 +34,7 @@ def test_single_insertion():
     book = AuctionBook(grid10())
     book.apply(OrderEvent(1, "a", "SUBMIT", "B", "LIMIT", 10.0, 50))
     assert book.volume_at(0) == (50, 0)
+    assert book.volume_at(10**6) == book.volume_at(-10**6) == (0, 0)  # outside the window
 
 
 def test_insert_then_cancel_is_identity():

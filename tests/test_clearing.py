@@ -359,7 +359,8 @@ def test_clearing_result_json(worked_book):
     {"supply_at": 1},
     {"buy_spillover": 1, "demand_at": 1},
     {"vbm": -61},
-], ids=["buy-remainder", "supply", "both-sides-remain", "negative"])
+    {"imbalance": 1},
+], ids=["buy-remainder", "supply", "both-sides-remain", "negative", "imbalance"])
 def test_record_breaking_the_identities_is_refused(worked_book, change):
     """``clear`` meets the identities by construction; a record built any
     other way that breaks them is refused."""

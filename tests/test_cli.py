@@ -2,6 +2,7 @@ import ast
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -49,6 +50,14 @@ def workspace(tmp_path_factory):
 
 def run(args):
     return CliRunner().invoke(main, args)
+
+
+@pytest.fixture(scope="module")
+def grid_file(tmp_path_factory):
+    """A grid file of 0.1 ticks through the reference price 10.0."""
+    path = tmp_path_factory.mktemp("grid") / "grid.json"
+    path.write_text('{"tick_size": 0.1, "anchor": 10.0, "reference_price": 10.0}')
+    return str(path)
 
 
 def test_gen_outputs(workspace):
@@ -265,10 +274,10 @@ def test_series_liquidity_rows_equal_a_fit_of_a_fresh_replay(workspace, tmp_path
     assert (tmp_path / "day_liquidity.csv").read_text().splitlines()[1:] == want
 
 
-def test_series_of_a_log_without_events_writes_only_headers(tmp_path):
+def test_series_of_a_log_without_events_writes_only_headers(tmp_path, grid_file):
     log = tmp_path / "day.csv"
     log.write_text(HEADER)
-    res = run(["series", str(log), "--tick", "0.1", "--ref", "10.0", "--out-dir", str(tmp_path)])
+    res = run(["series", str(log), "--grid", grid_file, "--out-dir", str(tmp_path)])
     assert res.exit_code == 0, res.output
     assert (tmp_path / "day_indicative.csv").read_text() == "t_us,p_ind,q_ind\n"
     assert ((tmp_path / "day_liquidity.csv").read_text()
@@ -297,11 +306,12 @@ def test_density_multi_day(tmp_path):
     for seed in (1, 2):
         cfg = FlowConfig(seed=seed, shape="bell", total_shares_per_side=40_000,
                          buy_peak_mass=0.2, sell_peak_mass=0.2, n_levels=80)
-        events, _, _ = generate(cfg)
+        events, _, meta = generate(cfg)
         p = tmp_path / f"d{seed}.csv"
         write_events(p, events)
         paths.append(str(p))
-    res = run(["density", *paths, "--tick", "0.01", "--ref", "100.0",
+    (tmp_path / "d_meta.json").write_text(json.dumps(meta))  # both days share the grid
+    res = run(["density", *paths, "--grid", str(tmp_path / "d_meta.json"),
                "--group", "latency", "--out-dir", str(tmp_path)])
     assert res.exit_code == 0, res.output
     lines = (tmp_path / "density_profile.csv").read_text().strip().split("\n")
@@ -324,10 +334,10 @@ def submit_at(price):
     ("", "1: empty file"),
     (HEADER + "soon,a,SUBMIT,B,LIMIT,10.0,5,HFT,OWN\n", "2: bad timestamp_us 'soon'"),
 ], ids=["not-a-number", "nan", "inf", "beyond-float-range", "empty-file", "bad-timestamp"])
-def test_exit_code_parse_error(tmp_path, text, where):
+def test_exit_code_parse_error(tmp_path, text, where, grid_file):
     bad = tmp_path / "bad.csv"
     bad.write_text(text)
-    res = run(["replay", str(bad), "--tick", "0.1", "--ref", "10.0",
+    res = run(["replay", str(bad), "--grid", grid_file,
                "--out-dir", str(tmp_path)])
     assert res.exit_code == EXIT_PARSE, res.output
     assert f"bad.csv:{where}" in res.output
@@ -342,25 +352,26 @@ def test_exit_code_parse_error(tmp_path, text, where):
     ("\t0,a,SUBMIT,B,LIMIT,10.0,5,HFT,OWN", "bad timestamp_us '\\t0'"),
     ("0,a,SUBMIT,B,LIMIT,1_0.0,5,HFT,OWN", "bad price '1_0.0'"),
 ], ids=["every-cell", "spaced-price", "arabic-indic-qty", "trailing-space", "tab", "underscore"])
-def test_number_cell_in_a_python_only_form_is_parse_error(tmp_path, command, row, where):
+def test_number_cell_in_a_python_only_form_is_parse_error(tmp_path, command, row, where,
+                                                          grid_file):
     """A number cell with an underscore, surrounding whitespace or a non-ASCII
     digit is a bad cell, although ``int``/``float`` would read it."""
     log = tmp_path / "bad.csv"
     log.write_text(HEADER + row + "\n" + CROSSED.replace("0,a,", "0,z,"), encoding="utf-8")
-    res = run([command, str(log), "--tick", "0.1", "--ref", "10.0",
+    res = run([command, str(log), "--grid", grid_file,
                "--out-dir", str(tmp_path / "out")])
     assert res.exit_code == EXIT_PARSE, res.output
     assert f"bad.csv:2: {where}" in res.output
 
 
-def test_signed_and_exponent_number_cells_are_read(tmp_path):
+def test_signed_and_exponent_number_cells_are_read(tmp_path, grid_file):
     plain = HEADER + CROSSED + "2,c,SUBMIT,S,LIMIT,10.1,5,HFT,OWN\n3,c,CANCEL,S,LIMIT,,-3,HFT,OWN\n"
     signed = (HEADER + "+0,a,SUBMIT,B,LIMIT,1.000000e+01,+5,HFT,OWN\n"
               "1,b,SUBMIT,S,LIMIT,1E1,5,HFT,OWN\n2,c,SUBMIT,S,LIMIT,+10.10,05,HFT,OWN\n"
               "3,c,CANCEL,S,LIMIT,,-3,HFT,OWN\n")
     for name, text in (("plain", plain), ("signed", signed)):
         (tmp_path / f"{name}.csv").write_text(text)
-        res = run(["replay", str(tmp_path / f"{name}.csv"), "--tick", "0.1", "--ref", "10.0",
+        res = run(["replay", str(tmp_path / f"{name}.csv"), "--grid", grid_file,
                    "--out-dir", str(tmp_path / name)])
         assert res.exit_code == 0, res.output
     for suffix in ("clearing.json", "book.csv"):
@@ -368,11 +379,11 @@ def test_signed_and_exponent_number_cells_are_read(tmp_path):
         assert got == (tmp_path / "plain" / f"plain_{suffix}").read_bytes(), suffix
 
 
-def test_blank_lines_in_a_log_are_skipped(tmp_path):
+def test_blank_lines_in_a_log_are_skipped(tmp_path, grid_file):
     rows = CROSSED.splitlines(keepends=True)
     for name, text in (("tight", HEADER + CROSSED), ("loose", HEADER + "\n" + "\n\n".join(rows))):
         (tmp_path / f"{name}.csv").write_text(text)
-        res = run(["replay", str(tmp_path / f"{name}.csv"), "--tick", "0.1", "--ref", "10.0",
+        res = run(["replay", str(tmp_path / f"{name}.csv"), "--grid", grid_file,
                    "--out-dir", str(tmp_path / name)])
         assert res.exit_code == 0, res.output
     for suffix in ("clearing.json", "book.csv"):
@@ -380,12 +391,12 @@ def test_blank_lines_in_a_log_are_skipped(tmp_path):
         assert loose == (tmp_path / "tight" / f"tight_{suffix}").read_bytes(), suffix
 
 
-def test_exit_code_out_of_order_timestamps(tmp_path):
+def test_exit_code_out_of_order_timestamps(tmp_path, grid_file):
     log = tmp_path / "late.csv"
     log.write_text(",".join(CSV_HEADER) + "\n"
                    "9,a,SUBMIT,B,LIMIT,10.0,5,HFT,OWN\n"
                    "1,b,SUBMIT,S,LIMIT,10.0,5,HFT,OWN\n")
-    res = run(["series", str(log), "--tick", "0.1", "--ref", "10.0",
+    res = run(["series", str(log), "--grid", grid_file,
                "--out-dir", str(tmp_path)])
     assert res.exit_code == EXIT_PARSE
     assert "late.csv:3: timestamp_us 1 is earlier" in res.output
@@ -395,18 +406,18 @@ def test_exit_code_out_of_order_timestamps(tmp_path):
 CROSSED = "0,a,SUBMIT,B,LIMIT,10.0,5,HFT,OWN\n1,b,SUBMIT,S,LIMIT,10.0,5,HFT,OWN\n"
 
 
-def test_log_row_after_a_quoted_line_break_is_blamed_on_its_own_line(tmp_path):
+def test_log_row_after_a_quoted_line_break_is_blamed_on_its_own_line(tmp_path, grid_file):
     log = tmp_path / "bad.csv"
     log.write_text(HEADER + CROSSED.replace(",b,", ',"b\nc",')
                    + "2,d,SUBMIT,Q,LIMIT,10.0,5,HFT,OWN\n")
-    res = run(["replay", str(log), "--tick", "0.1", "--ref", "10.0",
+    res = run(["replay", str(log), "--grid", grid_file,
                "--out-dir", str(tmp_path / "out")])
     assert res.exit_code == EXIT_PARSE, res.output
     assert "bad.csv:5: unknown side 'Q'" in res.output
 
 
 @pytest.mark.parametrize("command", ["replay", "response", "stats"])
-def test_file_that_is_not_utf8_is_parse_error_naming_it(tmp_path, command):
+def test_file_that_is_not_utf8_is_parse_error_naming_it(tmp_path, command, grid_file):
     if command == "stats":
         path = _metrics_csv(tmp_path / "metrics.csv", [(0.01, 0.02)])
         path.write_bytes(path.read_bytes().replace(b"2017-05-01", b"2017-05-\xff1", 1))
@@ -414,7 +425,7 @@ def test_file_that_is_not_utf8_is_parse_error_naming_it(tmp_path, command):
     else:
         path = tmp_path / "day.csv"
         path.write_bytes((HEADER + CROSSED).replace(",b,", ",b\xff,").encode("latin-1"))
-        grid = ["--tick", "0.1", "--ref", "10.0"]
+        grid = ["--grid", grid_file]
     res = run([command, str(path), *grid, "--out-dir", str(tmp_path / "out")])
     assert res.exit_code == EXIT_PARSE, res.output
     assert f"{path}: not UTF-8 text: invalid start byte 0xff" in res.output
@@ -451,10 +462,10 @@ APART = "0,a,SUBMIT,B,LIMIT,9.9,5,HFT,OWN\n1,b,SUBMIT,S,LIMIT,10.1,5,HFT,OWN\n"
         "cancel-other-price", "modify-other-side", "price-beyond-float-ticks",
         "modify-to-zero"])
 def test_book_reject_in_log_is_line_numbered_parse_error(tmp_path, command, prefix, row,
-                                                         message):
+                                                         message, grid_file):
     log = tmp_path / "bad.csv"
     log.write_text(",".join(CSV_HEADER) + "\n" + prefix + row + "\n")
-    res = run([command, str(log), "--tick", "0.1", "--ref", "10.0",
+    res = run([command, str(log), "--grid", grid_file,
                "--out-dir", str(tmp_path / "out")])
     assert res.exit_code == EXIT_PARSE, res.output
     assert f"bad.csv:4: {message}" in res.output
@@ -478,16 +489,29 @@ def test_book_reject_in_log_is_line_numbered_parse_error(tmp_path, command, pref
      "bad grid file: tick_size must be positive and finite, got inf"),
     ('{"tick_size": 0.1, "anchor": 10.0, "reference_price": true}',
      "bad grid file: reference_price must be a number, got true"),
+    ('{"tick_size": -0.1, "anchor": 10.0, "reference_price": 10.0}',
+     "bad grid file: tick_size must be positive and finite, got -0.1"),
+    ('{"tick_size": NaN, "anchor": 10.0, "reference_price": 10.0}',
+     "bad grid file: tick_size must be positive and finite, got nan"),
+    ('{"tick_size": 0.1, "anchor": 10.0, "reference_price": 0}',
+     "bad grid file: reference_price must be positive, got 0"),
+    ('{"tick_size": 0.1, "anchor": 10.0, "reference_price": NaN}',
+     "bad grid file: reference_price must be positive, got nan"),
+    # the anchor lies 1e301 ticks from zero
+    ('{"tick_size": 1e-300, "anchor": 10.0, "reference_price": 10.0}',
+     "bad grid file: anchor 10.0 lies 2**52 ticks or more from zero"),
 ], ids=["missing-key", "not-json", "off-grid-ref", "ticks-overflow", "anchor-too-far",
-        "nan-anchor", "ref-beyond-float-ticks", "infinite-tick", "boolean-ref"])
+        "nan-anchor", "ref-beyond-float-ticks", "infinite-tick", "boolean-ref",
+        "negative-tick", "nan-tick", "zero-ref", "nan-ref", "tick-too-fine"])
 def test_bad_grid_file_is_parse_error(tmp_path, text, message):
     log = tmp_path / "day.csv"
     log.write_text(",".join(CSV_HEADER) + "\n" + CROSSED)
     grid = tmp_path / "grid.json"
     grid.write_text(text)
-    res = run(["replay", str(log), "--grid", str(grid), "--out-dir", str(tmp_path)])
+    res = run(["replay", str(log), "--grid", str(grid), "--out-dir", str(tmp_path / "out")])
     assert res.exit_code == EXIT_PARSE, res.output
     assert f"{grid}: {message}" in res.output
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("text,code,message", [
@@ -552,85 +576,73 @@ def test_bad_gen_config_is_parse_error(tmp_path, text, code, message):
     ('{"command": "impact", "params": {}}', "manifest lacks the key 'inputs'"),
     ('{"command": "nope", "inputs": {}, "params": {}}', "unknown command 'nope'"),
     ('{"command": "rerun", "inputs": {}, "params": {}}', "unknown command 'rerun'"),
-    ('{"command": "replay", "inputs": {}, "params": {"log": LOG, "tick": 0.1, "ref": 10.0, '
-     '"anchor": null, "grid_file": null, "bogus": 1}}',
+    ('{"command": "replay", "inputs": {}, "params": {"log": LOG, "grid": GRID, "bogus": 1}}',
      "params do not fit replay: unknown ['bogus'], missing []"),
-    ('{"command": "replay", "inputs": {}, "params": {"log": LOG, "tick": 0.1, "ref": 10.0, '
-     '"grid_file": null}}', "params do not fit replay: unknown [], missing ['anchor']"),
+    ('{"command": "replay", "inputs": {}, "params": {"log": LOG}}',
+     "params do not fit replay: unknown [], missing ['grid']"),
     ('{"command": "regime", "inputs": {}, "params": {"log": LOG, "date": null, '
-     '"min_points": 20, "max_x": "abc", "full_metrics": false, '
-     '"tick": 0.1, "ref": 10.0, "anchor": null, "grid_file": null}}',
+     '"min_points": 20, "max_x": "abc", "full_metrics": false, "grid": GRID}}',
      "bad param 'max_x': 'abc' is not a valid float"),
-    ('{"command": "impact", "inputs": {}, "params": {"log": LOG, '
-     '"max_x": null, "tick": 0.1, "ref": 10.0, "anchor": null, "grid_file": null}}',
+    ('{"command": "impact", "inputs": {}, "params": {"log": LOG, "max_x": null, "grid": GRID}}',
      "bad param 'max_x': null is not one of its values"),
-    ('{"command": "impact", "inputs": {}, "params": {"log": LOG, '
-     '"max_x": 0, "tick": 0.1, "ref": 10.0, "anchor": null, "grid_file": null}}',
+    ('{"command": "impact", "inputs": {}, "params": {"log": LOG, "max_x": 0, "grid": GRID}}',
      "bad param 'max_x': 0.0 is not in the range x>0"),
     ('{"command": "series", "inputs": {}, "params": {"log": LOG, "interval": NaN, '
-     '"min_points": 20, "max_x": 200.0, "tick": 0.1, "ref": 10.0, "anchor": null, '
-     '"grid_file": null}}', "bad param 'interval': nan is not a finite number"),
+     '"min_points": 20, "max_x": 200.0, "grid": GRID}}',
+     "bad param 'interval': nan is not a finite number"),
     ('{"command": "regime", "inputs": {}, "params": {"log": LOG, "date": null, '
-     '"min_points": 1, "max_x": 200.0, "full_metrics": false, '
-     '"tick": 0.1, "ref": 10.0, "anchor": null, "grid_file": null}}',
+     '"min_points": 1, "max_x": 200.0, "full_metrics": false, "grid": GRID}}',
      "bad param 'min_points': 1 is not in the range x>=2"),
     # parameters of an older version, which the commands no longer take
     ('{"command": "impact", "inputs": {}, "params": {"log": LOG, "side": "both", '
-     '"max_x": 200.0, "tick": 0.1, "ref": 10.0, "anchor": null, "grid_file": null}}',
+     '"max_x": 200.0, "grid": GRID}}',
      "params do not fit impact: unknown ['side'], missing []"),
     ('{"command": "regime", "inputs": {}, "params": {"log": LOG, "date": null, '
      '"min_points": 20, "max_x": 200.0, "approx_slope": false, "full_metrics": false, '
-     '"tick": 0.1, "ref": 10.0, "anchor": null, "grid_file": null}}',
+     '"grid": GRID}}',
      "params do not fit regime: unknown ['approx_slope'], missing []"),
+    ('{"command": "replay", "inputs": {}, "params": {"log": LOG, '
+     '"tick": 0.1, "ref": 10.0, "anchor": null, "grid_file": null}}',
+     "params do not fit replay: unknown ['anchor', 'grid_file', 'ref', 'tick'], "
+     "missing ['grid']"),
+    ('{"command": "impact", "inputs": {}, "params": {"log": LOG, '
+     '"max_x": 200.0, "tick": null, "ref": null, "anchor": null, "grid_file": GRID}}',
+     "params do not fit impact: unknown ['anchor', 'grid_file', 'ref', 'tick'], "
+     "missing ['grid']"),
 ], ids=["not-json", "missing-key", "unknown-command", "rerun-itself", "unknown-param",
         "missing-param", "bad-param-value", "null-param-value", "param-out-of-range",
-        "param-not-finite", "too-few-min-points", "impact-side", "regime-approx-slope"])
-def test_rerun_of_a_non_manifest_is_parse_error(tmp_path, text, message):
+        "param-not-finite", "too-few-min-points", "impact-side", "regime-approx-slope",
+        "grid-options", "grid-file-beside-grid-options"])
+def test_rerun_of_a_non_manifest_is_parse_error(tmp_path, grid_file, text, message):
     log = tmp_path / "day.csv"
     log.write_text(",".join(CSV_HEADER) + "\n" + CROSSED)
     manifest = tmp_path / "impact.manifest.json"
-    manifest.write_text(text.replace("LOG", json.dumps(str(log))))
+    manifest.write_text(text.replace("LOG", json.dumps(str(log)))
+                        .replace("GRID", json.dumps(grid_file)))
     res = run(["rerun", str(manifest), "--out-dir", str(tmp_path / "out")])
     assert res.exit_code == EXIT_PARSE, res.output
     assert f"{manifest}: {message}" in res.output
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("grid_args", [
-    ["--tick", "-0.1", "--ref", "10.0"],
-    ["--tick", "0.1", "--ref", "0"],
-    ["--tick", "0.1", "--ref", "10.05", "--anchor", "10.0"],
-    ["--tick", "nan", "--ref", "10.0"],
-    ["--tick", "1e-300", "--ref", "10.0"],  # the reference lies 1e301 ticks from zero
-    ["--tick", "1e-300", "--anchor", "1e300", "--ref", "1"],  # ticks overflow a float
-    [],
-    ["--tick", "0.1"],
-    ["--ref", "10.0", "--anchor", "10.0"],
-], ids=["negative-tick", "zero-ref", "off-grid-ref", "nan-tick", "tick-too-fine",
-        "ticks-overflow", "no-grid", "tick-only", "ref-only"])
-def test_bad_grid_options_are_usage_errors(tmp_path, grid_args):
-    log = tmp_path / "day.csv"
-    log.write_text(",".join(CSV_HEADER) + "\n" + CROSSED)
-    res = run(["replay", str(log), *grid_args, "--out-dir", str(tmp_path / "out")])
-    assert res.exit_code == 2, res.output
-    assert isinstance(res.exception, SystemExit)
-    assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("grid_args, named", [
-    (["--tick", "0.05", "--ref", "3"], "--tick/--ref"),
-    (["--anchor", "10.0"], "--anchor"),
-], ids=["tick-and-ref", "anchor"])
-def test_grid_file_with_grid_options_is_usage_error(tmp_path, grid_args, named):
+@pytest.mark.parametrize("command", ["replay", "impact", "density", "regime", "response",
+                                     "series"])
+def test_the_grid_is_given_by_a_grid_file_alone(tmp_path, grid_file, command):
+    """``--grid`` is required, and there are no numeric grid options beside it."""
+    shown = run([command, "--help"]).output
+    assert "--grid" in shown
+    assert not [o for o in ("--tick", "--ref", "--anchor") if o in shown]
     log = tmp_path / "day.csv"
     log.write_text(HEADER + CROSSED)
-    grid = tmp_path / "grid.json"
-    grid.write_text('{"tick_size": 0.1, "anchor": 10.0, "reference_price": 10.0}')
-    res = run(["replay", str(log), "--grid", str(grid), *grid_args,
-               "--out-dir", str(tmp_path / "out")])
+    out = tmp_path / "out"
+    res = run([command, str(log), "--out-dir", str(out)])
     assert res.exit_code == 2, res.output
-    assert f"give either --grid or {named}, not both" in res.output
-    assert not (tmp_path / "out").exists()
+    assert "Missing option '--grid'" in res.output
+    for option in ("--tick", "--ref", "--anchor"):
+        res = run([command, str(log), "--grid", grid_file, option, "10.0", "--out-dir", str(out)])
+        assert res.exit_code == 2, res.output
+        assert "No such option" in res.output and option in res.output
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name", ["sub/x", "", "x/"])
@@ -644,11 +656,6 @@ def test_gen_name_that_is_not_a_bare_file_name_is_usage_error(tmp_path, name):
 
 
 @pytest.mark.parametrize("command, option, value", [
-    ("replay", "--tick", "inf"),
-    ("replay", "--ref", "nan"),
-    ("replay", "--ref", "1e300"),  # one tick of 0.1 cannot move a price that large
-    ("density", "--ref", "1e20"),
-    ("replay", "--anchor", "nan"),
     ("impact", "--max-x", "0"),
     ("impact", "--max-x", "nan"),
     ("regime", "--max-x", "nan"),
@@ -671,10 +678,10 @@ def test_gen_name_that_is_not_a_bare_file_name_is_usage_error(tmp_path, name):
     ("regime", "--min-points", "1"),  # a change point needs two samples
     ("series", "--min-points", "1"),
 ])
-def test_option_outside_its_domain_is_usage_error(tmp_path, command, option, value):
+def test_option_outside_its_domain_is_usage_error(tmp_path, command, option, value, grid_file):
     log = tmp_path / "day.csv"
     log.write_text(",".join(CSV_HEADER) + "\n" + CROSSED)
-    grid = [] if command == "stats" else ["--tick", "0.1", "--ref", "10.0"]
+    grid = [] if command == "stats" else ["--grid", grid_file]
     out = tmp_path / "out"
     res = run([command, str(log), *grid, option, value, "--out-dir", str(out)])
     assert res.exit_code == 2, res.output
@@ -682,11 +689,11 @@ def test_option_outside_its_domain_is_usage_error(tmp_path, command, option, val
     assert not out.exists() or list(out.iterdir()) == []
 
 
-def test_bins_too_narrow_to_tell_apart_are_usage_error(tmp_path):
+def test_bins_too_narrow_to_tell_apart_are_usage_error(tmp_path, grid_file):
     log = tmp_path / "day.csv"
     log.write_text(HEADER + CROSSED)
     out = tmp_path / "out"
-    res = run(["response", str(log), "--tick", "0.1", "--ref", "10.0", "--omega-lo", "1",
+    res = run(["response", str(log), "--grid", grid_file, "--omega-lo", "1",
                "--omega-hi", "1.0000000000000002", "--bins", "40", "--out-dir", str(out)])
     assert res.exit_code == 2, res.output
     assert "Invalid value for '--bins'" in res.output
@@ -723,31 +730,31 @@ def test_metrics_csv_without_its_columns_is_parse_error(tmp_path, text):
     assert not (tmp_path / "out").exists() or list((tmp_path / "out").iterdir()) == []
 
 
-def test_exit_code_no_cross(tmp_path):
+def test_exit_code_no_cross(tmp_path, grid_file):
     log = tmp_path / "nocross.csv"
     log.write_text(
         ",".join(CSV_HEADER)
         + "\n0,a,SUBMIT,B,LIMIT,9.9,5,HFT,OWN\n1,b,SUBMIT,S,LIMIT,10.1,5,HFT,OWN\n"
     )
     for command in (["replay"], ["regime"], ["regime", "--full-metrics"]):
-        res = run([*command, str(log), "--tick", "0.1", "--ref", "10.0",
+        res = run([*command, str(log), "--grid", grid_file,
                    "--out-dir", str(tmp_path)])
         assert res.exit_code == EXIT_NOCROSS, command
 
 
-def test_exit_code_too_few_points(tmp_path):
+def test_exit_code_too_few_points(tmp_path, grid_file):
     log = tmp_path / "thin.csv"
     log.write_text(
         ",".join(CSV_HEADER)
         + "\n0,a,SUBMIT,B,LIMIT,10.0,5,HFT,OWN\n1,b,SUBMIT,S,LIMIT,10.0,5,HFT,OWN\n"
     )
-    res = run(["regime", str(log), "--tick", "0.1", "--ref", "10.0",
+    res = run(["regime", str(log), "--grid", grid_file,
                "--out-dir", str(tmp_path)])
     assert res.exit_code == EXIT_TOOFEW
 
 
-def test_unknown_flag_values_enumerated(tmp_path):
-    res = run(["density", "--group", "X", "--tick", "0.1", "--ref", "10.0", "."])
+def test_unknown_flag_values_enumerated(tmp_path, grid_file):
+    res = run(["density", "--group", "X", "--grid", grid_file, "."])
     assert res.exit_code == 2
     assert "'latency', 'account'" in res.output or "latency, account" in res.output.replace("'", "")
 
@@ -837,10 +844,16 @@ def _python(*args, cwd):
                           capture_output=True, text=True, timeout=60)
 
 
-def test_python_m_runs_the_cli(tmp_path):
+def test_python_m_runs_the_cli(tmp_path, monkeypatch, capsys):
     version = _python("-m", "uncross", "--version", cwd=tmp_path)
     assert version.returncode == 0, version.stderr
     assert "0.1.0" in version.stdout
+    # the same module run in this process, where a coverage tracer sees it
+    monkeypatch.setattr(sys, "argv", ["uncross", "--version"])
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_module("uncross", run_name="__main__")
+    assert exited.value.code == 0
+    assert capsys.readouterr().out == "uncross, version 0.1.0\n"
     missing = _python("-m", "uncross.cli", "replay", "missing.csv", cwd=tmp_path)
     assert missing.returncode == 2
     assert "missing.csv" in missing.stderr
@@ -864,19 +877,19 @@ def test_importing_the_cli_leaves_scipy_unloaded(tmp_path):
     assert 0 < report["spearman_omega0"]["p_value"] < 1
 
 
-def test_series_interval_in_seconds_steps_whole_microseconds(tmp_path):
+def test_series_interval_in_seconds_steps_whole_microseconds(tmp_path, grid_file):
     """4.1 s is 4,099,999.9999999995 µs in floating point: the step rounds to
     4,100,000 µs instead of truncating to 4,099,999."""
     log = tmp_path / "day.csv"
     log.write_text(HEADER + CROSSED + "10000000,c,SUBMIT,B,LIMIT,10.0,5,HFT,OWN\n")
-    res = run(["series", str(log), "--tick", "0.1", "--ref", "10.0", "--interval", "4.1",
+    res = run(["series", str(log), "--grid", grid_file, "--interval", "4.1",
                "--out-dir", str(tmp_path)])
     assert res.exit_code == 0, res.output
     rows = (tmp_path / "day_indicative.csv").read_text().splitlines()[1:]
     assert [int(r.split(",")[0]) for r in rows] == [0, 4_100_000, 8_200_000, 10_000_000]
 
 
-def test_response_warmup_in_seconds_ends_on_its_whole_microsecond(tmp_path):
+def test_response_warmup_in_seconds_ends_on_its_whole_microsecond(tmp_path, grid_file):
     """With ``--warmup 4.1`` the cut is t0 + 4,100,000 µs: a market buy one
     microsecond before it is applied but not measured, one exactly at it is."""
     log = tmp_path / "day.csv"
@@ -884,7 +897,7 @@ def test_response_warmup_in_seconds_ends_on_its_whole_microsecond(tmp_path):
                    "1,b,SUBMIT,S,LIMIT,10.0,100,HFT,OWN\n"
                    "4099999,c,SUBMIT,B,MARKET,,10,HFT,OWN\n"
                    "4100000,d,SUBMIT,B,MARKET,,20,HFT,OWN\n")
-    res = run(["response", str(log), "--tick", "0.1", "--ref", "10.0", "--warmup", "4.1",
+    res = run(["response", str(log), "--grid", grid_file, "--warmup", "4.1",
                "--out-dir", str(tmp_path)])
     assert res.exit_code == 0, res.output
     rows = [r.split(",") for r in (tmp_path / "day_response.csv").read_text().splitlines()[1:]]

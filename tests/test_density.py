@@ -175,6 +175,17 @@ def test_mismatched_binning():
         average_density([a, b])
 
 
+def test_averaging_no_profiles_is_refused():
+    with pytest.raises(ValueError, match="no profiles to average"):
+        average_density([])
+
+
+def test_a_profile_without_bins_has_an_empty_bin_range():
+    from uncross.density import DensityProfile
+
+    assert DensityProfile(dx=1e-4, rho_buy={}, rho_sell={}).bin_range() == range(0, 0)
+
+
 def test_grouped_profiles_sum_to_ungrouped():
     books = [_day_book(s) for s in range(5, 8)]
     clearings = [clear(b) for b in books]
@@ -278,6 +289,12 @@ def test_an_ungrouped_profile_reads_the_levels_not_the_orders(monkeypatch):
     monkeypatch.setattr(AuctionBook, "live_resting_orders", refuse)
     monkeypatch.setattr(book, "orders", {})
     assert day_profile(book)[None] == want
+
+
+@pytest.mark.parametrize("group_by", ["x", "", "LATENCY"])
+def test_an_unknown_group_is_refused(group_by):
+    with pytest.raises(ValueError, match="group_by must be None, 'latency' or 'account'"):
+        day_profile(_day_book(1), group_by=group_by)
 
 
 @pytest.mark.parametrize("dx", [math.inf, math.nan, 0.0, -1e-4])

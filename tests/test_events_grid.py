@@ -54,6 +54,11 @@ class TestGrid:
         with pytest.raises(ValueError):
             PriceGrid(0.0, 10.0, 10.0)
 
+    @pytest.mark.parametrize("ref", [0.0, -10.0, math.nan])
+    def test_reference_must_be_positive(self, ref):
+        with pytest.raises(ValueError, match="reference_price must be positive"):
+            PriceGrid(0.1, 10.0, ref)
+
     def test_tiny_ticks_snap_exactly(self):
         grid = PriceGrid(1e-5, 50.0, 50.0)
         assert grid.index_of(grid.price_at(123)) == 123

@@ -198,6 +198,24 @@ class TestInfeasibleConfigs:
         with pytest.raises(InfeasibleConfig):
             FlowConfig(shape="triangle").validate()
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"tick_size": 0.0}, "tick_size and fundamental_price must be positive"),
+        ({"fundamental_price": -100.0}, "tick_size and fundamental_price must be positive"),
+        ({"buy_peak_mass": 1.5}, "buy_peak_mass must be in [0, 1], got 1.5"),
+        ({"sell_peak_mass": -0.1}, "sell_peak_mass must be in [0, 1], got -0.1"),
+        ({"total_shares_per_side": 0, "buy_peak_mass": 0.0, "sell_peak_mass": 0.0},
+         "per-side total shares must be positive"),
+        ({"n_levels": 0}, "n_levels must be >= 1"),
+        ({"cancellation_rate": -0.5}, "cancellation_rate must be >= 0"),
+        ({"market_shares_per_side": -1}, "market_shares_per_side must be >= 0"),
+        ({"mean_order_size": 0}, "mean_order_size must be >= 1"),
+    ], ids=["tick", "price", "buy-peak-mass", "sell-peak-mass", "total-shares", "n_levels",
+            "cancellation_rate", "market_shares_per_side", "mean_order_size"])
+    def test_field_outside_its_domain(self, fields, message):
+        with pytest.raises(InfeasibleConfig) as err:
+            FlowConfig(**fields).validate()
+        assert str(err.value) == message
+
     def test_json_round_trip_and_unknown_field(self):
         cfg = small_config()
         back = FlowConfig.from_json(cfg.to_json())

@@ -15,7 +15,7 @@ from uncross.cli import main
 from uncross.events import write_events
 from uncross.flowgen import FlowConfig, generate
 
-GRID = ["--tick", "0.01", "--ref", "100.0"]
+GRID = ["--grid", "grid.json"]
 SEEDS = (7, 8, 9)
 
 
@@ -26,8 +26,11 @@ def invoke(args):
 
 @pytest.fixture(scope="module")
 def days(tmp_path_factory):
-    """Three small piecewise days and their merged ``regime --full-metrics`` rows."""
+    """Three small piecewise days, their grid file and their merged
+    ``regime --full-metrics`` rows."""
     root = tmp_path_factory.mktemp("pinned")
+    (root / "grid.json").write_text(
+        '{"tick_size": 0.01, "anchor": 100.0, "reference_price": 100.0}')
     metrics = []
     for seed in SEEDS:
         cfg = FlowConfig(seed=seed, shape="piecewise", total_shares_per_side=20_000,
@@ -37,7 +40,7 @@ def days(tmp_path_factory):
                          market_shares_per_side=1_000)
         events, _, _ = generate(cfg)
         write_events(root / f"day{seed}.csv", events)
-        invoke(["regime", root / f"day{seed}.csv", *GRID, "--full-metrics",
+        invoke(["regime", root / f"day{seed}.csv", "--grid", root / "grid.json", "--full-metrics",
                 "--out-dir", root / "fits"])
         rows = (root / "fits" / f"day{seed}_metrics.csv").read_text().splitlines(keepends=True)
         metrics += rows if not metrics else rows[1:]
@@ -95,7 +98,7 @@ def days(tmp_path_factory):
 ], ids=["replay", "impact", "regime", "response", "series", "density", "density-ungrouped",
         "stats"])
 def test_output_bytes_are_pinned(days, tmp_path, command, args, digests):
-    args = [days / a if a.endswith(".csv") else a for a in args]
+    args = [days / a if a.endswith((".csv", ".json")) else a for a in args]
     invoke([command, *args, "--out-dir", tmp_path])
     outputs = json.loads((tmp_path / f"{command}.manifest.json").read_text())["outputs"]
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in outputs}

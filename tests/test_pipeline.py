@@ -58,9 +58,10 @@ def test_run_pipeline_writes_its_four_outputs(tmp_path):
 
     # the script's tables are the CLI's: regime --full-metrics rows, and the stats report
     cli_rows = []
+    grid = tmp_path / "grid.json"  # the grid of the script's days
+    grid.write_text('{"tick_size": 0.01, "anchor": 100.0, "reference_price": 100.0}')
     for log in logs:
-        cli("regime", log, "--tick", "0.01", "--ref", "100.0", "--full-metrics",
-            "--out-dir", tmp_path / "cli")
+        cli("regime", log, "--grid", grid, "--full-metrics", "--out-dir", tmp_path / "cli")
         lines = (tmp_path / "cli" / f"{log.stem}_metrics.csv").read_text().splitlines(True)
         cli_rows += lines if not cli_rows else lines[1:]
     assert (tmp_path / "metrics.csv").read_text() == "".join(cli_rows)

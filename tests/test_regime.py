@@ -99,6 +99,10 @@ class TestChangepoint:
             with pytest.raises(NonPositiveDensity, match="positive and finite"):
                 changepoint([1e-4, 2e-4, 3e-4], [1.0, bad, 2.0], min_points=2)
 
+    def test_unequal_lengths(self):
+        with pytest.raises(ValueError, match="xs and rhos must have equal length"):
+            changepoint([1e-4, 2e-4, 3e-4], [1.0, 2.0], min_points=2)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_abscissa(self, bad):
         with pytest.raises(ValueError, match="abscissae must be finite"):

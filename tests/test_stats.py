@@ -16,6 +16,7 @@ from uncross.errors import (
 )
 from uncross.stats import (
     DayMetrics,
+    SpearmanResult,
     _midranks,
     batch_report,
     day_metrics_to_csv,
@@ -71,6 +72,10 @@ class TestSpearman:
         assert spearman([1, 2, 3, 4], [2, 1, 4, 3]).stars == ""
         strong = spearman(list(range(30)), list(range(30)))
         assert strong.stars == "***"
+        # each bound belongs to the weaker mark
+        for p_value, stars in ((0.001, "**"), (0.005, "**"), (0.01, "*"), (0.02, "*"),
+                               (0.05, "")):
+            assert SpearmanResult(0.5, p_value).stars == stars, p_value
 
     @given(
         st.lists(st.floats(-100, 100), min_size=4, max_size=40, unique=True),
@@ -225,6 +230,8 @@ class TestDistributions:
     def test_kernel_density_degenerate(self):
         with pytest.raises(DegenerateSample):
             kernel_density([2.0, 2.0, 2.0])
+        with pytest.raises(TooFewPoints, match="need >= 2 values, got 1"):
+            kernel_density([2.0])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
