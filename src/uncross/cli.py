@@ -24,8 +24,8 @@ Exit codes:
   65  malformed input, named by file and line (a bad row, a log event the book
       rejects) or by file (a log or metrics file that is not UTF-8, a bad grid
       file, a ``gen`` config that is not a JSON object of known, well-typed,
-      finite fields, a ``rerun`` file that is not a manifest or whose params
-      the command does not take);
+      finite fields or that cannot be satisfied, a ``rerun`` file that is not
+      a manifest or whose params the command does not take);
   66  no cross;
   67  too few points;
   70  other package errors, and a rerun whose inputs are missing or changed.
@@ -107,11 +107,7 @@ def _read_grid(path: str) -> PriceGrid:
     """The grid named by a JSON file's ``tick_size``, ``anchor`` and ``reference_price``."""
     with _parsing(path, "grid file"):
         meta = json.loads(Path(path).read_text())
-        keys = ("tick_size", "anchor", "reference_price")
-        for key in keys:
-            if type(meta[key]) not in (int, float):  # a JSON number, not true or "1"
-                raise TypeError(f"{key} must be a number, got {json.dumps(meta[key])}")
-        return PriceGrid(*(meta[key] for key in keys))
+        return PriceGrid(meta["tick_size"], meta["anchor"], meta["reference_price"])
 
 
 def _cleared(log: str, grid: PriceGrid):

@@ -83,7 +83,7 @@ class EmptyBatch(UncrossError):
 
 
 class InfeasibleConfig(UncrossError):
-    """Flow generator configuration is self-contradictory."""
+    """Flow generator configuration has a field of the wrong type or is self-contradictory."""
 
 
 class ParseError(UncrossError):

@@ -27,7 +27,7 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 from .book import AuctionBook
 from .clearing import uncross_values
@@ -36,29 +36,22 @@ from .events import OrderEvent
 from .grid import PriceGrid
 
 SHAPES = ("constant", "bell", "piecewise")
-# the JSON values a scalar config field of each annotation accepts
-_JSON_TYPES = {"int": int, "float": (int, float), "str": str}
-
-
-def _json_fits(value, kind: str) -> bool:
-    """Whether a JSON value, down to its elements, fits a config field's annotation."""
-    if kind == "tuple[int, int]":
-        return (isinstance(value, list) and len(value) == 2
-                and all(_json_fits(v, "int") for v in value))
-    if isinstance(value, float) and not math.isfinite(value):
-        return False  # json reads NaN, Infinity and 1e400 as floats; no field takes them
-    return not isinstance(value, bool) and isinstance(value, _JSON_TYPES[kind])
-
+# the values a config field of each annotation takes; never a bool, NaN or infinity
+_FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
 
 LATENCY_WEIGHTS = {"HFT": 0.25, "MIX": 0.35, "NON": 0.40}
 ACCOUNT_WEIGHTS = {"OWN": 0.30, "CLIENT": 0.40, "MARKET_MAKER": 0.15, "PARENT": 0.08,
                    "RMO": 0.05, "RLP": 0.02}
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlowConfig:
-    """One generated day's settings; ``buy_peak_mass`` and ``sell_peak_mass`` are the
-    fractions of each side's limit shares that rest at the fundamental price."""
+    """One generated day's settings, frozen and checked when built: a field of the
+    wrong type or outside its domain raises ``InfeasibleConfig``.
+
+    ``buy_peak_mass`` and ``sell_peak_mass`` are the fractions of each side's limit
+    shares that rest at the fundamental price; market order sizes are drawn
+    uniformly from ``market_size_min`` to ``market_size_max``, both included."""
 
     seed: int = 0
     tick_size: float = 0.01
@@ -75,26 +68,29 @@ class FlowConfig:
     decay: float = 150.0  # log-density slope past the plateau, per unit log-price
     cancellation_rate: float = 0.0  # churn orders per surviving order
     market_shares_per_side: int = 0
-    market_size_range: tuple[int, int] = (1, 2000)
+    market_size_min: int = 1
+    market_size_max: int = 2000
     mean_order_size: int = 200
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if (isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type])
+                    or isinstance(value, float) and not math.isfinite(value)):
+                raise InfeasibleConfig(f"config field {f.name!r} must be {f.type}, got {value!r}")
         if self.tick_size <= 0 or self.fundamental_price <= 0:
             raise InfeasibleConfig("tick_size and fundamental_price must be positive")
         if not 0 < self.earliest_clear_us <= self.latest_clear_us:
             raise InfeasibleConfig("need 0 < earliest clear <= latest clear")
         if self.shape not in SHAPES:
             raise InfeasibleConfig(f"shape must be one of {SHAPES}, got {self.shape!r}")
-        total = self.total_shares_per_side
+        if self.total_shares_per_side < 1:
+            raise InfeasibleConfig("per-side total shares must be positive")
         for name in ("buy_peak_mass", "sell_peak_mass"):
             pm = getattr(self, name)
             if not 0 <= pm <= 1:
                 raise InfeasibleConfig(f"{name} must be in [0, 1], got {pm}")
-            if total <= 0:
-                if pm > 0:
-                    raise InfeasibleConfig("zero shares with nonzero peak mass")
-                raise InfeasibleConfig("per-side total shares must be positive")
-            if round(pm * total) == 0 and self.market_shares_per_side == 0:
+            if round(pm * self.total_shares_per_side) == 0 and self.market_shares_per_side == 0:
                 raise InfeasibleConfig(
                     "book cannot cross: give the fundamental price some peak "
                     "mass or add market orders"
@@ -105,9 +101,9 @@ class FlowConfig:
             raise InfeasibleConfig("cancellation_rate must be >= 0")
         if self.market_shares_per_side < 0:
             raise InfeasibleConfig("market_shares_per_side must be >= 0")
-        lo, hi = self.market_size_range
-        if not 1 <= lo <= hi:
-            raise InfeasibleConfig(f"market_size_range needs 1 <= lo <= hi, got [{lo}, {hi}]")
+        if not 1 <= self.market_size_min <= self.market_size_max:
+            raise InfeasibleConfig("need 1 <= market_size_min <= market_size_max, got "
+                                   f"{self.market_size_min} and {self.market_size_max}")
         if self.mean_order_size < 1:
             raise InfeasibleConfig("mean_order_size must be >= 1")
 
@@ -116,20 +112,13 @@ class FlowConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "FlowConfig":
-        """Parse a JSON object, refusing unknown fields and values of the wrong type."""
+        """Parse a JSON object, refusing unknown fields; construction checks the values."""
         data = json.loads(text)
         if not isinstance(data, dict):
             raise InfeasibleConfig("a config must be a JSON object")
-        fields = cls.__dataclass_fields__
-        unknown = set(data) - set(fields)
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise InfeasibleConfig(f"unknown config fields: {sorted(unknown)}")
-        for name, value in data.items():
-            kind = fields[name].type
-            if not _json_fits(value, kind):
-                raise InfeasibleConfig(f"config field {name!r} must be {kind}, got {value!r}")
-        if "market_size_range" in data:
-            data["market_size_range"] = tuple(data["market_size_range"])
         return cls(**data)
 
 
@@ -183,7 +172,6 @@ def generate(cfg: FlowConfig) -> tuple[list[OrderEvent], dict, dict]:
     (``delta_star_bp``, ``l_star``, ``peak_mass``, ``clear_time_us``); the meta
     record carries the grid definition and the realized clearing outcome.
     """
-    cfg.validate()
     rng = random.Random(cfg.seed)
     grid = PriceGrid(cfg.tick_size, cfg.fundamental_price, cfg.fundamental_price)
     t_clear = rng.randrange(cfg.earliest_clear_us, cfg.latest_clear_us + 1)
@@ -225,30 +213,22 @@ def generate(cfg: FlowConfig) -> tuple[list[OrderEvent], dict, dict]:
         side_peaks[side] = peak
         sign = -1 if side == "B" else 1
         for k, target in enumerate(targets, start=1):
-            if target == 0:
-                continue
             price = grid.price_at(sign * k)
             for size in _split_sizes(target, cfg.mean_order_size, rng):
                 submit(side, "LIMIT", price, size, t_body())
-        for size in _split_sizes(peak, cfg.mean_order_size, rng) if peak else []:
+        for size in _split_sizes(peak, cfg.mean_order_size, rng):
             submit(side, "LIMIT", cfg.fundamental_price, size, t_late())
-        if cfg.market_shares_per_side:
-            lo, hi = cfg.market_size_range
-            left = cfg.market_shares_per_side
-            while left > 0:
-                size = min(left, rng.randrange(lo, hi + 1))
-                submit(side, "MARKET", None, size, t_body())
-                left -= size
+        left = cfg.market_shares_per_side
+        while left > 0:
+            size = min(left, rng.randrange(cfg.market_size_min, cfg.market_size_max + 1))
+            submit(side, "MARKET", None, size, t_body())
+            left -= size
 
     # churn: extra orders that are fully canceled before the clearing,
     # leaving the shaped book untouched
     n_churn = int(cfg.cancellation_rate * len(events))  # every event so far is a SUBMIT
-    market_prob = (
-        cfg.market_shares_per_side
-        / (cfg.market_shares_per_side + cfg.total_shares_per_side)
-        if cfg.market_shares_per_side
-        else 0.0
-    )
+    market_prob = cfg.market_shares_per_side / (cfg.market_shares_per_side
+                                                + cfg.total_shares_per_side)
     for _ in range(n_churn):
         side = rng.choice(("B", "S"))
         t_sub = rng.randrange(max(1, t_clear - 1))

@@ -24,6 +24,7 @@ _MAX_TICKS = 2.0 ** 52
 class PriceGrid:
     """Tick grid with a reference price (last traded price).
 
+    Each field must be an ``int`` or a ``float`` and not a bool (else ``TypeError``).
     tick_size: currency per tick, strictly positive and finite.
     anchor: a currency value on the grid (index 0), under 2**52 ticks from zero.
     reference_price: last traded price; must itself be on the grid.
@@ -34,6 +35,10 @@ class PriceGrid:
     reference_price: float
 
     def __post_init__(self):
+        for name in ("tick_size", "anchor", "reference_price"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise TypeError(f"{name} must be a number, got {value!r}")
         if not 0 < self.tick_size < math.inf:
             raise ValueError(f"tick_size must be positive and finite, got {self.tick_size}")
         if not abs(self.anchor) / self.tick_size < _MAX_TICKS:  # also refuses NaN

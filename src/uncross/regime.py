@@ -129,8 +129,6 @@ def _density_samples(
     ``max_x``; the walk's last tick, with no tick past it, is one tick wide.
     Only ticks within ``max_x`` are returned.
     """
-    if q_a <= 0:
-        raise ValueError(f"q_a must be positive, got {q_a}")
     xs: list[float] = []
     rhos: list[float] = []
     for pos, (k, x, shares) in enumerate(walk):

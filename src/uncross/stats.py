@@ -282,13 +282,14 @@ def zero_impact_probability(rows: Sequence[DayMetrics], threshold: float) -> flo
 
     A record counts when ``omega0 >= threshold``; note an order of exactly the
     threshold size shifts the price, so this is the chance that any order
-    strictly smaller than ``threshold * q_a`` is free.
+    strictly smaller than ``threshold * q_a`` is free.  A NaN or infinite
+    ``omega0`` is a ``ValueError``.
     """
     if not threshold > 0:  # NaN fails too
         raise ValueError(f"threshold must be positive, got {threshold}")
     if not rows:
         raise EmptyBatch("no day metrics")
-    hits = sum(1 for r in rows if r.omega0 >= threshold)
+    hits = int((_sample([r.omega0 for r in rows]) >= threshold).sum())
     return hits / len(rows)
 
 

@@ -261,7 +261,8 @@ def _response_flow():
         n_levels=150,
         cancellation_rate=0.6,
         market_shares_per_side=150_000,
-        market_size_range=(1, 4_000),
+        market_size_min=1,
+        market_size_max=4_000,
         mean_order_size=150,
     )
     events, _, meta = generate(cfg)

@@ -488,7 +488,7 @@ def test_book_reject_in_log_is_line_numbered_parse_error(tmp_path, command, pref
     ('{"tick_size": Infinity, "anchor": 10.0, "reference_price": 10.0}',
      "bad grid file: tick_size must be positive and finite, got inf"),
     ('{"tick_size": 0.1, "anchor": 10.0, "reference_price": true}',
-     "bad grid file: reference_price must be a number, got true"),
+     "bad grid file: reference_price must be a number, got True"),
     ('{"tick_size": -0.1, "anchor": 10.0, "reference_price": 10.0}',
      "bad grid file: tick_size must be positive and finite, got -0.1"),
     ('{"tick_size": NaN, "anchor": 10.0, "reference_price": 10.0}',
@@ -514,61 +514,64 @@ def test_bad_grid_file_is_parse_error(tmp_path, text, message):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("text,code,message", [
-    ("seed=1", EXIT_PARSE, "bad config file: Expecting value"),
-    ('{"seed": 1, "bogus": 2}', EXIT_PARSE,
+@pytest.mark.parametrize("text,message", [
+    ("seed=1", "bad config file: Expecting value"),
+    ('{"seed": 1, "bogus": 2}',
      "bad config file: unknown config fields: ['bogus']"),
-    ('{"n_levels": "many"}', EXIT_PARSE,
+    ('{"n_levels": "many"}',
      "bad config file: config field 'n_levels' must be int, got 'many'"),
-    ("[1, 2]", EXIT_PARSE, "bad config file: a config must be a JSON object"),
-    ('{"market_size_range": [1, "a"]}', EXIT_PARSE,
-     "bad config file: config field 'market_size_range' must be tuple[int, int], got [1, 'a']"),
-    # well formed but unsatisfiable: not a parse error
-    ('{"shape": "triangle"}', EXIT_OTHER, "shape must be one of"),
+    ("[1, 2]", "bad config file: a config must be a JSON object"),
+    ('{"market_size_min": 1.0}',
+     "bad config file: config field 'market_size_min' must be int, got 1.0"),
+    # well formed but unsatisfiable: a config that cannot be built is malformed input too
+    ('{"shape": "triangle"}', "bad config file: shape must be one of"),
     # fields that are constants of the generator, not knobs
-    ('{"start_us": 0}', EXIT_PARSE, "bad config file: unknown config fields: ['start_us']"),
-    ('{"bell_mode_ticks": 25}', EXIT_PARSE,
+    ('{"start_us": 0}', "bad config file: unknown config fields: ['start_us']"),
+    ('{"bell_mode_ticks": 25}',
      "bad config file: unknown config fields: ['bell_mode_ticks']"),
-    ('{"buy_total_shares": 1000}', EXIT_PARSE,
+    ('{"buy_total_shares": 1000}',
      "bad config file: unknown config fields: ['buy_total_shares']"),
     # market order sizes are drawn from [lo, hi]; a size below 1 never ends the draws
-    ('{"market_shares_per_side": 100, "market_size_range": [5, 1]}', EXIT_OTHER,
-     "market_size_range needs 1 <= lo <= hi, got [5, 1]"),
-    ('{"market_shares_per_side": 100, "market_size_range": [0, 0]}', EXIT_OTHER,
-     "market_size_range needs 1 <= lo <= hi, got [0, 0]"),
-    ('{"market_shares_per_side": 100, "market_size_range": [-3, -1]}', EXIT_OTHER,
-     "market_size_range needs 1 <= lo <= hi, got [-3, -1]"),
+    ('{"market_shares_per_side": 100, "market_size_min": 5, "market_size_max": 1}',
+     "bad config file: need 1 <= market_size_min <= market_size_max, got 5 and 1"),
+    ('{"market_shares_per_side": 100, "market_size_min": 0, "market_size_max": 0}',
+     "bad config file: need 1 <= market_size_min <= market_size_max, got 0 and 0"),
+    ('{"market_shares_per_side": 100, "market_size_min": -3, "market_size_max": -1}',
+     "bad config file: need 1 <= market_size_min <= market_size_max, got -3 and -1"),
     # json reads these literals as floats, but no field takes them
-    ('{"tick_size": NaN}', EXIT_PARSE,
+    ('{"tick_size": NaN}',
      "bad config file: config field 'tick_size' must be float, got nan"),
-    ('{"delta_star_bp": Infinity}', EXIT_PARSE,
+    ('{"delta_star_bp": Infinity}',
      "bad config file: config field 'delta_star_bp' must be float, got inf"),
-    ('{"cancellation_rate": -Infinity}', EXIT_PARSE,
+    ('{"cancellation_rate": -Infinity}',
      "bad config file: config field 'cancellation_rate' must be float, got -inf"),
-    ('{"decay": NaN}', EXIT_PARSE, "bad config file: config field 'decay' must be float, got nan"),
-    ('{"buy_peak_mass": 1e400}', EXIT_PARSE,
+    ('{"decay": NaN}', "bad config file: config field 'decay' must be float, got nan"),
+    ('{"buy_peak_mass": 1e400}',
      "bad config file: config field 'buy_peak_mass' must be float, got inf"),
     # each side's peak mass is its own field: no shared value, no null fallback
-    ('{"peak_mass": 0.2}', EXIT_PARSE, "bad config file: unknown config fields: ['peak_mass']"),
-    ('{"sell_peak_mass": null}', EXIT_PARSE,
+    ('{"peak_mass": 0.2}', "bad config file: unknown config fields: ['peak_mass']"),
+    # the market order size bounds are two int fields, not a pair
+    ('{"market_size_range": [1, 2000]}',
+     "bad config file: unknown config fields: ['market_size_range']"),
+    ('{"sell_peak_mass": null}',
      "bad config file: config field 'sell_peak_mass' must be float, got None"),
     # the participant flag weights are constants of the generator
-    ('{"latency_weights": {"HFT": 1.0}}', EXIT_PARSE,
+    ('{"latency_weights": {"HFT": 1.0}}',
      "bad config file: unknown config fields: ['latency_weights']"),
-    ('{"account_weights": {"OWN": 1.0}}', EXIT_PARSE,
+    ('{"account_weights": {"OWN": 1.0}}',
      "bad config file: unknown config fields: ['account_weights']"),
 ], ids=["not-json", "unknown-field", "wrong-type", "not-an-object",
         "wrong-range-element", "infeasible", "start_us", "bell_mode_ticks",
         "buy_total_shares", "range-reversed", "range-zero", "range-negative", "nan-tick",
         "infinite-delta", "negative-infinite-churn", "nan-decay", "overflowing-peak-mass",
-        "peak_mass", "null-peak-mass", "latency_weights", "account_weights"])
-def test_bad_gen_config_is_parse_error(tmp_path, text, code, message):
+        "peak_mass", "market_size_range", "null-peak-mass", "latency_weights", "account_weights"])
+def test_bad_gen_config_is_parse_error(tmp_path, text, message):
     config = tmp_path / "config.json"
     config.write_text(text)
     res = run(["gen", str(config), "--out-dir", str(tmp_path / "out")])
-    assert res.exit_code == code, res.output
-    assert message in res.output
-    assert (f"{config}: " in res.output) == (code == EXIT_PARSE)
+    assert res.exit_code == EXIT_PARSE, res.output
+    assert f"{config}: {message}" in res.output
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 @pytest.mark.parametrize("text,message", [

@@ -40,6 +40,7 @@ class TestGrid:
         grid = PriceGrid(0.01, 100.0, 100.0)
         for k in (-5000, -1, 0, 3, 4999):
             assert grid.index_of(grid.price_at(k)) == k
+        assert PriceGrid(np.float64(0.01), np.float64(100.0), 100) == grid  # numpy floats pass
 
     def test_off_grid_rejected(self):
         grid = PriceGrid(0.1, 10.0, 10.0)
@@ -50,9 +51,14 @@ class TestGrid:
         with pytest.raises(OffGridPrice):
             PriceGrid(0.1, 10.0, 10.03)
 
-    def test_tick_must_be_positive(self):
-        with pytest.raises(ValueError):
-            PriceGrid(0.0, 10.0, 10.0)
+    @pytest.mark.parametrize("tick, error, message", [
+        (0.0, ValueError, "tick_size must be positive and finite, got 0.0"),
+        (True, TypeError, "tick_size must be a number, got True"),
+        ("0.01", TypeError, "tick_size must be a number, got '0.01'"),
+    ], ids=["zero", "bool", "str"])
+    def test_tick_must_be_positive(self, tick, error, message):
+        with pytest.raises(error, match=message):
+            PriceGrid(tick, 10.0, 10.0)
 
     @pytest.mark.parametrize("ref", [0.0, -10.0, math.nan])
     def test_reference_must_be_positive(self, ref):

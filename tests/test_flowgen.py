@@ -3,6 +3,7 @@ import importlib
 import json
 import math
 import sys
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
@@ -184,19 +185,19 @@ def test_csv_round_trip(tmp_path):
 class TestInfeasibleConfigs:
     def test_zero_shares_with_peak(self):
         with pytest.raises(InfeasibleConfig):
-            FlowConfig(total_shares_per_side=0, buy_peak_mass=0.5, sell_peak_mass=0.5).validate()
+            FlowConfig(total_shares_per_side=0, buy_peak_mass=0.5, sell_peak_mass=0.5)
 
     def test_window_order(self):
         with pytest.raises(InfeasibleConfig):
-            FlowConfig(earliest_clear_us=10, latest_clear_us=5).validate()
+            FlowConfig(earliest_clear_us=10, latest_clear_us=5)
 
     def test_no_crossing_mass(self):
         with pytest.raises(InfeasibleConfig):
-            FlowConfig(buy_peak_mass=0.0, sell_peak_mass=0.0, market_shares_per_side=0).validate()
+            FlowConfig(buy_peak_mass=0.0, sell_peak_mass=0.0, market_shares_per_side=0)
 
     def test_bad_shape(self):
         with pytest.raises(InfeasibleConfig):
-            FlowConfig(shape="triangle").validate()
+            FlowConfig(shape="triangle")
 
     @pytest.mark.parametrize("fields, message", [
         ({"tick_size": 0.0}, "tick_size and fundamental_price must be positive"),
@@ -213,20 +214,36 @@ class TestInfeasibleConfigs:
             "cancellation_rate", "market_shares_per_side", "mean_order_size"])
     def test_field_outside_its_domain(self, fields, message):
         with pytest.raises(InfeasibleConfig) as err:
-            FlowConfig(**fields).validate()
+            FlowConfig(**fields)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("field, value", [
+        ("mean_order_size", 1.5),
+        ("n_levels", True),
+        ("cancellation_rate", math.nan),
+        ("tick_size", math.inf),
+        ("decay", math.nan),
+        ("seed", "3"),
+        ("market_size_min", 0),
+    ])
+    def test_a_config_built_in_python_checks_itself(self, field, value):
+        """Construction applies the type rule of a JSON config, then the domain rules."""
+        with pytest.raises(InfeasibleConfig, match=field):
+            FlowConfig(**{field: value})
 
     def test_json_round_trip_and_unknown_field(self):
         cfg = small_config()
         back = FlowConfig.from_json(cfg.to_json())
         assert back == cfg
+        with pytest.raises(FrozenInstanceError):
+            cfg.seed = 2
         with pytest.raises(InfeasibleConfig):
             FlowConfig.from_json('{"warp_speed": 9}')
 
 
 @pytest.mark.parametrize("tiny", [False, True], ids=["full", "tiny"])
 def test_every_benchmark_day_is_a_valid_config(monkeypatch, tiny):
-    """Every day of both ``perfbench`` workloads builds and validates a config, the
+    """Every day of both ``perfbench`` workloads builds a config, which checks itself, the
     way the benchmark's set-up reads it, so a change to the config fields that
     would break that set-up fails here."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
@@ -237,6 +254,4 @@ def test_every_benchmark_day_is_a_valid_config(monkeypatch, tiny):
             days = workloads.configs(workload, seed, tiny)
             assert days
             for _, cfg in days:
-                built = FlowConfig(**cfg)
-                built.validate()
-                assert FlowConfig.from_json(json.dumps(cfg, sort_keys=True)) == built
+                assert FlowConfig.from_json(json.dumps(cfg, sort_keys=True)) == FlowConfig(**cfg)

@@ -224,7 +224,8 @@ def test_marketable_set_covers_marketable_price_changes():
         n_levels=100,
         cancellation_rate=0.5,
         market_shares_per_side=30_000,
-        market_size_range=(1, 2500),
+        market_size_min=1,
+        market_size_max=2500,
     )
     events, _, meta = generate(cfg)
     grid = PriceGrid(meta["tick_size"], meta["anchor"], meta["reference_price"])

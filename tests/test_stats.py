@@ -242,10 +242,13 @@ class TestDistributions:
     lambda v: ks_two_sample([1, 2], [3, v]),
     lambda v: rcdf([v, 1, 2]),
     lambda v: kernel_density([v, 1, 2]),
-], ids=["spearman_x", "spearman_y", "ks_x", "ks_y", "rcdf", "kernel_density"])
+    lambda v: zero_impact_probability(
+        [DayMetrics("d", "B", 10.0, 5, v), DayMetrics("d", "S", 10.0, 5, 0.5)], 0.01),
+], ids=["spearman_x", "spearman_y", "ks_x", "ks_y", "rcdf", "kernel_density",
+        "zero_impact_probability"])
 def test_a_sample_with_a_non_finite_value_is_refused(call, bad):
     """No silent answer: NaN used to give a rank correlation, a KS distance, a
-    reverse-CDF row and an all-NaN density."""
+    reverse-CDF row, an all-NaN density and a zero-impact miss."""
     with pytest.raises(ValueError, match="NaN or infinite"):
         call(bad)
 
