@@ -4,10 +4,11 @@ Each analysis command is a thin wrapper over library calls that returns its
 files' texts and a one-line summary; ``_command`` gives them one shared
 prelude.  It reads the price grid from the required ``--grid FILE``, a JSON
 object with the numbers ``tick_size``, ``anchor`` and ``reference_price``
-(the ``<name>_meta.json`` that ``gen`` writes is one), creates ``--out-dir``
-and maps package errors to exit codes.  Only once the command has succeeded
-does it write the files, then ``<command>.manifest.json`` beside them, and
-echo the summary: a command that fails writes nothing.
+(the ``<name>_meta.json`` that ``gen`` writes is one) and maps package
+errors to exit codes.  Only once the command has succeeded does it create
+``--out-dir``, write the files, then ``<command>.manifest.json`` beside them,
+and echo the summary: a command that fails writes nothing and creates no
+directory.
 
 A manifest records ``command``; ``params``, the parameters as click parsed
 them, ``--out-dir`` aside; ``inputs``, the sha256 of every input file keyed by
@@ -147,9 +148,8 @@ grid_option = click.option(
 
 
 out_dir_option = click.option(
-    "--out-dir", type=click.Path(file_okay=False), default=".",
-    envvar="UNCROSS_OUT", show_default=True, help="Output directory.",
-)
+    "--out-dir", type=click.Path(file_okay=False), default=".", show_default=True,
+    help="Output directory.")
 
 
 @click.group()
@@ -175,7 +175,6 @@ def _command(body):
         try:
             if "grid" in args:
                 args["grid"] = _read_grid(args["grid"])
-            out.mkdir(parents=True, exist_ok=True)
             files, summary = body(**args)
         except UncrossError as exc:
             _fail(exc)
@@ -183,6 +182,7 @@ def _command(body):
             "tool": "uncross", "version": __version__, "command": command.name,
             "params": params, "inputs": inputs, "outputs": list(files), "out_dir": str(out),
         })
+        out.mkdir(parents=True, exist_ok=True)
         for name, text in files.items():
             (out / name).write_bytes(text.encode("utf-8"))
         click.echo(summary)

@@ -42,10 +42,6 @@ class MismatchedBinning(UncrossError):
     """Density profiles use different bin widths and cannot be combined."""
 
 
-class DegenerateAuction(UncrossError):
-    """Auction volume is zero; impact is undefined."""
-
-
 class BeyondTruncation(UncrossError):
     """Queried volume lies past the computed portion of the impact curve."""
 

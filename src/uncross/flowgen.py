@@ -97,10 +97,10 @@ class FlowConfig:
                 )
         if self.n_levels < 1:
             raise InfeasibleConfig("n_levels must be >= 1")
-        if self.cancellation_rate < 0:
-            raise InfeasibleConfig("cancellation_rate must be >= 0")
-        if self.market_shares_per_side < 0:
-            raise InfeasibleConfig("market_shares_per_side must be >= 0")
+        # random.Random(-s) draws what random.Random(s) draws, so a seed is >= 0 too
+        for name in ("seed", "delta_star_bp", "cancellation_rate", "market_shares_per_side"):
+            if getattr(self, name) < 0:
+                raise InfeasibleConfig(f"{name} must be >= 0")
         if not 1 <= self.market_size_min <= self.market_size_max:
             raise InfeasibleConfig("need 1 <= market_size_min <= market_size_max, got "
                                    f"{self.market_size_min} and {self.market_size_max}")

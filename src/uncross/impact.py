@@ -3,7 +3,8 @@
 Impact is the absolute change of the clearing log-price caused by adding a
 market order of ``q`` shares, expressed against the scaled volume
 ``omega = q / q_a``.  It is a non-decreasing, right-continuous step function
-whose discontinuities can be read directly off the cleared book:
+whose discontinuities can be read directly off the book and its own clearing
+scan (``uncross_values``), the one every analysis reads:
 
 * the first jump happens once the order eats the whole matched volume on its
   own side at the clearing price plus the opposite remainder
@@ -33,12 +34,7 @@ from fractions import Fraction
 
 from .book import AuctionBook
 from .clearing import ClearingResult, uncross_values
-from .errors import (
-    BeyondTruncation,
-    DegenerateAuction,
-    NoPositiveRoot,
-    ZeroLiquidity,
-)
+from .errors import BeyondTruncation, NoPositiveRoot, ZeroLiquidity
 from .events import _check_side, csv_table, format_price
 from .grid import PriceGrid
 
@@ -106,25 +102,31 @@ def impact_curve(
     side: str,
     max_x: float = DEFAULT_MAX_X,
 ) -> ImpactCurve:
-    """Compute the step impact curve for one side of a cleared book.
+    """Compute the step impact curve for one side of the book.
 
-    The walk over non-empty ticks stops at the first tick farther than
-    ``max_x`` in log-price from the clearing price (or at the edge of the
-    book); the curve's domain ends at the volume that would reach it.
+    The clearing comes from ``uncross_values(book)``.  ``clearing`` must be
+    ``clear(book)`` of the same book state: a stale record raises ``ValueError``
+    naming both ``(price_index, q_a, imbalance)`` triples.  The walk over
+    non-empty ticks stops at the first tick farther than ``max_x`` in log-price
+    from the clearing price (or at the edge of the book); the curve's domain
+    ends at the volume that would reach it.
     """
-    k_a = clearing.price_index
+    k_a, q_a, imbalance, _ = uncross_values(book)
+    given = (clearing.price_index, clearing.q_a, clearing.imbalance)
+    if given != (k_a, q_a, imbalance):
+        raise ValueError(f"clearing record (price_index, q_a, imbalance) = {given} is not the "
+                         f"book's {(k_a, q_a, imbalance)}: pass clear(book) of this book state")
     walk = book.levels_past(k_a, side, max_x)
-    return _impact_curve(book, k_a, clearing.q_a, clearing.imbalance, side, max_x, walk)
+    return _impact_curve(book, k_a, q_a, imbalance, side, max_x, walk)
 
 
 def _impact_curve(
     book: AuctionBook, k_a: int, q_a: int, imbalance: int, side: str, max_x: float,
     walk: list[tuple[int, float, int]],
 ) -> ImpactCurve:
-    """``impact_curve`` from the clearing tick, volume and imbalance S - D, over
-    a ``levels_past`` walk from ``k_a``, which checked ``side`` and ``max_x``."""
-    if q_a <= 0:
-        raise DegenerateAuction("auction volume is zero")
+    """``impact_curve`` from the clearing tick, volume (at least 1) and imbalance
+    S - D of ``uncross_values``, over a ``levels_past`` walk from ``k_a``, which
+    checked ``side`` and ``max_x``."""
     vb_at, vs_at = book.volume_at(k_a)
     # market orders fill first, so own-side market volume beyond q_a is rationed
     if side == "B":
@@ -202,10 +204,10 @@ def theoretical_slope(p_first: float, l_tilde: float) -> float:
     ``p_first`` is the first non-empty tick past the clearing price; passing
     the clearing price instead gives the commonly used approximation.
     """
-    if not l_tilde > 0:  # NaN fails too
-        raise ZeroLiquidity(f"scaled liquidity must be positive, got {l_tilde}")
-    if not p_first > 0:
-        raise ValueError(f"price must be positive, got {p_first}")
+    if not 0 < l_tilde < math.inf:  # NaN fails too
+        raise ZeroLiquidity(f"scaled liquidity must be positive and finite, got {l_tilde}")
+    if not 0 < p_first < math.inf:
+        raise ValueError(f"price must be positive and finite, got {p_first}")
     return 1.0 / (p_first * l_tilde)
 
 
@@ -214,26 +216,26 @@ def post_clearing_impact(a1: float, b1: float, q: float) -> float:
 
     Models walking a book whose density grows linearly away from the price:
     linear impact ``q/a1`` for small q, square-root ``sqrt(2 q / b1)`` for
-    large q.
+    large q.  The root is ``2 q / (a1 + sqrt(a1^2 + 2 b1 q))``, which loses no
+    digits when ``b1 q`` is small against ``a1^2``, and is ``q / a1`` at ``b1 = 0``.
     """
-    if not q > 0:  # NaN fails too
-        raise ValueError(f"q must be positive, got {q}")
-    if not a1 >= 0:
-        raise ValueError(f"a1 must be >= 0, got {a1}")
-    if b1 == 0:
-        if a1 == 0:
-            raise NoPositiveRoot("a1 = b1 = 0 admits no solution")
-        return q / a1
+    if not 0 < q < math.inf:  # NaN fails too
+        raise ValueError(f"q must be positive and finite, got {q}")
+    if not (0 <= a1 < math.inf and -math.inf < b1 < math.inf):
+        raise ValueError(f"a1 must be >= 0 and finite and b1 finite, got {a1} and {b1}")
+    if a1 == b1 == 0:
+        raise NoPositiveRoot("a1 = b1 = 0 admits no solution")
     disc = a1 * a1 + 2.0 * b1 * q
-    if not disc >= 0:  # a NaN b1 fails too
+    if not disc >= 0:
         raise NoPositiveRoot(f"discriminant {disc} is not >= 0 (a1={a1}, b1={b1}, q={q})")
-    return (-a1 + math.sqrt(disc)) / b1
+    return 2.0 * q / (a1 + math.sqrt(disc))
 
 
 def cash_volume(omega: float, q_a: int, p_a: float) -> float:
     """Currency value of a scaled volume: ``omega * q_a * p_a``."""
-    if not omega >= 0:  # NaN fails too
-        raise ValueError(f"omega must be >= 0, got {omega}")
-    if not (q_a > 0 and p_a > 0):
-        raise ValueError("q_a and p_a must be positive")
+    if not 0 <= omega < math.inf:  # NaN fails too
+        raise ValueError(f"omega must be >= 0 and finite, got {omega}")
+    if type(q_a) is not int or not (q_a > 0 and 0 < p_a < math.inf):  # a bool or float q_a too
+        raise ValueError(f"q_a must be a positive int and p_a positive and finite, "
+                         f"got {q_a!r} and {p_a!r}")
     return omega * q_a * p_a

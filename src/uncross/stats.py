@@ -285,8 +285,8 @@ def zero_impact_probability(rows: Sequence[DayMetrics], threshold: float) -> flo
     strictly smaller than ``threshold * q_a`` is free.  A NaN or infinite
     ``omega0`` is a ``ValueError``.
     """
-    if not threshold > 0:  # NaN fails too
-        raise ValueError(f"threshold must be positive, got {threshold}")
+    if not 0 < threshold < math.inf:  # NaN fails too
+        raise ValueError(f"threshold must be positive and finite, got {threshold}")
     if not rows:
         raise EmptyBatch("no day metrics")
     hits = int((_sample([r.omega0 for r in rows]) >= threshold).sum())

@@ -182,7 +182,7 @@ def test_bad_day_metrics_row_is_parse_error(tmp_path, field, value):
     res = run(["stats", str(metrics), "--out-dir", str(tmp_path / "out")])
     assert res.exit_code == EXIT_PARSE, res.output
     assert f"{metrics}:3: bad day metrics row" in res.output
-    assert not (tmp_path / "out").exists() or list((tmp_path / "out").iterdir()) == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_metrics_row_repeating_a_day_and_side_is_parse_error(tmp_path):
@@ -194,7 +194,7 @@ def test_metrics_row_repeating_a_day_and_side_is_parse_error(tmp_path):
     assert res.exit_code == EXIT_PARSE, res.output
     assert (f"{metrics}:6: bad day metrics row: date '2017-05-01' side B repeats line 2"
             in res.output)
-    assert not (tmp_path / "out").exists() or list((tmp_path / "out").iterdir()) == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_metrics_row_on_an_unknown_side_is_parse_error(tmp_path):
@@ -205,7 +205,7 @@ def test_metrics_row_on_an_unknown_side_is_parse_error(tmp_path):
     res = run(["stats", str(metrics), "--out-dir", str(tmp_path / "out")])
     assert res.exit_code == EXIT_PARSE, res.output
     assert f"{metrics}:5: bad day metrics row: side must be B or S, got 'X'" in res.output
-    assert not (tmp_path / "out").exists() or list((tmp_path / "out").iterdir()) == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_metrics_row_after_a_blank_line_is_blamed_on_its_own_line(tmp_path):
@@ -232,7 +232,20 @@ def test_a_command_that_fails_writes_nothing(tmp_path, rows, args, code):
     out = tmp_path / "out"
     res = run(["stats", str(metrics), *args, "--out-dir", str(out)])
     assert res.exit_code == code, res.output
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+
+
+def test_out_dir_is_not_read_from_the_environment(workspace, tmp_path, monkeypatch):
+    """``--out-dir`` is the one way to place outputs: ``UNCROSS_OUT`` is not read,
+    so the files land in the default, the working directory."""
+    monkeypatch.chdir(tmp_path)
+    res = CliRunner().invoke(
+        main, ["replay", str(workspace / "day.csv"), "--grid", str(workspace / "day_meta.json")],
+        env={"UNCROSS_OUT": str(tmp_path / "from_env")})
+    assert res.exit_code == 0, res.output
+    assert not (tmp_path / "from_env").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "day_book.csv", "day_clearing.json", "replay.manifest.json"]
 
 
 def test_series_rows_without_a_fit_keep_price_and_volume(workspace, tmp_path):
@@ -469,7 +482,7 @@ def test_book_reject_in_log_is_line_numbered_parse_error(tmp_path, command, pref
                "--out-dir", str(tmp_path / "out")])
     assert res.exit_code == EXIT_PARSE, res.output
     assert f"bad.csv:4: {message}" in res.output
-    assert list((tmp_path / "out").iterdir()) == []
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("text, message", [
@@ -571,7 +584,7 @@ def test_bad_gen_config_is_parse_error(tmp_path, text, message):
     res = run(["gen", str(config), "--out-dir", str(tmp_path / "out")])
     assert res.exit_code == EXIT_PARSE, res.output
     assert f"{config}: {message}" in res.output
-    assert list((tmp_path / "out").iterdir()) == []
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("text,message", [
@@ -689,7 +702,7 @@ def test_option_outside_its_domain_is_usage_error(tmp_path, command, option, val
     res = run([command, str(log), *grid, option, value, "--out-dir", str(out)])
     assert res.exit_code == 2, res.output
     assert f"Invalid value for '{option}'" in res.output
-    assert not out.exists() or list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_bins_too_narrow_to_tell_apart_are_usage_error(tmp_path, grid_file):
@@ -700,7 +713,7 @@ def test_bins_too_narrow_to_tell_apart_are_usage_error(tmp_path, grid_file):
                "--omega-hi", "1.0000000000000002", "--bins", "40", "--out-dir", str(out)])
     assert res.exit_code == 2, res.output
     assert "Invalid value for '--bins'" in res.output
-    assert not out.exists() or list(out.iterdir()) == []
+    assert not out.exists()
 
 
 # a header naming omega0 twice: a reader going by name would take the last copy, 0.9
@@ -730,7 +743,7 @@ def test_metrics_csv_without_its_columns_is_parse_error(tmp_path, text):
     assert (f"{metrics}:1: day metrics header must be exactly "
             "'date,side,p_a,q_a,omega0,delta_bp,l_tilde,omega_max,beta_emp,beta_theo,l_cash'"
             in res.output)
-    assert not (tmp_path / "out").exists() or list((tmp_path / "out").iterdir()) == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_exit_code_no_cross(tmp_path, grid_file):
@@ -920,7 +933,7 @@ def test_regime_refuses_a_date_label_that_breaks_csv_rows(workspace, tmp_path, l
                "--date", label, "--full-metrics", "--out-dir", str(out)])
     assert res.exit_code == 2, res.output
     assert all(part in res.output for part in LABEL_REFUSED), res.output
-    assert not out.exists() or list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_regime_refuses_a_log_name_that_breaks_csv_rows(workspace, tmp_path):
@@ -932,7 +945,7 @@ def test_regime_refuses_a_log_name_that_breaks_csv_rows(workspace, tmp_path):
                "--full-metrics", "--out-dir", str(out)])
     assert res.exit_code == 2, res.output
     assert all(part in res.output for part in LABEL_REFUSED), res.output
-    assert not out.exists() or list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_only_response_and_series_read_a_log_event_by_event():

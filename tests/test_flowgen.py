@@ -210,8 +210,12 @@ class TestInfeasibleConfigs:
         ({"cancellation_rate": -0.5}, "cancellation_rate must be >= 0"),
         ({"market_shares_per_side": -1}, "market_shares_per_side must be >= 0"),
         ({"mean_order_size": 0}, "mean_order_size must be >= 1"),
+        # random.Random(-1) would draw seed 1's day
+        ({"seed": -1}, "seed must be >= 0"),
+        ({"delta_star_bp": -5.0}, "delta_star_bp must be >= 0"),
     ], ids=["tick", "price", "buy-peak-mass", "sell-peak-mass", "total-shares", "n_levels",
-            "cancellation_rate", "market_shares_per_side", "mean_order_size"])
+            "cancellation_rate", "market_shares_per_side", "mean_order_size", "seed",
+            "delta_star_bp"])
     def test_field_outside_its_domain(self, fields, message):
         with pytest.raises(InfeasibleConfig) as err:
             FlowConfig(**fields)

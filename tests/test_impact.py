@@ -7,11 +7,11 @@ import pytest
 from uncross.clearing import clear
 from uncross.errors import (
     BeyondTruncation,
-    DegenerateAuction,
     NoPositiveRoot,
     TooFewPoints,
     ZeroLiquidity,
 )
+from uncross.events import OrderEvent
 from uncross.impact import (
     cancel_market_and_reclear,
     cash_volume,
@@ -106,14 +106,28 @@ class TestImpactCurve:
             fit_regime(worked_book, "B", max_x=max_x)
 
     def test_degenerate_auction_rejected(self, worked_book):
+        """A zero-volume record is not the book's clearing, which always has q_a >= 1."""
         from uncross.clearing import ClearingResult
 
         degenerate = ClearingResult(
             grid=worked_book.grid, price_index=0, q_a=0, imbalance=-7,
             vbm=0, vbr=7, vsm=0, vsr=0, fills={}, supply_at=0, demand_at=7,
         )
-        with pytest.raises(DegenerateAuction):
+        with pytest.raises(ValueError, match=r"\(0, 0, -7\) is not the book's \(1, 60, 10\)"):
             impact_curve(worked_book, degenerate, "B")
+
+    def test_a_stale_clearing_record_is_refused(self):
+        """A record taken before the book changed would give omega0_num 80 and price
+        a 60-share buy at 10.0; the book's own clearing gives 50 and 10.5."""
+        book = make_book(buys=[(10.0, 50), (9.5, 40)], sells=[(10.0, 50), (10.5, 50)])
+        stale = clear(book)
+        book.apply(OrderEvent(99, "late", "SUBMIT", "B", "LIMIT", 10.0, 30))
+        with pytest.raises(ValueError, match=r"\(0, 50, 0\) is not the book's \(0, 50, -30\)"):
+            impact_curve(book, stale, "B", max_x=0.1)
+        curve = impact_curve(book, clear(book), "B", max_x=0.1)
+        assert (curve.q_a, curve.omega0_num) == (50, 50)
+        assert book.grid.price_at(curve.price_index_at_shares(60)) == pytest.approx(10.5)
+        assert inject_and_reclear(book, "B", 60) == pytest.approx(10.5)
 
     def test_truncation_respected(self):
         buys = [(10.0 - 0.1 * k, 10) for k in range(8)]
@@ -266,6 +280,17 @@ class TestScalars:
         assert x == pytest.approx((-1 + math.sqrt(17)) / 2)
         # root actually solves the quadratic
         assert 2.0 / 2 * x * x + 1.0 * x - 4.0 == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("a1, b1, q, root", [
+        # b1 * q small against a1**2, where (-a1 + sqrt(disc)) / b1 cancels
+        (1e8, 1.0, 1.0, 1e-8),
+        (1.0, 1e-12, 1.0, 0.9999999999995),
+        (1.0, -0.5, 1.0, 2.0),  # a double root
+    ])
+    def test_post_clearing_root_keeps_its_digits(self, a1, b1, q, root):
+        x = post_clearing_impact(a1, b1, q)
+        assert x == pytest.approx(root, rel=1e-12)
+        assert b1 / 2 * x * x + a1 * x - q == pytest.approx(0.0, abs=1e-12)
 
     def test_post_clearing_no_positive_root(self):
         with pytest.raises(NoPositiveRoot):
