@@ -5,8 +5,12 @@ The book keeps two mutually consistent views:
 * the price levels: dense per-tick resting limit volume, one int64 array per
   side over a window of ticks that starts around the reference tick and grows
   on demand, plus the unpriced market-order share totals per side;
-* a registry of live orders preserving arrival order, used for time-priority
-  allocation at the clearing price and for flag breakdowns.
+* a registry of live orders in time priority, used for the per-order
+  allocation at the clearing price and for flag breakdowns.  A SUBMIT enters
+  at the back; a MODIFY that changes the price or the type, or raises the
+  quantity, moves its order to the back; a pure decrease keeps its place.
+  Orders thus rank by the arrival of the event that last set their priority,
+  which in a time-sorted stream is timestamp order.
 
 The impact curve, the regime fit's density samples and its window all read
 the occupied ticks past the clearing price through one walk,
@@ -56,20 +60,13 @@ _PAD = 64
 
 @dataclass(slots=True)
 class OrderRecord:
-    """A live order in the registry.
-
-    ``priority_ts``/``priority_seq`` implement price-time priority: a price
-    change or a quantity increase resets them to the modifying event, a pure
-    quantity decrease keeps the original slot.
-    """
+    """A live order in the registry; its place there is its time priority."""
 
     order_id: str
     side: str
     order_type: str
     price_index: int | None  # None for MARKET; a STOP keeps its price's tick
     quantity: int
-    priority_ts: int
-    priority_seq: int
     latency_flag: str
     account_type: str
 
@@ -93,8 +90,7 @@ class AuctionBook:
         self.grid = grid
         self.buy_market_total = 0
         self.sell_market_total = 0
-        self.orders: dict[str, OrderRecord] = {}
-        self._seq = 0
+        self.orders: dict[str, OrderRecord] = {}  # in time priority
         self._ticks: dict[float, int] = {}  # price -> tick, on-grid prices only
         ref = grid.reference_index
         self.lo_index = max(ref - _PAD, grid.min_price_index)
@@ -118,18 +114,18 @@ class AuctionBook:
         ticks, index_of = self._ticks, self.grid.index_of
         submit, cancel, modify = self._submit, self._cancel, self._modify
         for ev in events:
-            ts, oid, action, side, otype, price, qty, lat, acct, _, _ = ev
+            _, oid, action, side, otype, price, qty, lat, acct, _, _ = ev
             try:
                 if price is None:
                     tick = None
                 elif (tick := ticks.get(price)) is None:
                     tick = ticks[price] = index_of(price)
                 if action == "SUBMIT":
-                    submit(oid, side, otype, tick, qty, ts, lat, acct)
+                    submit(oid, side, otype, tick, qty, lat, acct)
                 elif action == "CANCEL":
                     cancel(oid, side, otype, price, tick)
                 else:
-                    modify(oid, side, otype, price, tick, qty, ts)
+                    modify(oid, side, otype, price, tick, qty)
             except UncrossError as exc:
                 raise _located(ev, exc) from None
         return self
@@ -144,14 +140,12 @@ class AuctionBook:
         return self.replay(_log_fields(path))
 
     def _submit(self, order_id: str, side: str, order_type: str, tick: int | None,
-                quantity: int, timestamp: int, latency_flag: str, account_type: str) -> None:
+                quantity: int, latency_flag: str, account_type: str) -> None:
         if order_id in self.orders:
             raise DuplicateOrderId(f"order id {order_id!r} is already live")
         if quantity < 1:
             raise NonPositiveQuantity(f"quantity must be >= 1, got {quantity}")
-        self._seq += 1
-        rec = OrderRecord(order_id, side, order_type, tick, quantity, timestamp, self._seq,
-                          latency_flag, account_type)
+        rec = OrderRecord(order_id, side, order_type, tick, quantity, latency_flag, account_type)
         self.orders[order_id] = rec
         self._shift_volume(rec, quantity)
 
@@ -184,22 +178,17 @@ class AuctionBook:
         del self.orders[order_id]
 
     def _modify(self, order_id: str, side: str, order_type: str, price: float | None,
-                tick: int | None, quantity: int, timestamp: int) -> None:
+                tick: int | None, quantity: int) -> None:
         rec = self._live(order_id, "MODIFY", side, order_type, price, tick)
         if quantity < 1:
             raise NonPositiveQuantity(f"quantity must be >= 1, got {quantity}")
-
-        price_changed = tick != rec.price_index or order_type != rec.order_type
-        qty_up = quantity > rec.quantity
-
+        if tick != rec.price_index or order_type != rec.order_type or quantity > rec.quantity:
+            del self.orders[order_id]  # loses its time priority: to the back of the queue
+            self.orders[order_id] = rec
         self._shift_volume(rec, -rec.quantity)
         rec.order_type = order_type
         rec.price_index = tick
         rec.quantity = quantity
-        if price_changed or qty_up:
-            self._seq += 1
-            rec.priority_ts = timestamp
-            rec.priority_seq = self._seq
         self._shift_volume(rec, rec.quantity)
 
     def _shift_volume(self, rec: OrderRecord, qty: int) -> None:
@@ -295,5 +284,5 @@ class AuctionBook:
         return out
 
     def live_resting_orders(self):
-        """Live orders that contribute volume, in arrival order."""
+        """Live orders that contribute volume, in time-priority order."""
         return [r for r in self.orders.values() if r.is_resting]

@@ -15,9 +15,9 @@ Each side fills ``q_a`` shares in priority order: market orders first, then
 limit orders through the price, then limit orders at the price.  The clearing
 record (matched and remaining shares at the price, unfilled market volume,
 spillover) follows from the level sums alone.  ``fills`` is the per-order
-price-time allocation of the same shares: within a price, by priority
-timestamp, then by the arrival of the event that set it.  The shorter side
-always fills completely.
+price-time allocation of the same shares: within a price, in the book
+registry's time priority (``AuctionBook.orders``).  The shorter side always
+fills completely.
 """
 from __future__ import annotations
 
@@ -141,16 +141,15 @@ class ClearingResult:
 
 
 def _priority_key(rec: OrderRecord):
-    # market orders first, then price aggressiveness, then time, then arrival:
-    # no two live orders share a priority_seq, so the key is never tied
+    # market orders first, then price aggressiveness
     if rec.is_market:
-        return (0, 0, rec.priority_ts, rec.priority_seq)
-    aggressiveness = -rec.price_index if rec.side == "B" else rec.price_index
-    return (1, aggressiveness, rec.priority_ts, rec.priority_seq)
+        return (0, 0)
+    return (1, -rec.price_index if rec.side == "B" else rec.price_index)
 
 
 def _allocate(book: AuctionBook, price_index: int, q_a: int) -> dict[str, int]:
-    """Fill ``q_a`` shares of each side order by order, in ``_priority_key`` order."""
+    """Fill ``q_a`` shares of each side order by order, in ``_priority_key`` order;
+    the stable sort keeps the registry's time priority among equal keys."""
     fills: dict[str, int] = {}
     for side, sign in (("B", 1), ("S", -1)):
         eligible = sorted(

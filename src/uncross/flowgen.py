@@ -106,6 +106,15 @@ class FlowConfig:
                                    f"{self.market_size_min} and {self.market_size_max}")
         if self.mean_order_size < 1:
             raise InfeasibleConfig("mean_order_size must be >= 1")
+        if self.shape == "piecewise":
+            try:
+                total = sum(_level_weights(self))
+            except OverflowError:
+                total = math.inf
+            if not 0 < total < math.inf:
+                raise InfeasibleConfig(
+                    "the piecewise level weights overflow or all underflow, got decay "
+                    f"{self.decay} past a plateau of {self.delta_star_bp} bp")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2)
@@ -134,6 +143,18 @@ def _largest_remainder(weights: list[float], total: int) -> list[int]:
     return base
 
 
+def _level_weights(cfg: FlowConfig) -> list[float]:
+    """Relative share weights of ticks 1..n_levels for the piecewise or bell shape."""
+    levels = range(1, cfg.n_levels + 1)
+    if cfg.shape == "piecewise":
+        theta_x = cfg.tick_size / cfg.fundamental_price
+        cut = cfg.delta_star_bp * 1e-4
+        return [1.0 if k * theta_x <= cut else math.exp(-cfg.decay * (k * theta_x - cut))
+                for k in levels]
+    # bell, mode 25 ticks out, heavier outer tail
+    return [(k / 25) ** 2 * math.exp(-2.0 * (k / 25 - 1.0)) for k in levels]
+
+
 def _level_targets(cfg: FlowConfig, side: str) -> tuple[list[int], int]:
     """Per-tick share targets for one side (tick 1..n_levels) and the peak size."""
     total = cfg.total_shares_per_side
@@ -143,16 +164,7 @@ def _level_targets(cfg: FlowConfig, side: str) -> tuple[list[int], int]:
         per = body // cfg.n_levels
         peak += body - per * cfg.n_levels  # keep the body exactly flat
         return [per] * cfg.n_levels, peak
-    theta_x = cfg.tick_size / cfg.fundamental_price
-    if cfg.shape == "piecewise":
-        cut = cfg.delta_star_bp * 1e-4
-        weights = []
-        for k in range(1, cfg.n_levels + 1):
-            x = k * theta_x
-            weights.append(1.0 if x <= cut else math.exp(-cfg.decay * (x - cut)))
-    else:  # bell, mode 25 ticks out, heavier outer tail
-        weights = [(k / 25) ** 2 * math.exp(-2.0 * (k / 25 - 1.0)) for k in range(1, cfg.n_levels + 1)]
-    return _largest_remainder(weights, body), peak
+    return _largest_remainder(_level_weights(cfg), body), peak
 
 
 def _split_sizes(total: int, mean: int, rng: random.Random) -> list[int]:

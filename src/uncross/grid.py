@@ -4,8 +4,9 @@ Every price handled by the book lives on a grid ``anchor + k * tick_size``
 for integer ``k``.  All internal book-keeping uses the integer tick index
 ``k``; floating point prices only appear at the boundaries (parsing and
 output).  Snapping tolerates the rounding noise of ``price = anchor + k*tick``
-round-trips but rejects genuinely off-grid prices, and prices 2**52 ticks or
-more from the anchor, where adding one tick no longer changes a float.
+round-trips but rejects genuinely off-grid prices, prices 2**52 ticks or
+more from the anchor, where adding one tick no longer changes a float, and
+positive prices that snap below the lowest positive-price tick.
 """
 from __future__ import annotations
 
@@ -47,14 +48,14 @@ class PriceGrid:
             raise ValueError(
                 f"reference_price must be positive, got {self.reference_price}"
             )
-        # validates the grid invariant up front
-        object.__setattr__(self, "_ref_index", self.index_of(self.reference_price))
         k = math.floor(-self.anchor / self.tick_size) + 1
         while self.price_at(k) <= 0:  # guards the floor against float edges
             k += 1
         while self.price_at(k - 1) > 0:
             k -= 1
         object.__setattr__(self, "_min_index", k)
+        # validates the grid invariant up front
+        object.__setattr__(self, "_ref_index", self.index_of(self.reference_price))
 
     @property
     def reference_index(self) -> int:
@@ -66,7 +67,8 @@ class PriceGrid:
         return self._min_index
 
     def index_of(self, price: float) -> int:
-        """Snap a price to its tick index, raising OffGridPrice if it is not on the grid."""
+        """Snap a price to its tick index, raising OffGridPrice if it is not on the grid
+        or snaps below ``min_price_index``, to a tick whose price is not positive."""
         ticks = (price - self.anchor) / self.tick_size
         k = round(ticks) if abs(ticks) < _MAX_TICKS else None  # None also for NaN
         # price_at(k), inlined
@@ -74,6 +76,9 @@ class PriceGrid:
             raise OffGridPrice(
                 f"price {price!r} is not on the grid (tick={self.tick_size}, anchor={self.anchor})"
             )
+        if k < self._min_index:
+            raise OffGridPrice(f"price {price!r} snaps to tick {k}, whose price "
+                               f"{self.price_at(k)!r} is not positive")
         return k
 
     def price_at(self, index: int) -> float:

@@ -218,6 +218,8 @@ def post_clearing_impact(a1: float, b1: float, q: float) -> float:
     linear impact ``q/a1`` for small q, square-root ``sqrt(2 q / b1)`` for
     large q.  The root is ``2 q / (a1 + sqrt(a1^2 + 2 b1 q))``, which loses no
     digits when ``b1 q`` is small against ``a1^2``, and is ``q / a1`` at ``b1 = 0``.
+    An ``a1`` above 1 scales the terms, so that ``a1^2`` cannot overflow; a root
+    that a float cannot hold, or a ``b1 q`` that overflows, raises ValueError.
     """
     if not 0 < q < math.inf:  # NaN fails too
         raise ValueError(f"q must be positive and finite, got {q}")
@@ -225,10 +227,15 @@ def post_clearing_impact(a1: float, b1: float, q: float) -> float:
         raise ValueError(f"a1 must be >= 0 and finite and b1 finite, got {a1} and {b1}")
     if a1 == b1 == 0:
         raise NoPositiveRoot("a1 = b1 = 0 admits no solution")
-    disc = a1 * a1 + 2.0 * b1 * q
+    scale = max(a1, 1.0)
+    a = a1 / scale
+    disc = a * a + 2.0 * (b1 / scale) * (q / scale)
     if not disc >= 0:
         raise NoPositiveRoot(f"discriminant {disc} is not >= 0 (a1={a1}, b1={b1}, q={q})")
-    return 2.0 * q / (a1 + math.sqrt(disc))
+    root = 2.0 * (q / scale) / (a + math.sqrt(disc))
+    if not 0 < root < math.inf:
+        raise ValueError(f"the root for a1={a1}, b1={b1}, q={q} is out of float range")
+    return root
 
 
 def cash_volume(omega: float, q_a: int, p_a: float) -> float:
@@ -238,4 +245,7 @@ def cash_volume(omega: float, q_a: int, p_a: float) -> float:
     if type(q_a) is not int or not (q_a > 0 and 0 < p_a < math.inf):  # a bool or float q_a too
         raise ValueError(f"q_a must be a positive int and p_a positive and finite, "
                          f"got {q_a!r} and {p_a!r}")
-    return omega * q_a * p_a
+    cash = omega * q_a * p_a
+    if cash == math.inf:
+        raise ValueError(f"cash volume {omega} * {q_a} * {p_a} overflows")
+    return cash

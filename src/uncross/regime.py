@@ -151,8 +151,11 @@ def _omega_max(curve: ImpactCurve, walk: list[tuple[int, float, int]], delta: fl
 def empirical_slope(curve: ImpactCurve, omega_lo: float, omega_hi: float) -> tuple[float, int]:
     """Least-squares slope of impact against scaled volume over curve jumps.
 
-    Uses jumps with omega in (omega_lo, omega_hi].  Returns (slope, number of points).
+    Uses jumps with omega in (omega_lo, omega_hi]; a NaN bound or ``omega_lo >
+    omega_hi`` raises ValueError.  Returns (slope, number of points).
     """
+    if not omega_lo <= omega_hi:  # NaN fails too
+        raise ValueError(f"need omega_lo <= omega_hi, got {omega_lo} and {omega_hi}")
     pts = []
     for bp in curve.breakpoints:
         w = bp.omega_num / curve.q_a

@@ -4,10 +4,10 @@ Everything here recomputes results from first principles: supply/demand by
 literal summation over order lists, the clearing by scanning every candidate
 price, injection sweeps by re-clearing at every volume, the regime change
 point by refitting both segments at every cut, a log's events by building
-each row through the validating event record, and a reverse CDF by counting
-the sample at each of its values.  None of it shares code with
-the package beyond the price grid and that record.  The last section holds
-views of results that only tests read.
+each row through the validating event record, per-order fills by ranking a
+replay of its own, and a reverse CDF by counting the sample at each of its
+values.  None of it shares code with the package beyond the price grid and
+that record.  The last section holds views of results that only tests read.
 """
 from __future__ import annotations
 
@@ -354,6 +354,47 @@ def naive_read_events(path):
         except UnicodeDecodeError as exc:
             raise ParseError(f"not UTF-8 text: {exc.reason} 0x{exc.object[exc.start]:02x}",
                              path=name) from None
+
+
+def naive_fills(events, grid, price_index, q_a) -> dict[str, int]:
+    """Per-order fills of ``q_a`` shares a side at tick ``price_index``, replaying
+    ``events`` without the book.
+
+    Each side fills market orders first, then limits through the price from the
+    most aggressive, then limits at the price.  Within each, orders rank by the
+    timestamp of the event that last set their priority, then by that event's
+    place in the stream.  A SUBMIT sets it, and so does a MODIFY that changes the
+    price or the type or raises the quantity.  A STOP rests dormant and fills nothing.
+    """
+    live = {}  # order id -> [side, type, tick, quantity, priority timestamp, arrival]
+    for arrival, ev in enumerate(events):
+        tick = None if ev.price is None else grid.index_of(ev.price)
+        if ev.action == "SUBMIT":
+            live[ev.order_id] = [ev.side, ev.order_type, tick, ev.quantity, ev.timestamp, arrival]
+        elif ev.action == "CANCEL":
+            del live[ev.order_id]
+        else:
+            side, otype, old_tick, old_qty, ts, at = live[ev.order_id]
+            if (ev.order_type, tick) != (otype, old_tick) or ev.quantity > old_qty:
+                ts, at = ev.timestamp, arrival
+            live[ev.order_id] = [side, ev.order_type, tick, ev.quantity, ts, at]
+    fills = {}
+    for side, sign in (("B", 1), ("S", -1)):
+        queue = []
+        for oid, (s, otype, tick, qty, ts, at) in live.items():
+            if s != side or otype == "STOP":
+                continue
+            if otype == "MARKET":
+                queue.append(((0, 0, ts, at), oid, qty))
+            elif sign * (tick - price_index) >= 0:
+                queue.append(((1, -sign * tick, ts, at), oid, qty))
+        left = q_a
+        for _, oid, qty in sorted(queue):
+            if left == 0:
+                break
+            fills[oid] = min(qty, left)
+            left -= fills[oid]
+    return fills
 
 
 def naive_marketable(ev, book, indicative_index):

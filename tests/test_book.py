@@ -107,24 +107,24 @@ def test_levels_past_walks_outward_and_keeps_the_first_tick_beyond():
 def test_modify_quantity_decrease_keeps_priority():
     book = AuctionBook(grid10())
     book.apply(OrderEvent(1, "a", "SUBMIT", "B", "LIMIT", 10.0, 50))
-    rec = book.orders["a"]
-    seq0, ts0 = rec.priority_seq, rec.priority_ts
+    book.apply(OrderEvent(2, "b", "SUBMIT", "B", "LIMIT", 10.0, 50))
     book.apply(OrderEvent(9, "a", "MODIFY", "B", "LIMIT", 10.0, 30))
-    assert book.orders["a"].priority_seq == seq0
-    assert book.orders["a"].priority_ts == ts0
-    assert book.volume_at(0) == (30, 0)
+    assert list(book.orders) == ["a", "b"]
+    assert book.volume_at(0) == (80, 0)
 
 
 def test_modify_price_or_increase_resets_priority():
     book = AuctionBook(grid10())
     book.apply(OrderEvent(1, "a", "SUBMIT", "B", "LIMIT", 10.0, 50))
-    seq0 = book.orders["a"].priority_seq
+    book.apply(OrderEvent(2, "b", "SUBMIT", "B", "LIMIT", 10.1, 50))
     book.apply(OrderEvent(5, "a", "MODIFY", "B", "LIMIT", 10.1, 50))
-    assert book.orders["a"].priority_seq > seq0
-    assert book.volume_at(0) == (0, 0) and book.volume_at(1) == (50, 0)
-    seq1 = book.orders["a"].priority_seq
-    book.apply(OrderEvent(7, "a", "MODIFY", "B", "LIMIT", 10.1, 80))
-    assert book.orders["a"].priority_seq > seq1
+    assert list(book.orders) == ["b", "a"]
+    assert book.volume_at(0) == (0, 0) and book.volume_at(1) == (100, 0)
+    book.apply(OrderEvent(6, "b", "MODIFY", "B", "LIMIT", 10.1, 80))
+    assert list(book.orders) == ["a", "b"]
+    book.apply(OrderEvent(7, "a", "MODIFY", "B", "VALID_FOR_AUCTION", 10.1, 50))
+    assert list(book.orders) == ["b", "a"]
+    assert book.volume_at(1) == (130, 0)
 
 
 def test_stop_orders_inert_until_activated():
@@ -298,7 +298,7 @@ def test_level_window_always_holds_the_reference_tick(grid_args, orders):
             assert holds_reference() and keeps_sentinels()
 
 
-@pytest.mark.parametrize("name", ["buy_market_total", "sell_market_total", "orders", "_seq"])
+@pytest.mark.parametrize("name", ["buy_market_total", "sell_market_total", "orders", "_ticks"])
 def test_a_book_is_built_from_its_grid_alone(name):
     """A book's state comes from events only: an orderless book cannot be
     handed market volume or orders at construction."""
@@ -477,7 +477,7 @@ def _replayed(replay):
         return str(exc), exc.line
     ticks = book.nonempty_indices()
     return (ticks, [book.volume_at(k) for k in ticks], book.buy_market_total,
-            book.sell_market_total, list(book.orders.items()), book._seq)
+            book.sell_market_total, list(book.orders.items()))
 
 
 def _read(path, reader):

@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 
 import pytest
@@ -16,6 +17,7 @@ from oracles import (
     dense_random_book,
     naive_clear,
     naive_demand,
+    naive_fills,
     naive_margin,
     naive_supply,
     random_book,
@@ -214,6 +216,68 @@ def test_allocation_breaks_a_timestamp_tie_by_arrival():
     c = clear(book)
     assert (c.p_a, c.q_a) == (10.0, 40)
     assert c.fills == {"zz": 30, "aa": 10, "b": 40}
+
+
+def test_allocation_ranks_by_arrival_when_timestamps_go_backwards():
+    # a hand-built stream no log can hold: b arrives after a, stamped earlier
+    book = AuctionBook(PriceGrid(0.1, 10.0, 10.0))
+    book.apply(OrderEvent(5, "a", "SUBMIT", "S", "LIMIT", 10.0, 30))
+    book.apply(OrderEvent(3, "b", "SUBMIT", "S", "LIMIT", 10.0, 30))
+    book.apply(OrderEvent(6, "c", "SUBMIT", "B", "LIMIT", 10.0, 40))
+    assert clear(book).fills == {"c": 40, "a": 30, "b": 10}
+
+
+def _priority_stream(seed, n=400):
+    """A random time-sorted stream over seven ticks around 10.0, timestamps often
+    tied, whose MODIFYs move, re-type, raise, cut or repeat a live order."""
+    rng = random.Random(seed)
+    events, live, t = [], {}, 0
+    for i in range(n):
+        t += rng.choice([0, 0, 1])
+        action = rng.choices(["SUBMIT", "MODIFY", "CANCEL"], [5, 4, 1])[0] if live else "SUBMIT"
+        if action == "SUBMIT":
+            oid, side = f"o{i}", rng.choice("BS")
+            otype = rng.choices(["LIMIT", "MARKET", "VALID_FOR_AUCTION", "STOP"], [6, 1, 1, 1])[0]
+            price = None if otype == "MARKET" else 10.0 + 0.1 * rng.randint(-3, 3)
+            qty = rng.randint(1, 100)
+        else:
+            oid = rng.choice(sorted(live))
+            side, otype, price, qty = live[oid]
+            how = rng.choice(["price", "type", "up", "down", "same"])
+            if action == "CANCEL":
+                del live[oid]
+            elif how == "price" and otype != "MARKET":
+                price = 10.0 + 0.1 * rng.randint(-3, 3)
+            elif how == "type" or otype == "STOP":
+                otype = rng.choice(sorted({"LIMIT", "MARKET", "VALID_FOR_AUCTION"} - {otype}))
+                price = None if otype == "MARKET" else price or 10.0
+            elif how == "up":
+                qty += rng.randint(1, 50)
+            elif how == "down":
+                qty = rng.randint(1, qty)
+        events.append(OrderEvent(t, oid, action, side, otype, price, qty))
+        if action != "CANCEL":
+            live[oid] = side, otype, price, qty
+    return events
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_fills_equal_the_price_time_oracle_on_random_streams(seed):
+    """Per-order fills, cleared every 40 events of a random time-sorted stream,
+    rank as price-time priority over (timestamp, arrival of the event that set it)."""
+    grid = PriceGrid(0.1, 10.0, 10.0)
+    events = _priority_stream(seed)
+    book = AuctionBook(grid)
+    cleared = 0
+    for i in range(0, len(events), 40):
+        book.replay(events[i:i + 40])
+        try:
+            c = clear(book)
+        except NoCross:
+            continue
+        assert c.fills == naive_fills(events[:i + 40], grid, c.price_index, c.q_a), i
+        cleared += 1
+    assert cleared >= 5
 
 
 def test_allocation_market_orders_first():

@@ -470,10 +470,13 @@ APART = "0,a,SUBMIT,B,LIMIT,9.9,5,HFT,OWN\n1,b,SUBMIT,S,LIMIT,10.1,5,HFT,OWN\n"
     ("replay", CROSSED, "2,c,SUBMIT,B,LIMIT,1e300,5,HFT,OWN",
      "price 1e+300 is not on the grid"),
     ("replay", CROSSED, "2,a,MODIFY,B,LIMIT,10.0,0,HFT,OWN", "quantity must be >= 1, got 0"),
+    # positive, but it snaps to tick -100, below the lowest positive tick -99
+    ("replay", CROSSED, "2,c,SUBMIT,S,LIMIT,1e-09,7,HFT,OWN",
+     "price 1e-09 snaps to tick -100, whose price 0.0 is not positive"),
 ], ids=["duplicate-submit", "unknown-cancel", "unknown-modify", "off-grid-price",
         "off-grid-price-before-cross", "cancel-other-side", "cancel-other-type",
         "cancel-other-price", "modify-other-side", "price-beyond-float-ticks",
-        "modify-to-zero"])
+        "modify-to-zero", "price-below-the-lowest-tick"])
 def test_book_reject_in_log_is_line_numbered_parse_error(tmp_path, command, prefix, row,
                                                          message, grid_file):
     log = tmp_path / "bad.csv"
@@ -510,12 +513,15 @@ def test_book_reject_in_log_is_line_numbered_parse_error(tmp_path, command, pref
      "bad grid file: reference_price must be positive, got 0"),
     ('{"tick_size": 0.1, "anchor": 10.0, "reference_price": NaN}',
      "bad grid file: reference_price must be positive, got nan"),
+    ('{"tick_size": 0.01, "anchor": 100.0, "reference_price": 1e-09}',
+     "bad grid file: price 1e-09 snaps to tick -10000, whose price 0.0 is not positive"),
     # the anchor lies 1e301 ticks from zero
     ('{"tick_size": 1e-300, "anchor": 10.0, "reference_price": 10.0}',
      "bad grid file: anchor 10.0 lies 2**52 ticks or more from zero"),
 ], ids=["missing-key", "not-json", "off-grid-ref", "ticks-overflow", "anchor-too-far",
         "nan-anchor", "ref-beyond-float-ticks", "infinite-tick", "boolean-ref",
-        "negative-tick", "nan-tick", "zero-ref", "nan-ref", "tick-too-fine"])
+        "negative-tick", "nan-tick", "zero-ref", "nan-ref", "ref-below-the-lowest-tick",
+        "tick-too-fine"])
 def test_bad_grid_file_is_parse_error(tmp_path, text, message):
     log = tmp_path / "day.csv"
     log.write_text(",".join(CSV_HEADER) + "\n" + CROSSED)
@@ -573,11 +579,17 @@ def test_bad_grid_file_is_parse_error(tmp_path, text, message):
      "bad config file: unknown config fields: ['latency_weights']"),
     ('{"account_weights": {"OWN": 1.0}}',
      "bad config file: unknown config fields: ['account_weights']"),
+    # level weights that all underflow, or overflow, leave no share layout
+    ('{"shape": "piecewise", "delta_star_bp": 0.0, "decay": 1e8}',
+     "bad config file: the piecewise level weights overflow or all underflow"),
+    ('{"shape": "piecewise", "decay": -1e6}',
+     "bad config file: the piecewise level weights overflow or all underflow"),
 ], ids=["not-json", "unknown-field", "wrong-type", "not-an-object",
         "wrong-range-element", "infeasible", "start_us", "bell_mode_ticks",
         "buy_total_shares", "range-reversed", "range-zero", "range-negative", "nan-tick",
         "infinite-delta", "negative-infinite-churn", "nan-decay", "overflowing-peak-mass",
-        "peak_mass", "market_size_range", "null-peak-mass", "latency_weights", "account_weights"])
+        "peak_mass", "market_size_range", "null-peak-mass", "latency_weights", "account_weights",
+        "weights-underflow", "weights-overflow"])
 def test_bad_gen_config_is_parse_error(tmp_path, text, message):
     config = tmp_path / "config.json"
     config.write_text(text)

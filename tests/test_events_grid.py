@@ -51,6 +51,20 @@ class TestGrid:
         with pytest.raises(OffGridPrice):
             PriceGrid(0.1, 10.0, 10.03)
 
+    def test_a_positive_price_below_the_lowest_positive_tick_is_refused(self):
+        # 1e-09 snaps to tick -10000, whose price is 0.0
+        grid = PriceGrid(0.01, 100.0, 100.0)
+        message = "price 1e-09 snaps to tick -10000, whose price 0.0 is not positive"
+        with pytest.raises(OffGridPrice, match=message):
+            grid.index_of(1e-9)
+        with pytest.raises(OffGridPrice, match=message):
+            PriceGrid(0.01, 100.0, 1e-9)
+        book = AuctionBook(grid)
+        with pytest.raises(OffGridPrice, match=message):
+            book.apply(OrderEvent(1, "s", "SUBMIT", "S", "LIMIT", 1e-9, 7))
+        assert book.orders == {} and book.nonempty_indices() == []
+        assert grid.index_of(0.01) == grid.min_price_index == -9999
+
     @pytest.mark.parametrize("tick, error, message", [
         (0.0, ValueError, "tick_size must be positive and finite, got 0.0"),
         (True, TypeError, "tick_size must be a number, got True"),
@@ -77,6 +91,9 @@ class TestGrid:
         (0.03, 10.0, 10.0),  # the tick does not divide the anchor
         (0.07, 1.0, 1.0),
         (0.1, 0.3, 0.3),  # 0.3 - 3 * 0.1 rounds below zero
+        # the closed form floor(-anchor / tick) + 1 is a tick off, and the guards step:
+        (0.01, 0.07, 0.07),  # up from -7, whose price is 0.0, to -6
+        (0.3, 0.9, 0.9),  # down from -2 to -3, whose price is 1.1e-16
         (0.5, 0.0, 1.0),
         (1e-5, 50.0, 50.0),
     ])

@@ -213,9 +213,17 @@ class TestInfeasibleConfigs:
         # random.Random(-1) would draw seed 1's day
         ({"seed": -1}, "seed must be >= 0"),
         ({"delta_star_bp": -5.0}, "delta_star_bp must be >= 0"),
+        # every weight past an empty plateau underflows to 0.0
+        ({"shape": "piecewise", "delta_star_bp": 0.0, "decay": 1e8},
+         "the piecewise level weights overflow or all underflow, got decay 100000000.0 "
+         "past a plateau of 0.0 bp"),
+        # a weight far past the plateau overflows math.exp
+        ({"shape": "piecewise", "decay": -1e6},
+         "the piecewise level weights overflow or all underflow, got decay -1000000.0 "
+         "past a plateau of 50.0 bp"),
     ], ids=["tick", "price", "buy-peak-mass", "sell-peak-mass", "total-shares", "n_levels",
             "cancellation_rate", "market_shares_per_side", "mean_order_size", "seed",
-            "delta_star_bp"])
+            "delta_star_bp", "weights-underflow", "weights-overflow"])
     def test_field_outside_its_domain(self, fields, message):
         with pytest.raises(InfeasibleConfig) as err:
             FlowConfig(**fields)

@@ -298,6 +298,22 @@ class TestScalars:
         with pytest.raises(NoPositiveRoot):
             post_clearing_impact(0.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("a1, b1, q, root", [
+        (1e200, 1.0, 1.0, 1e-200),  # a1 * a1 overflows
+        (1e300, 1e300, 1.0, 1e-300),
+        (1e-200, 2.0, 1.0, 1.0),  # a1 * a1 underflows, as it may
+    ])
+    def test_post_clearing_root_of_a_huge_or_tiny_a1(self, a1, b1, q, root):
+        assert post_clearing_impact(a1, b1, q) == pytest.approx(root, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("a1, b1, q", [
+        (1e-300, 0.0, 1e10),  # the root q / a1 is 1e310
+        (0.5, 1e300, 1e300),  # 2 b1 q overflows
+    ])
+    def test_post_clearing_root_out_of_float_range_is_refused(self, a1, b1, q):
+        with pytest.raises(ValueError, match="out of float range"):
+            post_clearing_impact(a1, b1, q)
+
     def test_cash_volume_examples(self):
         assert cash_volume(0.2745, 2_246_617, 48.00) == pytest.approx(29.6e6, abs=0.05e6)
         # the published sell-side figure truncates 10.363M to "10.3 million";
@@ -311,6 +327,8 @@ class TestScalars:
             cash_volume(0.1, 0, 10.0)
         with pytest.raises(ValueError):
             cash_volume(-0.1, 10, 10.0)
+        with pytest.raises(ValueError, match="overflows"):
+            cash_volume(1e300, 10, 1e10)
 
     @pytest.mark.parametrize("call, args", [
         (theoretical_slope, (math.nan, 1.0)),

@@ -243,6 +243,15 @@ class TestEmpiricalSlope:
         curve = impact_curve(book, c, "B", max_x=0.05)
         with pytest.raises(TooFewPoints):
             empirical_slope(curve, 1e9, 2e9)
+        with pytest.raises(TooFewPoints):  # an empty window, which fit_regime can give
+            empirical_slope(curve, 1.0, 1.0)
+
+    @pytest.mark.parametrize("lo, hi", [(math.nan, 100.0), (0.0, math.nan), (2.0, 1.0)])
+    def test_a_nan_or_reversed_window_is_refused(self, lo, hi):
+        book = constant_density_book()
+        curve = impact_curve(book, clear(book), "B", max_x=0.05)
+        with pytest.raises(ValueError, match="need omega_lo <= omega_hi, got"):
+            empirical_slope(curve, lo, hi)
 
     def test_matches_theoretical_within_1pct_on_1pct_window(self):
         # 1 bp ticks on a 100.0 book, window of 100 ticks = 1%
